@@ -1,45 +1,78 @@
-"""Selects the subset-DP backend: compiled kernel when safe, pure otherwise.
+"""Subset dynamic program for the preemptive single-machine optimum.
 
-Set ``WSRPT_PURE=1`` to force the pure-Python implementation.  The kernel
-runs on int64, so calls whose scaled cost bound could overflow are routed to
-the pure backend, which uses unbounded ints.
+Works entirely on integer-scaled data (the caller clears denominators), so
+Python's unbounded ints keep every intermediate exact.
+
+The recurrence: an optimal preemptive schedule can be described by its
+completion order, and the k-th completion happens exactly at the makespan of
+the first k jobs (run work-conservingly).  Hence
+
+    f(S) = min over j in S of  w_j * makespan(S) + f(S without j)
+
+where S ranges over the sets of earliest-completing jobs.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _purepy
-
-_INT64_SAFE = 2**62
-
-
-def _load_kernel():
-    if os.environ.get("WSRPT_PURE") == "1":
-        return None
-    try:
-        from . import _kernel  # compiled extension; optional
-
-        return _kernel
-    except ImportError:
-        return None
-
-
-_KERNEL = _load_kernel()
-
 
 def backend_name() -> str:
-    """Which subset-DP implementation import-time selection produced."""
-    return "kernel" if _KERNEL is not None else "pure"
+    """Name of the subset-DP implementation, recorded in run metadata."""
+    return "pure"
+
+
+def subset_makespans(releases: list[int], procs: list[int], n: int) -> list[int]:
+    """Makespan of every job subset, indexed by bitmask.
+
+    The makespan of a set run work-conservingly is the classic sweep
+    ``t = max(t, r_j) + p_j`` over the set in release order.
+    """
+    by_release = sorted(range(n), key=lambda j: (releases[j], j))
+    size = 1 << n
+    m = [0] * size
+    for s in range(1, size):
+        t = 0
+        for j in by_release:
+            if s >> j & 1:
+                rj = releases[j]
+                if rj > t:
+                    t = rj
+                t += procs[j]
+        m[s] = t
+    return m
 
 
 def subset_dp(
     releases: list[int], procs: list[int], weights: list[int], n: int
 ) -> tuple[int, tuple[int, ...]]:
-    """Integer-scaled subset DP; see ``_purepy.subset_dp`` for the contract."""
-    if _KERNEL is not None and n <= 20:
-        horizon = max(releases) + sum(procs)
-        bound = horizon * sum(weights)
-        if 0 <= bound < _INT64_SAFE:
-            return _KERNEL.subset_dp(list(releases), list(procs), list(weights), n)
-    return _purepy.subset_dp(releases, procs, weights, n)
+    """Minimal total weighted completion time and a realizing completion order.
+
+    Inputs are integer-scaled; the returned cost carries the product of the
+    caller's time and weight scales.  The order lists job indices from first
+    to last completion; ties resolve toward the smallest index.
+    """
+    size = 1 << n
+    m = subset_makespans(releases, procs, n)
+    f = [0] * size
+    last = [0] * size
+    for s in range(1, size):
+        ms = m[s]
+        best = -1
+        best_j = -1
+        t = s
+        while t:
+            j = (t & -t).bit_length() - 1
+            t &= t - 1
+            cand = weights[j] * ms + f[s & ~(1 << j)]
+            if best < 0 or cand < best:
+                best = cand
+                best_j = j
+        f[s] = best
+        last[s] = best_j
+    order = []
+    s = size - 1
+    while s:
+        j = last[s]
+        order.append(j)
+        s &= ~(1 << j)
+    order.reverse()
+    return f[size - 1], tuple(order)

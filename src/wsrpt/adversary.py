@@ -10,11 +10,9 @@ for the intermediate branches is float numerics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Union
 
 from scipy.optimize import minimize_scalar
@@ -29,7 +27,8 @@ from .core import (
     rational_str,
     to_rational,
 )
-from .instances import instance_to_dict
+from .analysis import _l1
+from .instances import instance_to_dict, write_json
 from .oracle import closed_pair_optimal
 from .simulator import Policy, TieRule, simulate
 
@@ -88,10 +87,6 @@ class AdversaryTranscript:
     def __post_init__(self):
         if self.ratio < 1:
             raise ValueError("adversary game produced a ratio below 1")
-
-
-def _l1_closed(p1: float, p2: float) -> float:
-    return math.sqrt(2 * (p2**3 - p1**3) / p2)
 
 
 def choose_l(branch_state: AdversaryState) -> float:
@@ -303,7 +298,7 @@ def play(
             checkpoints.append((p2, rem1_p2, rem2_p2))
             branch, t_r, rho = BRANCH_TERMINAL, p2, Fraction(p2, rem2_p2)
 
-    l1 = _l1_closed(float(p1), float(p2))
+    l1 = _l1(float(p1), float(p2))
     state = AdversaryState(
         p1=p1,
         p2=p2,
@@ -427,14 +422,7 @@ def transcript_to_dict(transcript: AdversaryTranscript) -> dict:
 
 def write_transcript(transcript: AdversaryTranscript, dest) -> None:
     """Write the transcript as indented JSON."""
-    payload = transcript_to_dict(transcript)
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-    else:
-        json.dump(payload, dest, indent=2)
-        dest.write("\n")
+    write_json(transcript_to_dict(transcript), dest)
 
 
 __all__ = [

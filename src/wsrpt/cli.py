@@ -29,6 +29,7 @@ from .instances import (
     gen_random,
     read_instance,
     write_instance,
+    write_json,
 )
 from .oracle import (
     optimal_bruteforce,
@@ -149,12 +150,6 @@ def _schedule_from_dict(payload: dict) -> Schedule:
     )
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-
 def _write_schedule(schedule: Schedule, instance: Instance, path) -> None:
     """JSON slice list, or CSV (job,start,end) when the path says so."""
     if str(path).endswith(".csv"):
@@ -164,7 +159,7 @@ def _write_schedule(schedule: Schedule, instance: Instance, path) -> None:
             for s in schedule.slices:
                 writer.writerow([s.job, rational_str(s.start), rational_str(s.end)])
     else:
-        _write_json(_schedule_to_dict(schedule, instance), path)
+        write_json(_schedule_to_dict(schedule, instance), path)
 
 
 def _cmd_simulate(args) -> int:
@@ -282,7 +277,7 @@ def _cmd_optimize(args) -> int:
         payload = {"p2": p2, "bound": value}
     out = _out_path(args)
     if out is not None:
-        _write_json(payload, out)
+        write_json(payload, out)
         print(f"wrote {out}")
     return 0
 

@@ -118,12 +118,6 @@ class Instance:
     def min_release(self) -> Fraction:
         return min(j.release for j in self.jobs)
 
-    def total_work(self) -> Fraction:
-        return sum((j.processing for j in self.jobs), Fraction(0))
-
-    def total_weight(self) -> Fraction:
-        return sum((j.weight for j in self.jobs), Fraction(0))
-
 
 def normalize_releases(instance: Instance) -> Instance:
     """Shift all releases so the earliest becomes 0."""

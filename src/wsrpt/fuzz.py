@@ -110,7 +110,8 @@ def fuzz(
 
     Instances cycle through the three kinds and are fully determined by
     ``seed``, so reruns reproduce the same trials.  ``workers`` > 1 spreads
-    evaluation over a process pool (default: serial).  The worst
+    evaluation over a process pool of at most ``os.cpu_count()`` processes
+    (default: serial); values below 1 are rejected.  The worst
     general-class instance is written to ``out_dir`` (or the directory in
     the WSRPT_OUT_DIR environment variable) as a replayable certificate
     carrying its expected ratio in a tag.  Raises EnvelopeBreach if any
@@ -119,8 +120,14 @@ def fuzz(
     """
     if n_max > 8:
         raise ValueError("n_max must be at most 8 (brute-force oracle bound)")
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if workers is not None:
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        workers = min(workers, os.cpu_count() or 1)
 
     instances = _trial_instances(trials, n_max, seed)
     if workers is not None and workers > 1:
@@ -189,18 +196,6 @@ def fuzz(
     )
 
 
-def replay_certificate(path) -> tuple[Fraction, Fraction]:
-    """Re-evaluate a certificate; returns (expected, recomputed) ratios."""
-    from .instances import read_instance
-
-    instance = read_instance(path)
-    expected = Fraction(instance.tags["fuzz_ratio"])
-    recomputed = evaluate_instance(instance)
-    if recomputed is None:
-        raise BudgetExceeded("certificate replay exceeded the oracle budget")
-    return expected, recomputed
-
-
 __all__ = [
     "ENVELOPE",
     "ClassStats",
@@ -209,5 +204,4 @@ __all__ = [
     "evaluate_instance",
     "fuzz",
     "instance_digest",
-    "replay_certificate",
 ]

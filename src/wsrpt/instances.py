@@ -324,16 +324,19 @@ def instance_from_dict(payload: dict) -> Instance:
     return Instance(jobs, tie_script=tie_script, tags=payload.get("tags", {}))
 
 
-def write_instance(instance: Instance, dest: PathOrFile) -> None:
-    """Serialize to JSON with rationals rendered as exact num/den strings."""
-    payload = instance_to_dict(instance)
+def write_json(payload: dict, dest: PathOrFile) -> None:
+    """Write ``payload`` as indented JSON plus a final newline."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+            write_json(payload, f)
     else:
         json.dump(payload, dest, indent=2)
         dest.write("\n")
+
+
+def write_instance(instance: Instance, dest: PathOrFile) -> None:
+    """Serialize to JSON with rationals rendered as exact num/den strings."""
+    write_json(instance_to_dict(instance), dest)
 
 
 def read_instance(src: PathOrFile) -> Instance:

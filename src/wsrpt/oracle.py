@@ -24,7 +24,7 @@ from .core import (
     objective,
     to_rational,
 )
-from .simulator import BudgetExceeded
+from .simulator import BudgetExceeded, _release_groups
 
 #: State cap for the time-indexed DP.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -62,10 +62,7 @@ def priority_schedule(instance: Instance, order) -> Schedule:
 
     jobs = {j.id: j for j in instance.jobs}
     remaining = {j.id: j.processing for j in instance.jobs}
-    releases = sorted(
-        (t, sorted(g))
-        for t, g in _group_by_release(instance).items()
-    )
+    releases = _release_groups(instance)
     heap: list[tuple[int, int]] = []
     raw: list[Slice] = []
     idx = 0
@@ -91,13 +88,6 @@ def priority_schedule(instance: Instance, order) -> Schedule:
     return Schedule(merge_slices(raw))
 
 
-def _group_by_release(instance: Instance) -> dict[Fraction, list[int]]:
-    groups: dict[Fraction, list[int]] = {}
-    for j in instance.jobs:
-        groups.setdefault(j.release, []).append(j.id)
-    return groups
-
-
 def _integer_scaled(instance: Instance):
     """Clear denominators: (releases, procs, weights as ints, scales)."""
     jobs = instance.jobs
@@ -116,6 +106,12 @@ def optimal_bruteforce(instance: Instance, max_n: int = 10) -> OptimalResult:
     lists) and returns the realizing priority schedule.  ``max_n`` guards
     runaway table sizes; the absolute cap is MAX_BRUTEFORCE_JOBS.
     """
+    obj, order = _subset_optimum(instance, max_n)
+    return OptimalResult(priority_schedule(instance, order), obj, "brute-force")
+
+
+def _subset_optimum(instance: Instance, max_n: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Subset-DP optimum: (objective, completion order of job ids)."""
     n = len(instance.jobs)
     if n > min(max_n, MAX_BRUTEFORCE_JOBS):
         raise ValueError(
@@ -124,9 +120,8 @@ def optimal_bruteforce(instance: Instance, max_n: int = 10) -> OptimalResult:
         )
     releases, procs, weights, den_t, den_w = _integer_scaled(instance)
     cost, order_idx = _backend.subset_dp(releases, procs, weights, n)
-    obj = Fraction(cost, den_t * den_w)
     order = tuple(instance.jobs[i].id for i in order_idx)
-    return OptimalResult(priority_schedule(instance, order), obj, "brute-force")
+    return Fraction(cost, den_t * den_w), order
 
 
 def optimal_dp_timeindexed(
@@ -298,8 +293,8 @@ def closed_pair_optimal(
 
 
 def optimal_objective(instance: Instance, max_n: int = MAX_BRUTEFORCE_JOBS) -> Fraction:
-    """Convenience wrapper: the subset-DP optimum's objective value."""
-    return optimal_bruteforce(instance, max_n=max_n).objective
+    """The subset-DP optimum's objective value, without building its schedule."""
+    return _subset_optimum(instance, max_n)[0]
 
 
 __all__ = [

@@ -173,21 +173,4 @@ def render_profile(schedule: Schedule, instance: Instance, path) -> str:
     return text
 
 
-def svg_structure(text: str) -> dict[str, object]:
-    """Element counts and rounded coordinates, for structural diffing."""
-    import re
-
-    counts: dict[str, int] = {}
-    for m in re.finditer(r"<(\w+)[\s>]", text):
-        tag = m.group(1)
-        if tag != "svg":
-            counts[tag] = counts.get(tag, 0) + 1
-    coords = tuple(
-        round(float(v), 3)
-        for m in re.finditer(r'(?:x|y|x1|y1|x2|y2|width|height)="([-\d.]+)"', text)
-        for v in (m.group(1),)
-    )
-    return {"counts": counts, "coords": coords}
-
-
-__all__ = ["render_gantt", "render_profile", "svg_structure"]
+__all__ = ["render_gantt", "render_profile"]

@@ -224,3 +224,9 @@ class TestExitCodes:
         monkeypatch.setattr("wsrpt.cli.fuzz", boom)
         code = main(["fuzz", "--trials", "1", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [["--workers", "0"], ["--n-max", "1"]])
+    def test_bad_fuzz_bounds_are_validation_failures(self, tmp_path, capsys, flag):
+        code = main(["fuzz", "--trials", "1", "--out", str(tmp_path), *flag])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err

@@ -3,6 +3,7 @@ structure-aware fast path, and the two-long-job closed form."""
 
 import math
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from wsrpt.oracle import (
     closed_pair_optimal,
     optimal_bruteforce,
     optimal_dp_timeindexed,
+    optimal_objective,
     priority_schedule,
     structured_optimal,
 )
@@ -81,6 +83,21 @@ class TestBruteforce:
         )
         srpt = objective(simulate(unit, policy=Policy.SRPT), unit)
         assert optimal_bruteforce(unit).objective == srpt
+
+    @given(small_instances(max_jobs=5))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_best_priority_list(self, instance):
+        ids = [j.id for j in instance.jobs]
+        best = min(
+            objective(priority_schedule(instance, perm), instance)
+            for perm in permutations(ids)
+        )
+        assert optimal_bruteforce(instance).objective == best
+
+    @given(small_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_optimal_objective_matches(self, instance):
+        assert optimal_objective(instance) == optimal_bruteforce(instance).objective
 
 
 class TestTimeIndexedDP:
