@@ -29,7 +29,7 @@ from .core import (
 )
 from .analysis import _l1
 from .instances import instance_to_dict, write_json
-from .oracle import closed_pair_optimal
+from .oracle import closed_pair_optimal, priority_schedule
 from .simulator import Policy, TieRule, simulate
 
 #: Branch names, in the order the game tests them.
@@ -177,13 +177,7 @@ def _j2_first_schedule(instance: Instance) -> Schedule:
     others = sorted(
         (j.id for j in instance.jobs if j.id not in (0, 1)),
     )
-    return _priority(instance, [1, *others, 0])
-
-
-def _priority(instance: Instance, order: list[int]) -> Schedule:
-    from .oracle import priority_schedule
-
-    return priority_schedule(instance, order)
+    return priority_schedule(instance, [1, *others, 0])
 
 
 def _equalizer_schedule(instance: Instance) -> Schedule:

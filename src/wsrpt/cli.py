@@ -2,8 +2,9 @@
 tables, the adversary game, fuzzing, and SVG rendering.
 
 Every command is deterministic given its flags and seed.  Exit codes:
-0 success, 1 validation failure (bad flags, bad files, domain errors),
-2 assertion failure (fuzz envelope breach, reference-table mismatch).
+0 success, 1 validation failure (bad flags, bad files, domain errors,
+searches over budget), 2 assertion failure (fuzz envelope breach,
+reference-table mismatch).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .oracle import (
     structured_optimal,
 )
 from .render import render_gantt, render_profile
-from .simulator import Policy, TieRule, simulate
+from .simulator import BudgetExceeded, Policy, TieRule, simulate
 
 _ENV_OUT_DIR = "WSRPT_OUT_DIR"
 
@@ -462,7 +463,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,6 @@ burst.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -24,7 +23,7 @@ from .core import (
     objective,
     to_rational,
 )
-from .simulator import BudgetExceeded, _release_groups
+from .simulator import MAX_SEARCH_DEPTH, BudgetExceeded, _run
 
 #: State cap for the time-indexed DP.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -59,33 +58,11 @@ def priority_schedule(instance: Instance, order) -> Schedule:
     if sorted(order) != ids:
         raise ValueError("order must be a permutation of the instance's job ids")
     pos = {jid: k for k, jid in enumerate(order)}
-
-    jobs = {j.id: j for j in instance.jobs}
-    remaining = {j.id: j.processing for j in instance.jobs}
-    releases = _release_groups(instance)
-    heap: list[tuple[int, int]] = []
-    raw: list[Slice] = []
-    idx = 0
-    now = releases[0][0]
-    done = 0
-    while done < len(ids):
-        while idx < len(releases) and releases[idx][0] <= now:
-            for jid in releases[idx][1]:
-                heapq.heappush(heap, (pos[jid], jid))
-            idx += 1
-        if not heap:
-            now = releases[idx][0]
-            continue
-        jid = heap[0][1]
-        finish = now + remaining[jid]
-        end = min(finish, releases[idx][0]) if idx < len(releases) else finish
-        raw.append(Slice(jid, now, end))
-        remaining[jid] -= end - now
-        if remaining[jid] == 0:
-            heapq.heappop(heap)
-            done += 1
-        now = end
-    return Schedule(merge_slices(raw))
+    return _run(
+        instance,
+        lambda jid, _: -pos[jid],
+        lambda now, new_ids, running, remaining, top_key, top_id: top_id,
+    )
 
 
 def _integer_scaled(instance: Instance):
@@ -171,7 +148,7 @@ def optimal_dp_timeindexed(
     # single-slot branching case with slots=1.
     memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple]] = {}
 
-    def solve(t: int, rem: tuple[int, ...]) -> int:
+    def solve(t: int, rem: tuple[int, ...], depth: int) -> int:
         if all(x == 0 for x in rem):
             return 0
         state = (t, rem)
@@ -182,11 +159,15 @@ def optimal_dp_timeindexed(
             raise BudgetExceeded(
                 f"time-indexed DP exceeded {state_budget} states"
             )
+        if depth > MAX_SEARCH_DEPTH:
+            raise BudgetExceeded(
+                f"time-indexed DP exceeded search depth {MAX_SEARCH_DEPTH}"
+            )
 
         available = [i for i in range(n) if rem[i] > 0 and releases[i] <= t]
         if not available:
             nxt = min(releases[i] for i in range(n) if rem[i] > 0)
-            best, action = solve(nxt, rem), ("idle", nxt)
+            best, action = solve(nxt, rem, depth + 1), ("idle", nxt)
         elif len(available) == 1:
             i = available[0]
             upcoming = [releases[k] for k in range(n) if rem[k] > 0 and releases[k] > t]
@@ -194,7 +175,7 @@ def optimal_dp_timeindexed(
             run = min(rem[i], horizon - t)
             rem2 = rem[:i] + (rem[i] - run,) + rem[i + 1 :]
             gained = weights[i] * (t + run) if rem2[i] == 0 else 0
-            best, action = gained + solve(t + run, rem2), ("run", i, run)
+            best, action = gained + solve(t + run, rem2, depth + 1), ("run", i, run)
         else:
             seen_classes = set()
             best, action = -1, ()
@@ -205,14 +186,14 @@ def optimal_dp_timeindexed(
                 seen_classes.add(c)
                 rem2 = rem[:i] + (rem[i] - 1,) + rem[i + 1 :]
                 gained = weights[i] * (t + 1) if rem2[i] == 0 else 0
-                cand = gained + solve(t + 1, rem2)
+                cand = gained + solve(t + 1, rem2, depth + 1)
                 if best < 0 or cand < best:
                     best, action = cand, ("run", i, 1)
         memo[state] = (best, action)
         return best
 
     start = min(releases)
-    cost = solve(start, tuple(procs))
+    cost = solve(start, tuple(procs), 1)
 
     raw: list[Slice] = []
     t, rem = start, tuple(procs)

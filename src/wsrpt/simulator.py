@@ -10,6 +10,7 @@ on exact rationals and ties are resolved by an explicit rule or script.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -41,6 +42,11 @@ class TieRule(Enum):
 
 #: Upper bound on tie-branch explorations for EXHAUSTIVE_WORST.
 DEFAULT_BRANCH_BUDGET = 2**20
+
+#: Deepest recursion the exhaustive tie search and the time-indexed DP
+#: attempt: below CPython's default limit of 1000 frames, with room left
+#: for the caller's own stack.
+MAX_SEARCH_DEPTH = 800
 
 
 class BudgetExceeded(RuntimeError):
@@ -78,39 +84,42 @@ def simulate(
     decision point.  SCRIPTED looks the event time up in ``script`` (or the
     instance's own tie_script); times without an entry fall back to the
     PREFER_RUNNING chain.  EXHAUSTIVE_WORST explores every tie branch and
-    returns the worst (maximal-objective) schedule, breaking objective ties
-    toward the lexicographically smallest slice list.
+    returns the worst (maximal-objective) schedule; among equally bad
+    choices, ties go to the smallest job id.
     """
     if tie is TieRule.EXHAUSTIVE_WORST:
         _, slices = _exhaustive_worst(instance, policy, branch_budget)
         return Schedule(slices)
+    return _run(instance, *_policy(instance, policy, tie, script))
 
-    script_map: dict[Fraction, int] = {}
-    if tie is TieRule.SCRIPTED:
-        entries = script if script is not None else instance.tie_script
-        if entries is None:
-            raise ValueError("SCRIPTED tie rule needs a script")
-        for t, choice in entries:
-            script_map[to_rational(t)] = choice
 
-    jobs = {j.id: j for j in instance.jobs}
+def _run(instance: Instance, key, choose) -> Schedule:
+    """The event loop behind every single-path schedule.
+
+    ``key(job_id, remaining)`` is a job's priority; larger runs first.  At
+    each decision point ``choose(now, new_ids, running, remaining, top_key,
+    top_id)`` returns the job to run until the next release or its
+    completion: ``new_ids`` are the jobs released at ``now``, ``running``
+    is the unfinished job that ran up to ``now`` (else None), and
+    ``top_id`` is the smallest id among the released jobs of maximal key
+    ``top_key``.
+    """
     remaining = {j.id: j.processing for j in instance.jobs}
     releases = _release_groups(instance)
-    n = len(jobs)
+    n = len(remaining)
 
     # Lazy max-heap: entries (negated key, id, version).  Only the running
     # job's key can change between events, so entries go stale only when we
     # re-push that one job with a bumped version.
-    heap: list[tuple[Fraction, int, int]] = []
+    heap: list[tuple] = []
     version: dict[int, int] = {}
     completed: set[int] = set()
 
     def push(jid: int) -> None:
         version[jid] = version.get(jid, 0) + 1
-        key = policy_key(policy, jobs[jid], remaining[jid])
-        heapq.heappush(heap, (-key, jid, version[jid]))
+        heapq.heappush(heap, (-key(jid, remaining[jid]), jid, version[jid]))
 
-    def top() -> tuple[Fraction, int] | None:
+    def top():
         while heap:
             neg_key, jid, ver = heap[0]
             if jid in completed or version.get(jid) != ver:
@@ -140,12 +149,8 @@ def simulate(
             now = releases[idx][0]
             running = None
             continue
-        top_key, top_id = best
 
-        chosen = _select(
-            policy, tie, script_map, jobs, remaining,
-            now, new_ids, running, top_key, top_id,
-        )
+        chosen = choose(now, new_ids, running, remaining, *best)
 
         finish = now + remaining[chosen]
         end = min(finish, releases[idx][0]) if idx < len(releases) else finish
@@ -162,38 +167,55 @@ def simulate(
     return Schedule(merge_slices(raw))
 
 
-def _select(policy, tie, script_map, jobs, remaining, now, new_ids, running,
-            top_key, top_id) -> int:
-    """Resolve one decision point; returns the job id to run."""
+def _policy(instance: Instance, policy: Policy, tie: TieRule, script):
+    """``(key, choose)`` for ``_run``: the policy's key and the tie rule."""
+    jobs = {j.id: j for j in instance.jobs}
 
-    def key_of(jid: int) -> Fraction:
-        return policy_key(policy, jobs[jid], remaining[jid])
+    def key(jid: int, remaining: Fraction) -> Fraction:
+        return policy_key(policy, jobs[jid], remaining)
 
-    if tie is TieRule.SCRIPTED and now in script_map:
-        choice = script_map[now]
-        if (
-            choice not in remaining
-            or remaining[choice] <= 0
-            or jobs[choice].release > now
-        ):
-            raise ValueError(f"scripted choice {choice} at t={now} is not available")
-        if key_of(choice) != top_key:
-            raise ValueError(
-                f"scripted choice {choice} at t={now} is not among the tied leaders"
-            )
-        return choice
+    if tie is TieRule.EXHAUSTIVE_WORST:
+        # Follow the worst path (simulate returns it without this replay).
+        worst = _exhaustive_worst(instance, policy, DEFAULT_BRANCH_BUDGET)[1]
+        starts = [s.start for s in worst]
+        return key, lambda now, *_: worst[bisect_right(starts, now) - 1].job
 
-    if tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST):
-        tied_new = [jid for jid in new_ids if key_of(jid) == top_key]
-        if tied_new:
-            longest = tie is TieRule.PREFER_NEW_LONGEST
-            tied_new.sort(key=lambda jid: (-remaining[jid] if longest else remaining[jid], jid))
-            return tied_new[0]
-        # fall through to the running-job preference
+    script_map: dict[Fraction, int] = {}
+    if tie is TieRule.SCRIPTED:
+        entries = script if script is not None else instance.tie_script
+        if entries is None:
+            raise ValueError("SCRIPTED tie rule needs a script")
+        script_map = {to_rational(t): choice for t, choice in entries}
+    prefer_new = tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST)
+    longest = tie is TieRule.PREFER_NEW_LONGEST
 
-    if running is not None and remaining[running] > 0 and key_of(running) == top_key:
-        return running
-    return top_id
+    def choose(now, new_ids, running, remaining, top_key, top_id) -> int:
+        if now in script_map:
+            choice = script_map[now]
+            if (
+                choice not in remaining
+                or remaining[choice] <= 0
+                or jobs[choice].release > now
+            ):
+                raise ValueError(f"scripted choice {choice} at t={now} is not available")
+            if key(choice, remaining[choice]) != top_key:
+                raise ValueError(
+                    f"scripted choice {choice} at t={now} is not among the tied leaders"
+                )
+            return choice
+        if prefer_new:
+            tied_new = [jid for jid in new_ids if key(jid, remaining[jid]) == top_key]
+            if tied_new:
+                return min(
+                    tied_new,
+                    key=lambda jid: (-remaining[jid] if longest else remaining[jid], jid),
+                )
+            # fall through to the running-job preference
+        if running is not None and key(running, remaining[running]) == top_key:
+            return running
+        return top_id
+
+    return key, choose
 
 
 def _exhaustive_worst(instance: Instance, policy: Policy, budget: int):
@@ -201,15 +223,23 @@ def _exhaustive_worst(instance: Instance, policy: Policy, budget: int):
 
     States are deduplicated on (time, remaining-work vector): the future of
     a simulation depends on nothing else, so each state's worst continuation
-    is computed once.
+    is computed once.  Candidates are tried in ascending id order and only
+    a strictly worse one replaces the incumbent.  The search recurses once
+    per slice, and every job ends its own slice, so more than
+    MAX_SEARCH_DEPTH jobs are refused up front.
     """
     jobs = {j.id: j for j in instance.jobs}
     ids = sorted(jobs)
+    if len(ids) > MAX_SEARCH_DEPTH:
+        raise BudgetExceeded(
+            f"exhaustive tie search needs a search depth of at least "
+            f"{len(ids)} (one per job); the limit is {MAX_SEARCH_DEPTH}"
+        )
     releases = _release_groups(instance)
     memo: dict[tuple, tuple] = {}
     counter = [0]
 
-    def explore(now: Fraction, rem: dict[int, Fraction], idx: int):
+    def explore(now: Fraction, rem: dict[int, Fraction], idx: int, depth: int):
         state = (now, idx, tuple(rem[i] for i in ids))
         if state in memo:
             return memo[state]
@@ -218,13 +248,17 @@ def _exhaustive_worst(instance: Instance, policy: Policy, budget: int):
             raise BudgetExceeded(
                 f"exhaustive tie search exceeded {budget} branch explorations"
             )
+        if depth > MAX_SEARCH_DEPTH:
+            raise BudgetExceeded(
+                f"exhaustive tie search exceeded search depth {MAX_SEARCH_DEPTH}"
+            )
 
         available = [i for i in ids if rem[i] > 0 and jobs[i].release <= now]
         if not available:
             if idx >= len(releases):
                 return Fraction(0), ()
             nxt = releases[idx][0]
-            result = explore(nxt, rem, _advance(releases, idx, nxt))
+            result = explore(nxt, rem, _advance(releases, idx, nxt), depth + 1)
             memo[state] = result
             return result
 
@@ -242,11 +276,10 @@ def _exhaustive_worst(instance: Instance, policy: Policy, budget: int):
             rem2[choice] = rem2[choice] - (end - now)
             gained = jobs[choice].weight * end if rem2[choice] == 0 else Fraction(0)
             idx2 = _advance(releases, idx, end)
-            future_obj, future_slices = explore(end, rem2, idx2)
+            future_obj, future_slices = explore(end, rem2, idx2, depth + 1)
             obj = gained + future_obj
-            slices = ((choice, now, end),) + future_slices
-            if best is None or obj > best[0] or (obj == best[0] and slices < best[1]):
-                best = (obj, slices)
+            if best is None or obj > best[0]:
+                best = (obj, ((choice, now, end),) + future_slices)
         memo[state] = best
         return best
 
@@ -257,7 +290,7 @@ def _exhaustive_worst(instance: Instance, policy: Policy, budget: int):
 
     start = releases[0][0]
     rem0 = {j.id: j.processing for j in instance.jobs}
-    obj, compact = explore(start, rem0, _advance(releases, 0, start))
+    obj, compact = explore(start, rem0, _advance(releases, 0, start), 1)
     slices = merge_slices([Slice(j, s, e) for j, s, e in compact])
     return obj, slices
 
@@ -287,40 +320,29 @@ def is_equality_instance(
     """
     if tie is None:
         tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
-    sched = simulate(instance, Policy.WSRPT, tie, script=script)
+    key, choose = _policy(instance, Policy.WSRPT, tie, script)
     jobs = {j.id: j for j in instance.jobs}
-
-    # One forward walk over slices and release instants in parallel; the
-    # slice covering (t - eps, t] identifies the interrupted job.
-    slices = sched.slices
-    executed: dict[int, Fraction] = {}
-    k = 0
     violations: list[tuple[Fraction, str]] = []
-    for t, ids in _release_groups(instance):
-        while k < len(slices) and slices[k].end < t:
-            s = slices[k]
-            executed[s.job] = executed.get(s.job, Fraction(0)) + s.length
-            k += 1
-        ratios = {jobs[i].ratio for i in ids}
+
+    def audited(now, new_ids, running, remaining, top_key, top_id) -> int:
+        # Every release group is decided at its own instant; ``running`` is
+        # the job it interrupts, or None after a completion or idle time.
+        ratios = {jobs[i].ratio for i in new_ids}
         if len(ratios) > 1:
             violations.append(
-                (t, f"co-released jobs {ids} have distinct ratios")
+                (now, f"co-released jobs {new_ids} have distinct ratios")
             )
-            continue
-        (released_ratio,) = ratios
-        if not (k < len(slices) and slices[k].start < t <= slices[k].end):
-            continue  # machine idle just before t: co-released check only
-        run = slices[k].job
-        done = executed.get(run, Fraction(0)) + (t - slices[k].start)
-        rem = jobs[run].processing - done
-        if rem <= 0:
-            continue
-        current = smith_ratio(jobs[run], rem)
-        if current != released_ratio:
-            violations.append(
-                (t, f"jobs {ids} (ratio {released_ratio}) vs running job "
-                    f"{run} (ratio {current})")
-            )
+        elif ratios and running is not None:
+            (released_ratio,) = ratios
+            current = smith_ratio(jobs[running], remaining[running])
+            if current != released_ratio:
+                violations.append(
+                    (now, f"jobs {new_ids} (ratio {released_ratio}) vs running job "
+                          f"{running} (ratio {current})")
+                )
+        return choose(now, new_ids, running, remaining, top_key, top_id)
+
+    _run(instance, key, audited)
     return EqualityReport(passed=not violations, violations=violations)
 
 

@@ -16,3 +16,18 @@ def small_instances(draw, max_jobs: int = 5):
         w = Fraction(draw(st.integers(min_value=1, max_value=6)), 2)
         jobs.append(Job(i, r, p, w))
     return Instance(tuple(jobs))
+
+
+def remaining_at(instance: Instance, schedule, t: Fraction) -> dict[int, Fraction]:
+    """Each job's unexecuted work at time t, read off the schedule."""
+    rem = {j.id: j.processing for j in instance.jobs}
+    for s in schedule.slices:
+        if s.start < t:
+            rem[s.job] -= min(s.end, t) - s.start
+    return rem
+
+
+def decision_instants(instance: Instance, s) -> list[Fraction]:
+    """A slice's start and every release strictly inside it."""
+    inside = {j.release for j in instance.jobs if s.start < j.release < s.end}
+    return [s.start, *sorted(inside)]

@@ -230,3 +230,24 @@ class TestExitCodes:
         code = main(["fuzz", "--trials", "1", "--out", str(tmp_path), *flag])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, argv, message",
+        [
+            (["random", "--n", "6", "--seed", "3"],
+             ["optimal", "--method", "dp", "--grid", "1/1000000"],
+             "error: total work spans 12500000 slots"),
+            (["random", "--n", "6", "--seed", "3"],
+             ["optimal", "--method", "dp", "--grid", "1/100"],
+             "error: time-indexed DP exceeded search depth"),
+            (["basic", "--delta", "1e-3"],
+             ["simulate", "--tie", "exhaustive-worst"],
+             "error: exhaustive tie search needs a search depth"),
+        ],
+    )
+    def test_search_budget_is_validation_failure(self, tmp_path, capsys, family, argv, message):
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", *family, "--out", str(inst))
+        code = main([*argv, "--instance", str(inst)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)

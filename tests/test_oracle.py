@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsrpt.core import Instance, Job, objective
 from wsrpt.instances import ScenarioParams, gen_basic, gen_random
@@ -19,9 +20,9 @@ from wsrpt.oracle import (
     priority_schedule,
     structured_optimal,
 )
-from wsrpt.simulator import Policy, TieRule, simulate
+from wsrpt.simulator import BudgetExceeded, Policy, TieRule, simulate
 
-from conftest import small_instances
+from conftest import decision_instants, remaining_at, small_instances
 
 
 class TestPrioritySchedule:
@@ -54,6 +55,22 @@ class TestPrioritySchedule:
         by_order = priority_schedule(flat, [j.id for j in order])
         policy = simulate(flat, policy=Policy.WSPT_PREEMPTIVE)
         assert objective(by_order, flat) == objective(policy, flat)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_runs_earliest_listed_available_job(self, data):
+        instance = data.draw(small_instances())
+        order = data.draw(st.permutations([j.id for j in instance.jobs]))
+        sched = priority_schedule(instance, order)
+        sched.validate(instance)
+        for s in sched.slices:
+            for t in decision_instants(instance, s):
+                rem = remaining_at(instance, sched, t)
+                ready = [
+                    jid for jid in order
+                    if instance.job(jid).release <= t and rem[jid] > 0
+                ]
+                assert s.job == ready[0]
 
 
 class TestBruteforce:
@@ -121,10 +138,14 @@ class TestTimeIndexedDP:
             optimal_dp_timeindexed(inst, grid=Fraction(1, 2))
 
     def test_budget_guard(self):
-        from wsrpt.simulator import BudgetExceeded
-
         inst = Instance((Job(0, 0, 10**7, 1),))
         with pytest.raises(BudgetExceeded):
+            optimal_dp_timeindexed(inst, grid=Fraction(1))
+
+    def test_depth_guard(self):
+        # Two equal jobs branch slot by slot: 900 levels deep at grid 1.
+        inst = Instance((Job(0, 0, 900, 1), Job(1, 0, 900, 1)))
+        with pytest.raises(BudgetExceeded, match="search depth"):
             optimal_dp_timeindexed(inst, grid=Fraction(1))
 
     def test_agrees_with_brute_on_seeded_instances(self):

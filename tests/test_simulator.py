@@ -5,20 +5,37 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsrpt.core import Instance, Job, Schedule, objective
 from wsrpt.instances import ScenarioParams, gen_basic
 from wsrpt.oracle import optimal_objective
 from wsrpt.simulator import (
+    MAX_SEARCH_DEPTH,
+    BudgetExceeded,
     Policy,
     TieRule,
     is_equality_instance,
+    policy_key,
     segments,
     simulate,
     split_job,
 )
 
-from conftest import small_instances
+from conftest import decision_instants, remaining_at, small_instances
+
+FIXED_TIES = (
+    TieRule.PREFER_RUNNING,
+    TieRule.PREFER_NEW_LONGEST,
+    TieRule.PREFER_NEW_SHORTEST,
+)
+
+
+def _interrupts(n):
+    """A low-ratio long job that n short high-ratio arrivals each preempt,
+    so the run has about 2n slices and no ties."""
+    short = tuple(Job(i, i, Fraction(1, 2), 4) for i in range(1, n + 1))
+    return Instance((Job(0, 0, n, 1),) + short)
 
 
 def _two_long_jobs():
@@ -71,6 +88,20 @@ class TestSimulate:
         for policy in Policy:
             simulate(instance, policy=policy).validate(instance)
 
+    @given(small_instances(), st.sampled_from(list(Policy)), st.sampled_from(FIXED_TIES))
+    @settings(max_examples=80)
+    def test_runs_a_maximal_key_job(self, instance, policy, tie):
+        sched = simulate(instance, policy=policy, tie=tie)
+        for s in sched.slices:
+            for t in decision_instants(instance, s):
+                rem = remaining_at(instance, sched, t)
+                keys = {
+                    j.id: policy_key(policy, j, rem[j.id])
+                    for j in instance.jobs
+                    if j.release <= t and rem[j.id] > 0
+                }
+                assert keys[s.job] == max(keys.values())
+
     @given(small_instances())
     @settings(max_examples=60)
     def test_unit_weight_wsrpt_matches_srpt(self, instance):
@@ -121,12 +152,24 @@ class TestTieRules:
         worst = objective(
             simulate(instance, tie=TieRule.EXHAUSTIVE_WORST), instance
         )
-        for tie in (
-            TieRule.PREFER_RUNNING,
-            TieRule.PREFER_NEW_LONGEST,
-            TieRule.PREFER_NEW_SHORTEST,
-        ):
+        for tie in FIXED_TIES:
             assert worst >= objective(simulate(instance, tie=tie), instance)
+
+    def test_exhaustive_worst_ties_go_to_smallest_id(self):
+        inst = Instance((Job(0, 0, 1, 1), Job(1, 0, 1, 1)))
+        sched = simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+        assert [s.job for s in sched.slices] == [0, 1]
+
+    def test_exhaustive_worst_refuses_deep_search(self):
+        # Fewer jobs than the limit, but about twice as many slices.
+        inst = _interrupts(MAX_SEARCH_DEPTH // 2 + 10)
+        with pytest.raises(BudgetExceeded, match=f"search depth {MAX_SEARCH_DEPTH}"):
+            simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+
+    def test_exhaustive_worst_refuses_more_jobs_than_depth(self):
+        inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(MAX_SEARCH_DEPTH + 1)))
+        with pytest.raises(BudgetExceeded, match="search depth of at least"):
+            simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
 
 
 class TestEqualityInstance:
@@ -142,6 +185,44 @@ class TestEqualityInstance:
         report = is_equality_instance(inst)
         assert not report.passed
         assert report.violations[0][0] == Fraction(1, 2)
+
+    def test_co_released_distinct_ratios(self):
+        inst = Instance((Job(0, 0, 1, 1), Job(1, 0, 1, 2)))
+        assert is_equality_instance(inst).violations == [
+            (0, "co-released jobs [0, 1] have distinct ratios")
+        ]
+
+    def test_release_at_completion_interrupts_nothing(self):
+        inst = Instance((Job(0, 0, 1, 1), Job(1, 1, 1, 2)))
+        assert is_equality_instance(inst).violations == []
+
+    def test_release_onto_idle_machine(self):
+        # t=2 finds the machine idle; only the arrival at 5/2, which meets
+        # job 1 at ratio 5/(1/2) = 10, is checked against a running job.
+        inst = Instance(
+            (Job(0, 0, 1, 1), Job(1, 2, 1, 5), Job(2, Fraction(5, 2), 1, 1))
+        )
+        assert is_equality_instance(inst).violations == [
+            (Fraction(5, 2), "jobs [2] (ratio 1) vs running job 1 (ratio 10)")
+        ]
+
+    @given(small_instances(), st.sampled_from(FIXED_TIES + (TieRule.EXHAUSTIVE_WORST,)))
+    @settings(max_examples=60, deadline=None)
+    def test_flags_exactly_the_definition(self, instance, tie):
+        sched = simulate(instance, tie=tie)
+        expected = []
+        for t in sorted({j.release for j in instance.jobs}):
+            ratios = {j.ratio for j in instance.jobs if j.release == t}
+            before = [s for s in sched.slices if s.start < t <= s.end]
+            rem = remaining_at(instance, sched, t)
+            if len(ratios) > 1:
+                expected.append(t)
+            elif before and rem[before[0].job] > 0:
+                run = instance.job(before[0].job)
+                if run.weight / rem[run.id] != next(iter(ratios)):
+                    expected.append(t)
+        report = is_equality_instance(instance, tie=tie)
+        assert [t for t, _ in report.violations] == expected
 
     def test_generated_family_passes(self):
         params = ScenarioParams(
