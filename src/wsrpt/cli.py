@@ -165,9 +165,7 @@ def _write_schedule(schedule: Schedule, instance: Instance, path) -> None:
 
 def _cmd_simulate(args) -> int:
     instance = read_instance(args.instance)
-    tie = TieRule(args.tie)
-    script = instance.tie_script if tie is TieRule.SCRIPTED else None
-    schedule = simulate(instance, policy=Policy(args.policy), tie=tie, script=script)
+    schedule = simulate(instance, policy=Policy(args.policy), tie=TieRule(args.tie))
     schedule.validate(instance)
     value = objective(schedule, instance)
     print(f"objective {_show(value, args.exact)}")
@@ -196,36 +194,31 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "basic":
+    if args.family == "random":
+        from random import Random
+
+        seed = args.seed if args.seed is not None else 0
+        instance = gen_random(Random(seed), args.n, args.kind)
+    else:
         params = ScenarioParams(
             y=to_rational(args.y),
             v=to_rational(args.v if args.v is not None else args.y),
             z=to_rational(args.z),
             delta=to_rational(args.delta),
         )
-        instance = gen_basic(params)
-    elif args.family == "nested":
-        r_s = to_rational(args.r_s)
-        if args.p_s is not None:
-            p_s = to_rational(args.p_s)
+        if args.family == "basic":
+            instance = gen_basic(params)
         else:
-            p_star, _ = analysis.optimize_nested(float(r_s))
-            p_s = Fraction(p_star).limit_denominator(10**6)
-        inner = ScenarioParams(
-            y=to_rational(args.y),
-            v=to_rational(args.v if args.v is not None else args.y),
-            z=to_rational(args.z),
-            delta=to_rational(args.delta),
-        )
-        outer = ScenarioParams(
-            y=inner.y, v=inner.v, z=inner.z, delta=to_rational(args.delta)
-        )
-        instance = gen_nested(NestedParams(outer=outer, r_s=r_s, p_s=p_s, inner=inner))
-    else:
-        from random import Random
-
-        seed = args.seed if args.seed is not None else 0
-        instance = gen_random(Random(seed), args.n, args.kind)
+            r_s = to_rational(args.r_s)
+            if args.p_s is not None:
+                p_s = to_rational(args.p_s)
+            else:
+                p_star, _ = analysis.optimize_nested(float(r_s))
+                p_s = Fraction(p_star).limit_denominator(10**6)
+            # The inner segment reuses the outer scenario's parameters.
+            instance = gen_nested(
+                NestedParams(outer=params, r_s=r_s, p_s=p_s, inner=params)
+            )
     out = _out_path(args, "instance.json")
     write_instance(instance, out)
     print(f"wrote {out} ({len(instance.jobs)} jobs)")
@@ -345,11 +338,7 @@ def _cmd_render(args) -> int:
             schedule = _schedule_from_dict(json.load(f))
         schedule.validate(instance)
     else:
-        tie = TieRule(args.tie)
-        script = instance.tie_script if tie is TieRule.SCRIPTED else None
-        schedule = simulate(
-            instance, policy=Policy(args.policy), tie=tie, script=script
-        )
+        schedule = simulate(instance, policy=Policy(args.policy), tie=TieRule(args.tie))
     out = _out_path(args, f"{args.view}.svg")
     if args.view == "gantt":
         render_gantt(schedule, instance, out)

@@ -111,12 +111,11 @@ def fuzz(
     Instances cycle through the three kinds and are fully determined by
     ``seed``, so reruns reproduce the same trials.  ``workers`` > 1 spreads
     evaluation over a process pool of at most ``os.cpu_count()`` processes
-    (default: serial); values below 1 are rejected.  The worst
-    general-class instance is written to ``out_dir`` (or the directory in
-    the WSRPT_OUT_DIR environment variable) as a replayable certificate
-    carrying its expected ratio in a tag.  Raises EnvelopeBreach if any
-    ratio exceeds 1.2259 + 1e-6, and AssertionError if a structured-class
-    ratio departs from exactly 1.
+    (default: serial); values below 1 are rejected.  When ``out_dir`` is
+    given, the worst general-class instance is written there as a
+    replayable certificate carrying its expected ratio in a tag.  Raises
+    EnvelopeBreach if any ratio exceeds 1.2259 + 1e-6, and AssertionError
+    if a structured-class ratio departs from exactly 1.
     """
     if n_max > 8:
         raise ValueError("n_max must be at most 8 (brute-force oracle bound)")
@@ -175,7 +174,6 @@ def fuzz(
 
     certificate_path = None
     if worst["general"] is not None:
-        out_dir = out_dir if out_dir is not None else os.environ.get("WSRPT_OUT_DIR")
         if out_dir is not None:
             ratio, _, instance = worst["general"]
             tagged = Instance(

@@ -75,10 +75,6 @@ class NestedParams:
         if self.p_s <= 0:
             raise ValueError("p_s must be positive")
 
-    @property
-    def small_weight(self) -> Fraction:
-        return self.p_s / (_ONE - self.r_s)
-
 
 def _snap_steps(value: Fraction, delta: Fraction) -> int:
     """Nearest grid multiple (round half up), as a step count."""

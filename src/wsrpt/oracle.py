@@ -23,9 +23,9 @@ from .core import (
     objective,
     to_rational,
 )
-from .simulator import MAX_SEARCH_DEPTH, BudgetExceeded, _run
+from .simulator import BudgetExceeded, _memo_search, _run
 
-#: State cap for the time-indexed DP.
+#: Cap on the time-indexed DP's total slots and memoized states.
 DEFAULT_STATE_BUDGET = 2_000_000
 
 #: Hard job-count cap for the subset DP (2^n table).
@@ -104,7 +104,6 @@ def _subset_optimum(instance: Instance, max_n: int) -> tuple[Fraction, tuple[int
 def optimal_dp_timeindexed(
     instance: Instance,
     grid: Fraction | None = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> OptimalResult:
     """Exact preemptive optimum by slot-level dynamic programming.
 
@@ -114,8 +113,8 @@ def optimal_dp_timeindexed(
     the state (slot, per-job remaining slots) is complete; transitions run
     one available job for one slot, jobs identical in parameters and
     remaining work branch once, and a lone available job fast-forwards to
-    its next event.  Exceeding ``state_budget`` distinct states raises
-    BudgetExceeded.
+    its next event.  More total slots or distinct states than
+    DEFAULT_STATE_BUDGET raises BudgetExceeded.
     """
     jobs = instance.jobs
     n = len(jobs)
@@ -136,78 +135,46 @@ def optimal_dp_timeindexed(
                     f"job {j.id}: {datum} is not a multiple of grid {grid}"
                 )
             out.append(int(scaled))
-    if sum(procs) > state_budget:
+    budget = DEFAULT_STATE_BUDGET
+    if sum(procs) > budget:
         raise BudgetExceeded(
-            f"total work spans {sum(procs)} slots; budget is {state_budget}"
+            f"total work spans {sum(procs)} slots; budget is {budget}"
         )
     den_w = lcm(*(j.weight.denominator for j in jobs))
     weights = [int(j.weight * den_w) for j in jobs]
-    klass = {i: (releases[i], procs[i], weights[i]) for i in range(n)}
+    klass = [(releases[i], procs[i], weights[i]) for i in range(n)]
 
-    # action: ("idle", next_t) | ("run", i, slots) — "run" also covers the
-    # single-slot branching case with slots=1.
-    memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple]] = {}
+    def run(t: int, rem: tuple[int, ...], i: int, slots: int):
+        # Gains are negated costs, so the search's maximum is the optimum.
+        end, left = t + slots, rem[i] - slots
+        gain = -weights[i] * end if left == 0 else 0
+        return gain, (jobs[i].id, t, end), (end, rem[:i] + (left,) + rem[i + 1 :])
 
-    def solve(t: int, rem: tuple[int, ...], depth: int) -> int:
-        if all(x == 0 for x in rem):
-            return 0
-        state = (t, rem)
-        hit = memo.get(state)
-        if hit is not None:
-            return hit[0]
-        if len(memo) >= state_budget:
-            raise BudgetExceeded(
-                f"time-indexed DP exceeded {state_budget} states"
-            )
-        if depth > MAX_SEARCH_DEPTH:
-            raise BudgetExceeded(
-                f"time-indexed DP exceeded search depth {MAX_SEARCH_DEPTH}"
-            )
-
-        available = [i for i in range(n) if rem[i] > 0 and releases[i] <= t]
-        if not available:
-            nxt = min(releases[i] for i in range(n) if rem[i] > 0)
-            best, action = solve(nxt, rem, depth + 1), ("idle", nxt)
-        elif len(available) == 1:
-            i = available[0]
-            upcoming = [releases[k] for k in range(n) if rem[k] > 0 and releases[k] > t]
-            horizon = min(upcoming) if upcoming else t + rem[i]
-            run = min(rem[i], horizon - t)
-            rem2 = rem[:i] + (rem[i] - run,) + rem[i + 1 :]
-            gained = weights[i] * (t + run) if rem2[i] == 0 else 0
-            best, action = gained + solve(t + run, rem2, depth + 1), ("run", i, run)
-        else:
+    def moves(state):
+        t, rem = state
+        live = [i for i in range(n) if rem[i]]
+        available = [i for i in live if releases[i] <= t]
+        if len(available) > 1:
             seen_classes = set()
-            best, action = -1, ()
             for i in available:
                 c = klass[i] + (rem[i],)
-                if c in seen_classes:
-                    continue
-                seen_classes.add(c)
-                rem2 = rem[:i] + (rem[i] - 1,) + rem[i + 1 :]
-                gained = weights[i] * (t + 1) if rem2[i] == 0 else 0
-                cand = gained + solve(t + 1, rem2, depth + 1)
-                if best < 0 or cand < best:
-                    best, action = cand, ("run", i, 1)
-        memo[state] = (best, action)
-        return best
+                if c not in seen_classes:
+                    seen_classes.add(c)
+                    yield run(t, rem, i, 1)
+        elif available:
+            (i,) = available
+            upcoming = [releases[k] for k in live if releases[k] > t]
+            yield run(t, rem, i, min(rem[i], min(upcoming) - t) if upcoming else rem[i])
+        elif live:
+            yield 0, None, (min(releases[i] for i in live), rem)  # idle
 
-    start = min(releases)
-    cost = solve(start, tuple(procs), 1)
-
-    raw: list[Slice] = []
-    t, rem = start, tuple(procs)
-    while not all(x == 0 for x in rem):
-        action = memo[(t, rem)][1]
-        if action[0] == "idle":
-            t = action[1]
-        else:
-            _, i, run = action
-            raw.append(Slice(jobs[i].id, t * grid, (t + run) * grid))
-            rem = rem[:i] + (rem[i] - run,) + rem[i + 1 :]
-            t += run
-    schedule = Schedule(merge_slices(raw))
-    return OptimalResult(schedule, Fraction(cost, den_w) * grid, "dp-timeindexed")
+    value, steps = _memo_search(
+        (min(releases), tuple(procs)), moves, budget, "time-indexed DP"
+    )
+    schedule = Schedule(
+        merge_slices([Slice(jid, t * grid, end * grid) for jid, t, end in steps])
+    )
+    return OptimalResult(schedule, Fraction(-value, den_w) * grid, "dp-timeindexed")
 
 
 def structured_optimal(instance: Instance) -> OptimalResult:

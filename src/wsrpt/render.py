@@ -46,9 +46,6 @@ def _color(job_id: int) -> str:
 def _check(schedule: Schedule) -> None:
     if not schedule.slices:
         raise ValueError("cannot render an empty schedule")
-    for s in schedule.slices:
-        if s.end <= s.start:
-            raise ValueError(f"cannot render empty slice for job {s.job}")
 
 
 def _axis(x0: float, x1: float, y: float, t_max: float) -> list[str]:

@@ -40,12 +40,12 @@ class TieRule(Enum):
     EXHAUSTIVE_WORST = "exhaustive-worst"
 
 
-#: Upper bound on tie-branch explorations for EXHAUSTIVE_WORST.
+#: Upper bound on distinct states the EXHAUSTIVE_WORST search memoizes.
 DEFAULT_BRANCH_BUDGET = 2**20
 
-#: Deepest recursion the exhaustive tie search and the time-indexed DP
-#: attempt: below CPython's default limit of 1000 frames, with room left
-#: for the caller's own stack.
+#: Longest path (in moves) the exhaustive tie search and the time-indexed
+#: DP explore, one recursion frame per move: below CPython's default limit
+#: of 1000 frames, with room left for the caller's own stack.
 MAX_SEARCH_DEPTH = 800
 
 
@@ -76,7 +76,6 @@ def simulate(
     policy: Policy = Policy.WSRPT,
     tie: TieRule = TieRule.PREFER_RUNNING,
     script: tuple[tuple[Fraction, int], ...] | None = None,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
 ) -> Schedule:
     """Run the policy over the instance and return the resulting schedule.
 
@@ -88,7 +87,7 @@ def simulate(
     choices, ties go to the smallest job id.
     """
     if tie is TieRule.EXHAUSTIVE_WORST:
-        _, slices = _exhaustive_worst(instance, policy, branch_budget)
+        _, slices = _exhaustive_worst(instance, policy)
         return Schedule(slices)
     return _run(instance, *_policy(instance, policy, tie, script))
 
@@ -176,7 +175,7 @@ def _policy(instance: Instance, policy: Policy, tie: TieRule, script):
 
     if tie is TieRule.EXHAUSTIVE_WORST:
         # Follow the worst path (simulate returns it without this replay).
-        worst = _exhaustive_worst(instance, policy, DEFAULT_BRANCH_BUDGET)[1]
+        worst = _exhaustive_worst(instance, policy)[1]
         starts = [s.start for s in worst]
         return key, lambda now, *_: worst[bisect_right(starts, now) - 1].job
 
@@ -218,81 +217,102 @@ def _policy(instance: Instance, policy: Policy, tie: TieRule, script):
     return key, choose
 
 
-def _exhaustive_worst(instance: Instance, policy: Policy, budget: int):
+#: Memo entry of a state with no moves: the end of every search path.
+_PATH_END = (0, None, None)
+
+
+def _memo_search(start, moves, budget: int, what: str):
+    """Highest-value path from ``start``: ``(value, steps)``.
+
+    ``moves(state)`` yields ``(gain, step, next_state)`` in preference
+    order; a state with no moves ends the path at value 0.  Each state's
+    best continuation is computed once, and only a strictly higher value
+    replaces the incumbent, so among equal moves the first one wins.  A
+    memo entry is ``(value, step, continuation)``: it links to the entry of
+    the rest of the path instead of copying it, and the path is read off
+    those links at the end, leaving out ``None`` steps (moves that only
+    let time pass).  More than ``budget`` distinct states, or a path of
+    more than MAX_SEARCH_DEPTH moves, raises BudgetExceeded naming
+    ``what``.
+    """
+    memo: dict = {}
+
+    def solve(state, depth: int) -> tuple:
+        entry = memo.get(state)
+        if entry is not None:
+            return entry
+        if len(memo) >= budget:
+            raise BudgetExceeded(f"{what} exceeded {budget} states")
+        entry = _PATH_END
+        for gain, step, nxt in moves(state):
+            if depth == MAX_SEARCH_DEPTH:
+                raise BudgetExceeded(
+                    f"{what} exceeded search depth {MAX_SEARCH_DEPTH}"
+                )
+            rest = solve(nxt, depth + 1)
+            value = gain + rest[0]
+            if entry is _PATH_END or value > entry[0]:
+                entry = (value, step, rest)
+        memo[state] = entry
+        return entry
+
+    entry = solve(start, 0)
+    value, steps = entry[0], []
+    while entry is not _PATH_END:
+        if entry[1] is not None:
+            steps.append(entry[1])
+        entry = entry[2]
+    return value, steps
+
+
+def _exhaustive_worst(instance: Instance, policy: Policy):
     """Explore every tie branch; return (objective, slices) of the worst run.
 
-    States are deduplicated on (time, remaining-work vector): the future of
-    a simulation depends on nothing else, so each state's worst continuation
-    is computed once.  Candidates are tried in ascending id order and only
-    a strictly worse one replaces the incumbent.  The search recurses once
-    per slice, and every job ends its own slice, so more than
+    A state is (time, remaining work in id order): the future of a
+    simulation depends on nothing else, so ``_memo_search`` computes each
+    state's worst continuation once.  Tied candidates are tried in
+    ascending id order.  Every job ends its own slice, so more than
     MAX_SEARCH_DEPTH jobs are refused up front.
     """
-    jobs = {j.id: j for j in instance.jobs}
-    ids = sorted(jobs)
-    if len(ids) > MAX_SEARCH_DEPTH:
+    jobs = sorted(instance.jobs, key=lambda j: j.id)
+    if len(jobs) > MAX_SEARCH_DEPTH:
         raise BudgetExceeded(
             f"exhaustive tie search needs a search depth of at least "
-            f"{len(ids)} (one per job); the limit is {MAX_SEARCH_DEPTH}"
+            f"{len(jobs)} (one per job); the limit is {MAX_SEARCH_DEPTH}"
         )
-    releases = _release_groups(instance)
-    memo: dict[tuple, tuple] = {}
-    counter = [0]
+    times = sorted({j.release for j in jobs})
 
-    def explore(now: Fraction, rem: dict[int, Fraction], idx: int, depth: int):
-        state = (now, idx, tuple(rem[i] for i in ids))
-        if state in memo:
-            return memo[state]
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded(
-                f"exhaustive tie search exceeded {budget} branch explorations"
-            )
-        if depth > MAX_SEARCH_DEPTH:
-            raise BudgetExceeded(
-                f"exhaustive tie search exceeded search depth {MAX_SEARCH_DEPTH}"
-            )
+    def moves(state):
+        now, rem = state
+        i = bisect_right(times, now)
+        nxt = times[i] if i < len(times) else None
+        keys = {
+            k: policy_key(policy, jobs[k], left)
+            for k, left in enumerate(rem)
+            if left and jobs[k].release <= now
+        }
+        if not keys:
+            if nxt is not None:
+                yield 0, None, (nxt, rem)  # idle until the next release
+            return
+        top = max(keys.values())
+        for k, key in keys.items():
+            if key != top:
+                continue
+            end = now + rem[k]
+            if nxt is not None and nxt < end:
+                end = nxt
+            left = rem[k] - (end - now)
+            gain = jobs[k].weight * end if left == 0 else 0
+            yield gain, (jobs[k].id, now, end), (end, rem[:k] + (left,) + rem[k + 1 :])
 
-        available = [i for i in ids if rem[i] > 0 and jobs[i].release <= now]
-        if not available:
-            if idx >= len(releases):
-                return Fraction(0), ()
-            nxt = releases[idx][0]
-            result = explore(nxt, rem, _advance(releases, idx, nxt), depth + 1)
-            memo[state] = result
-            return result
-
-        best_key = max(policy_key(policy, jobs[i], rem[i]) for i in available)
-        candidates = [
-            i for i in available if policy_key(policy, jobs[i], rem[i]) == best_key
-        ]
-
-        best: tuple | None = None
-        for choice in candidates:
-            finish = now + rem[choice]
-            nxt_release = releases[idx][0] if idx < len(releases) else None
-            end = min(finish, nxt_release) if nxt_release is not None else finish
-            rem2 = dict(rem)
-            rem2[choice] = rem2[choice] - (end - now)
-            gained = jobs[choice].weight * end if rem2[choice] == 0 else Fraction(0)
-            idx2 = _advance(releases, idx, end)
-            future_obj, future_slices = explore(end, rem2, idx2, depth + 1)
-            obj = gained + future_obj
-            if best is None or obj > best[0]:
-                best = (obj, ((choice, now, end),) + future_slices)
-        memo[state] = best
-        return best
-
-    def _advance(rel, idx, t):
-        while idx < len(rel) and rel[idx][0] <= t:
-            idx += 1
-        return idx
-
-    start = releases[0][0]
-    rem0 = {j.id: j.processing for j in instance.jobs}
-    obj, compact = explore(start, rem0, _advance(releases, 0, start), 1)
-    slices = merge_slices([Slice(j, s, e) for j, s, e in compact])
-    return obj, slices
+    obj, steps = _memo_search(
+        (times[0], tuple(j.processing for j in jobs)),
+        moves,
+        DEFAULT_BRANCH_BUDGET,
+        "exhaustive tie search",
+    )
+    return obj, merge_slices([Slice(*step) for step in steps])
 
 
 @dataclass

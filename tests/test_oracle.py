@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wsrpt.oracle as oracle
 from wsrpt.core import Instance, Job, objective
 from wsrpt.instances import ScenarioParams, gen_basic, gen_random
 from wsrpt.oracle import (
@@ -20,7 +21,7 @@ from wsrpt.oracle import (
     priority_schedule,
     structured_optimal,
 )
-from wsrpt.simulator import BudgetExceeded, Policy, TieRule, simulate
+from wsrpt.simulator import MAX_SEARCH_DEPTH, BudgetExceeded, Policy, simulate
 
 from conftest import decision_instants, remaining_at, small_instances
 
@@ -142,11 +143,30 @@ class TestTimeIndexedDP:
         with pytest.raises(BudgetExceeded):
             optimal_dp_timeindexed(inst, grid=Fraction(1))
 
+    def test_state_budget_guard(self, monkeypatch):
+        # 6 slots fit the patched budget; the branching states do not.
+        monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 6)
+        inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
+        with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 6 states"):
+            optimal_dp_timeindexed(inst, grid=Fraction(1))
+
     def test_depth_guard(self):
         # Two equal jobs branch slot by slot: 900 levels deep at grid 1.
         inst = Instance((Job(0, 0, 900, 1), Job(1, 0, 900, 1)))
         with pytest.raises(BudgetExceeded, match="search depth"):
             optimal_dp_timeindexed(inst, grid=Fraction(1))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_depth_limit_counts_moves(self, extra):
+        # Each job runs alone in one move, so the path has n moves.
+        n = MAX_SEARCH_DEPTH + extra
+        inst = Instance(tuple(Job(i, i, 1, 1) for i in range(n)))
+        if extra:
+            with pytest.raises(BudgetExceeded, match="search depth"):
+                optimal_dp_timeindexed(inst, grid=Fraction(1))
+        else:
+            result = optimal_dp_timeindexed(inst, grid=Fraction(1))
+            assert len(result.schedule.slices) == n
 
     def test_agrees_with_brute_on_seeded_instances(self):
         # the acceptance module runs the full hundred; spot-check here

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wsrpt.simulator
 from wsrpt.core import Instance, Job, Schedule, objective
 from wsrpt.instances import ScenarioParams, gen_basic
-from wsrpt.oracle import optimal_objective
+from wsrpt.oracle import optimal_dp_timeindexed, optimal_objective
 from wsrpt.simulator import (
     MAX_SEARCH_DEPTH,
     BudgetExceeded,
     Policy,
     TieRule,
+    _exhaustive_worst,
     is_equality_instance,
     policy_key,
     segments,
@@ -166,10 +168,39 @@ class TestTieRules:
         with pytest.raises(BudgetExceeded, match=f"search depth {MAX_SEARCH_DEPTH}"):
             simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
 
+    def test_exhaustive_worst_reaches_depth_limit(self):
+        # One slice per job and no ties: exactly MAX_SEARCH_DEPTH moves.
+        inst = Instance(tuple(Job(i, i, 1, 1) for i in range(MAX_SEARCH_DEPTH)))
+        sched = simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+        assert len(sched.slices) == MAX_SEARCH_DEPTH
+
     def test_exhaustive_worst_refuses_more_jobs_than_depth(self):
         inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(MAX_SEARCH_DEPTH + 1)))
         with pytest.raises(BudgetExceeded, match="search depth of at least"):
             simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+
+    def test_exhaustive_worst_refuses_past_state_budget(self, monkeypatch):
+        # Four tied unit jobs branch into more than five distinct states.
+        monkeypatch.setattr(wsrpt.simulator, "DEFAULT_BRANCH_BUDGET", 5)
+        inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(4)))
+        with pytest.raises(BudgetExceeded, match="exhaustive tie search exceeded 5 states"):
+            simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+
+
+class TestSearchPaths:
+    """Both memoized searches rebuild their path from the memo links."""
+
+    @given(small_instances(max_jobs=4), st.sampled_from(list(Policy)))
+    @settings(max_examples=60, deadline=None)
+    def test_rebuilt_paths_are_valid_and_score_their_value(self, instance, policy):
+        value, slices = _exhaustive_worst(instance, policy)
+        worst = Schedule(slices)
+        worst.validate(instance)
+        assert objective(worst, instance) == value
+
+        optimum = optimal_dp_timeindexed(instance)
+        optimum.schedule.validate(instance)
+        assert objective(optimum.schedule, instance) == optimum.objective
 
 
 class TestEqualityInstance:
