@@ -10,9 +10,9 @@ for the intermediate branches is float numerics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Union
 
 from scipy.optimize import minimize_scalar
@@ -27,9 +27,9 @@ from .core import (
     rational_str,
     to_rational,
 )
-from .analysis import _l1
-from .instances import instance_to_dict, write_json
-from .oracle import closed_pair_optimal, priority_schedule
+from .analysis import burst_length
+from .instances import instance_to_dict, slices_to_dicts, write_json
+from .oracle import closed_pair_optimal, pair_objectives, priority_schedule
 from .simulator import Policy, TieRule, simulate
 
 #: Branch names, in the order the game tests them.
@@ -51,7 +51,9 @@ class AdversaryState:
     ``checkpoints`` holds (time, first remainder, second remainder) at each
     inspection time — p1 always, plus t_s or p2 when a later branch fires.
     ``l1`` and ``l2`` are the closed-form burst lengths of the two outer
-    branches, recorded for reference whichever branch ran.
+    branches at their extreme ratios (p2/(p2−p1) with the second job
+    untouched at p1, p2/p1 with the first job done by p2), recorded for
+    reference whichever branch ran.
     """
 
     p1: Fraction
@@ -94,9 +96,10 @@ def choose_l(branch_state: AdversaryState) -> float:
 
     The two outer branches have closed forms: both their online/optimal
     quotients share the constant K = p1² + p1·p2 + p2² and the quadratic
-    coefficient ρ/2, so the maximizer is √(2K/ρ) — which is l1 when the
-    second job ran the whole prefix and l1/√(p2−p1) in the terminal branch.
-    Intermediate branches maximize the certified ratio numerically over
+    coefficient ρ/2, so the maximizer is √(2K/ρ) (``burst_length``) — l1
+    when the second job ran the whole prefix, and l2 = √(2K·p1/p2) in the
+    terminal branch when the first job is done by p2.  Intermediate
+    branches maximize the certified ratio numerically over
     (0, 4·p2] to 1e-6: the certified online value is the cheapest
     continuation the policy could still play (the burst and job remainders
     commute freely only when their ratios tie, so all six orders are
@@ -105,37 +108,25 @@ def choose_l(branch_state: AdversaryState) -> float:
     p1, p2 = float(branch_state.p1), float(branch_state.p2)
     rho = float(branch_state.block_ratio)
     if branch_state.branch in (BRANCH_FIRST_UNTOUCHED, BRANCH_TERMINAL):
-        k = p1 * p1 + p1 * p2 + p2 * p2
-        return math.sqrt(2 * k / rho)
+        return burst_length(p1, p2, rho)
 
     t_r = float(branch_state.block_release)
     rem1, rem2 = (
         float(x) for x in branch_state.remainders_at(branch_state.block_release)
     )
 
-    def online_floor(l: float) -> float:
-        chunks = ((rem1, p1, False), (rem2, p2, False), (l, rho * l, True))
-        best = None
-        for a in range(3):
-            for b in range(3):
-                if b == a:
-                    continue
-                c = 3 - a - b
-                t, total = t_r, 0.0
-                for p, w, is_burst in (chunks[a], chunks[b], chunks[c]):
-                    if is_burst:
-                        total += rho * p * (t + p / 2)
-                    else:
-                        total += w * (t + p)
-                    t += p
-                if best is None or total < best:
-                    best = total
-        return best
+    def online_cost(order) -> float:
+        # Chunks are (length, weight, mean completion offset) run back to back.
+        t, total = t_r, 0.0
+        for length, weight, offset in order:
+            total += weight * (t + offset)
+            t += length
+        return total
 
     def certified(l: float) -> float:
-        j1_first = p1 * p1 + rho * l * (t_r + l / 2) + p2 * (p1 + p2 + l)
-        j2_first = p2 * p2 + rho * l * (p2 + l / 2) + p1 * (p2 + l + p1)
-        return online_floor(l) / min(j1_first, j2_first)
+        chunks = ((rem1, p1, rem1), (rem2, p2, rem2), (l, rho * l, l / 2))
+        online_floor = min(map(online_cost, permutations(chunks)))
+        return online_floor / min(pair_objectives(p1, p2, t_r, rho, l, l / 2))
 
     res = minimize_scalar(
         lambda l: -certified(l),
@@ -292,7 +283,6 @@ def play(
             checkpoints.append((p2, rem1_p2, rem2_p2))
             branch, t_r, rho = BRANCH_TERMINAL, p2, Fraction(p2, rem2_p2)
 
-    l1 = _l1(float(p1), float(p2))
     state = AdversaryState(
         p1=p1,
         p2=p2,
@@ -302,8 +292,8 @@ def play(
         block_release=t_r,
         block_ratio=rho,
         block_length=None,
-        l1=l1,
-        l2=l1 / math.sqrt(float(p2 - p1)),
+        l1=burst_length(float(p1), float(p2), float(p2 / (p2 - p1))),
+        l2=burst_length(float(p1), float(p2), float(p2 / p1)),
     )
     length = choose_l(state)
 
@@ -403,14 +393,7 @@ def transcript_to_dict(transcript: AdversaryTranscript) -> dict:
         "ratio": float(transcript.ratio),
         "ratio_exact": rational_str(transcript.ratio),
         "instance": instance_to_dict(transcript.instance),
-        "schedule": [
-            {
-                "job": s.job,
-                "start": rational_str(s.start),
-                "end": rational_str(s.end),
-            }
-            for s in transcript.schedule.slices
-        ],
+        "schedule": slices_to_dicts(transcript.schedule.slices),
     }
 
 

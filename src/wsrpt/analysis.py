@@ -4,8 +4,8 @@ Everything here is 64-bit float numerics with explicit tolerances — exact
 arithmetic lives in the simulator and oracles.  Two independent evaluation
 routes are kept deliberately separate so they can check each other:
 ``profile_metrics`` integrates the schedule structure by adaptive
-quadrature, while ``basic_ratio_closed`` (and the private general closed
-form used inside optimizers) evaluates antiderivatives.  Optimizers are
+quadrature, while ``basic_ratio_closed`` and the optimizers evaluate one
+general closed form built from antiderivatives.  Optimizers are
 deterministic grid-then-refine searches, never stochastic.
 """
 
@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+
+from .oracle import pair_objectives
 
 _QUAD_OPTS = {"epsabs": 1e-7, "limit": 200}
 
@@ -112,11 +114,7 @@ def basic_ratio_closed(y: float, v: float) -> ScenarioMetrics:
     """
     if not 0 < v <= y < 1:
         raise ValueError("need 0 < v <= y < 1")
-    one_m_y = 1 - y
-    L = (1 - v * y) / one_m_y
-    C = 1 + v + (y - v) / one_m_y**2 + (L - 1) * (-math.log1p(-v))
-    C_star = -y - math.log1p(-y) + (y - v) * (y / one_m_y) ** 2 + L
-    W = 1 + math.log((1 - v) / one_m_y) / one_m_y - math.log1p(-v)
+    C, C_star, W, L = _metrics_closed(y, v, 0.0)
     return ScenarioMetrics(C, C_star, C / C_star, W, L)
 
 
@@ -172,14 +170,14 @@ def _refine_box(
     clip: Callable[[tuple[float, ...]], tuple[float, ...]],
     tol: float = 1e-6,
 ) -> tuple[tuple[float, ...], float]:
-    """Deterministic pattern search: 5-point stencil per axis, halving box."""
+    """Deterministic 2-D pattern search: 5-point stencil per axis, halving box."""
     best_x = clip(center)
     best_f = f(best_x)
     half = list(half)
     while max(half) > tol:
         improved = False
         dim = len(best_x)
-        for offsets in _stencil(dim):
+        for offsets in _stencil():
             x = clip(tuple(best_x[i] + offsets[i] * half[i] for i in range(dim)))
             val = f(x)
             if val > best_f + 1e-15:
@@ -191,10 +189,8 @@ def _refine_box(
     return best_x, best_f
 
 
-def _stencil(dim: int) -> list[tuple[float, ...]]:
+def _stencil() -> list[tuple[float, float]]:
     steps = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    if dim == 1:
-        return [(s,) for s in steps]
     return [(a, b) for a in steps for b in steps]
 
 
@@ -425,24 +421,25 @@ def table1() -> list[TableRow]:
 # --- two-long-job lower-bound curves ---------------------------------------
 
 
-def _l1(p1: float, p2: float) -> float:
-    """Small-job volume against an untouched second long job."""
-    return math.sqrt(2 * (p2**3 - p1**3) / p2)
+def burst_length(p1: float, p2: float, rho: float) -> float:
+    """Ratio-maximizing burst length √(2K/ρ), K = p1² + p1·p2 + p2², of the
+    pair game's outer branches (see ``adversary.choose_l``)."""
+    k = p1 * p1 + p1 * p2 + p2 * p2
+    return math.sqrt(2 * k / rho)
 
 
 def lb_c1(p1: float, p2: float) -> float:
     """Guaranteed ratio when the second long job finishes first.
 
-    The burst of total length l1 = sqrt(2(p2^3-p1^3)/p2) arrives at p1 with
-    ratio p2/(p2-p1); the bound divides the online objective by the
-    finish-J1-first counter-schedule.
+    The burst arrives at p1 with ratio p2/(p2-p1) and length
+    ``burst_length``; the bound divides the online (second-first) objective
+    by the finish-J1-first counter-schedule.
     """
     if not 0 < p1 < p2:
         raise ValueError("need 0 < p1 < p2")
     rho = p2 / (p2 - p1)
-    l1 = _l1(p1, p2)
-    online = p2 * p2 + rho * l1 * (p2 + l1 / 2) + p1 * (p1 + p2 + l1)
-    counter = p1 * p1 + rho * l1 * (p1 + l1 / 2) + p2 * (p1 + p2 + l1)
+    l = burst_length(p1, p2, rho)
+    counter, online = pair_objectives(p1, p2, p1, rho, l, l / 2)
     return online / counter
 
 
@@ -450,18 +447,16 @@ def _lb_j1_first(p1: float, p2: float) -> float:
     """Guaranteed ratio when the first long job finishes first.
 
     At the checkpoint t = p2 the second job's remainder is p1, so the burst
-    ratio is p2/p1 and its optimal volume is sqrt(K/C) with
-    K = p1^2 + p1·p2 + p2^2 and C = rho/2 — exactly l1/sqrt(p2-p1).
+    arrives at p2 with ratio p2/p1 and length ``burst_length``; the bound
+    divides the online (first-first) objective by the finish-J2-first
+    counter-schedule.
     """
     if not 0 < p1 < p2:
         raise ValueError("need 0 < p1 < p2")
     rho = p2 / p1
-    k = p1 * p1 + p1 * p2 + p2 * p2
-    half_rho = rho / 2
-    l_star = math.sqrt(k / half_rho)
-    b_online = rho * (p1 + p2)
-    b_counter = p1 + rho * p2
-    return (2 * k + b_online * l_star) / (2 * k + b_counter * l_star)
+    l = burst_length(p1, p2, rho)
+    online, counter = pair_objectives(p1, p2, p2, rho, l, l / 2)
+    return online / counter
 
 
 @dataclass(frozen=True)

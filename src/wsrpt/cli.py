@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import analysis
 from .adversary import EXTRA_POLICIES, play, write_transcript
-from .core import Instance, Schedule, Slice, objective, rational_str, to_rational
+from .core import Instance, Schedule, objective, rational_str, to_rational
 from .fuzz import fuzz
 from .instances import (
     NestedParams,
@@ -29,6 +29,8 @@ from .instances import (
     gen_nested,
     gen_random,
     read_instance,
+    slices_from_dicts,
+    slices_to_dicts,
     write_instance,
     write_json,
 )
@@ -132,35 +134,20 @@ def _show(value, exact: bool) -> str:
     return repr(float(value))
 
 
-def _schedule_to_dict(schedule: Schedule, instance: Instance) -> dict:
-    return {
-        "objective": rational_str(objective(schedule, instance)),
-        "slices": [
-            {"job": s.job, "start": rational_str(s.start), "end": rational_str(s.end)}
-            for s in schedule.slices
-        ],
-    }
-
-
-def _schedule_from_dict(payload: dict) -> Schedule:
-    return Schedule(
-        tuple(
-            Slice(int(s["job"]), Fraction(s["start"]), Fraction(s["end"]))
-            for s in payload["slices"]
-        )
-    )
-
-
 def _write_schedule(schedule: Schedule, instance: Instance, path) -> None:
     """JSON slice list, or CSV (job,start,end) when the path says so."""
+    slices = slices_to_dicts(schedule.slices)
     if str(path).endswith(".csv"):
         with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["job", "start", "end"])
-            for s in schedule.slices:
-                writer.writerow([s.job, rational_str(s.start), rational_str(s.end)])
+            writer = csv.DictWriter(f, fieldnames=["job", "start", "end"])
+            writer.writeheader()
+            writer.writerows(slices)
     else:
-        write_json(_schedule_to_dict(schedule, instance), path)
+        payload = {
+            "objective": rational_str(objective(schedule, instance)),
+            "slices": slices,
+        }
+        write_json(payload, path)
 
 
 def _cmd_simulate(args) -> int:
@@ -335,7 +322,7 @@ def _cmd_render(args) -> int:
     instance = read_instance(args.instance)
     if args.schedule is not None:
         with open(args.schedule, encoding="utf-8") as f:
-            schedule = _schedule_from_dict(json.load(f))
+            schedule = Schedule(slices_from_dicts(json.load(f)["slices"]))
         schedule.validate(instance)
     else:
         schedule = simulate(instance, policy=Policy(args.policy), tie=TieRule(args.tie))

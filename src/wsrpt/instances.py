@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import IO, Union
 
-from .core import Instance, Job, rational_str, to_rational
+from .core import Instance, Job, Slice, rational_str, to_rational
 
 _ONE = Fraction(1)
 
@@ -124,14 +124,10 @@ def _small_pieces(
     return pieces
 
 
-def gen_basic(params: ScenarioParams) -> Instance:
-    """One long job plus the discretized small-job family tied to it.
-
-    The long job (id 0, p = w = 1) is released at 0 and, per the emitted tie
-    script, wins every tie until it completes at time 1; everything after
-    that is forced by strict ratio comparisons.  ``y`` and ``v`` snap to the
-    nearest grid multiple; ``tags["snapped"]`` records whether they moved.
-    """
+def _family_pieces(
+    params: ScenarioParams,
+) -> tuple[list[tuple[Fraction, Fraction, Fraction]], Fraction, Fraction]:
+    """(small pieces, snapped y, snapped v) of one scenario's family."""
     delta = params.delta
     m_steps = _snap_steps(params.y, delta)
     n_steps = _snap_steps(params.v, delta)
@@ -140,11 +136,21 @@ def gen_basic(params: ScenarioParams) -> Instance:
     if m_steps * delta >= 1:
         raise ValueError("y snaps to 1 or beyond; refine delta or lower y")
     n_steps = min(n_steps, m_steps)
-    y_eff = m_steps * delta
-    v_eff = n_steps * delta
+    pieces = _small_pieces(m_steps, n_steps, params.z, delta)
+    return pieces, m_steps * delta, n_steps * delta
+
+
+def gen_basic(params: ScenarioParams) -> Instance:
+    """One long job plus the discretized small-job family tied to it.
+
+    The long job (id 0, p = w = 1) is released at 0 and, per the emitted tie
+    script, wins every tie until it completes at time 1; everything after
+    that is forced by strict ratio comparisons.  ``y`` and ``v`` snap to the
+    nearest grid multiple; ``tags["snapped"]`` records whether they moved.
+    """
+    pieces, y_eff, v_eff = _family_pieces(params)
 
     jobs = [Job(0, 0, 1, 1)]
-    pieces = _small_pieces(m_steps, n_steps, params.z, delta)
     for rel, proc, weight in pieces:
         jobs.append(Job(len(jobs), rel, proc, weight))
 
@@ -156,7 +162,7 @@ def gen_basic(params: ScenarioParams) -> Instance:
         "y": rational_str(params.y),
         "v": rational_str(params.v),
         "z": rational_str(params.z),
-        "delta": rational_str(delta),
+        "delta": rational_str(params.delta),
         "y_effective": rational_str(y_eff),
         "v_effective": rational_str(v_eff),
         "snapped": y_eff != params.y or v_eff != params.v,
@@ -198,22 +204,16 @@ def gen_nested(params: NestedParams) -> Instance:
 
     jobs = [Job(0, 0, 1, 1)]
     script: list[tuple[Fraction, int]] = []
-    for i in range(r_steps):
-        x = i * delta_o
-        jobs.append(Job(len(jobs), x, delta_o, delta_o / (_ONE - x)))
-        script.append((x, 0))
+    for rel, proc, weight in _small_pieces(r_steps, r_steps, 0, delta_o):
+        jobs.append(Job(len(jobs), rel, proc, weight))
+        script.append((rel, 0))
 
     small_id = len(jobs)
     jobs.append(Job(small_id, r_eff, p_s, w_s))
     script.append((r_eff, small_id))
 
     inner = params.inner
-    mi = _snap_steps(inner.y, inner.delta)
-    ni = _snap_steps(inner.v, inner.delta)
-    if mi < 1 or mi * inner.delta >= 1:
-        raise ValueError("inner y snaps outside (0, 1)")
-    ni = min(ni, mi)
-    inner_pieces = _small_pieces(mi, ni, inner.z, inner.delta)
+    inner_pieces, _, _ = _family_pieces(inner)
 
     resume_ratio_ids: list[tuple[Fraction, int]] = []  # (processing, id)
     for rel, proc, weight in inner_pieces:
@@ -318,6 +318,22 @@ def instance_from_dict(payload: dict) -> Instance:
         else tuple((to_rational(e["t"]), int(e["choice"])) for e in script)
     )
     return Instance(jobs, tie_script=tie_script, tags=payload.get("tags", {}))
+
+
+def slices_to_dicts(slices) -> list[dict]:
+    """JSON-ready slice list: ``{"job", "start", "end"}`` with exact times."""
+    return [
+        {"job": s.job, "start": rational_str(s.start), "end": rational_str(s.end)}
+        for s in slices
+    ]
+
+
+def slices_from_dicts(records) -> tuple[Slice, ...]:
+    """Inverse of slices_to_dicts."""
+    return tuple(
+        Slice(int(s["job"]), Fraction(s["start"]), Fraction(s["end"]))
+        for s in records
+    )
 
 
 def write_json(payload: dict, dest: PathOrFile) -> None:

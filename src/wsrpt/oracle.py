@@ -200,6 +200,20 @@ def structured_optimal(instance: Instance) -> OptimalResult:
     return OptimalResult(schedule, objective(schedule, instance), "structured")
 
 
+def pair_objectives(p1, p2, t_r, rho, l, mid):
+    """(first-long-job-first, second-first) objectives of the pair game.
+
+    Two long jobs (p = w, released at 0) and a burst of ratio ``rho`` and
+    total length ``l`` released at ``t_r`` in [p1, p2]; ``mid`` is the
+    burst's mean completion offset (l/2 in the continuum).  The burst runs
+    at its release in the first order and right after the second long job
+    in the other.  Plain arithmetic: exact on Fractions, float on floats.
+    """
+    j1_first = p1 * p1 + rho * l * (t_r + mid) + p2 * (p1 + p2 + l)
+    j2_first = p2 * p2 + rho * l * (p2 + mid) + p1 * (p1 + p2 + l)
+    return j1_first, j2_first
+
+
 def closed_pair_optimal(
     p1,
     p2,
@@ -212,13 +226,11 @@ def closed_pair_optimal(
     burst of ratio-``small_ratio`` jobs of total length ``small_total``
     released together at ``small_release``.
 
-    Exact minimum of the two candidate completion orders (first long job
-    first vs second first); the burst outranks whichever long job is still
-    running when it arrives, so it runs at its release in the first order
-    and right after the second long job in the other, and which order wins
-    flips once the release passes (p1+p2)/2.  ``pieces`` gives the burst's
-    job count for an exact finite sum; omitted, the continuum limit
-    (midpoint l/2) is used.
+    Exact minimum of the two candidate completion orders of
+    ``pair_objectives``; the burst outranks whichever long job is still
+    running when it arrives, and which order wins flips once the release
+    passes (p1+p2)/2.  ``pieces`` gives the burst's job count for an exact
+    finite sum; omitted, the continuum limit (midpoint l/2) is used.
     """
     p1, p2 = to_rational(p1), to_rational(p2)
     t_r, rho, l = (
@@ -235,9 +247,7 @@ def closed_pair_optimal(
     if pieces is not None and (pieces < 1 or l == 0):
         raise ValueError("pieces requires a positive piece count and a nonzero burst")
     mid = Fraction(l, 2) if pieces is None else (l + Fraction(l, pieces)) / 2
-    j1_first = p1 * p1 + rho * l * (t_r + mid) + p2 * (p1 + p2 + l)
-    j2_first = p2 * p2 + rho * l * (p2 + mid) + p1 * (p2 + l + p1)
-    return min(j1_first, j2_first)
+    return min(pair_objectives(p1, p2, t_r, rho, l, mid))
 
 
 def optimal_objective(instance: Instance, max_n: int = MAX_BRUTEFORCE_JOBS) -> Fraction:
@@ -252,6 +262,7 @@ __all__ = [
     "optimal_dp_timeindexed",
     "structured_optimal",
     "closed_pair_optimal",
+    "pair_objectives",
     "optimal_objective",
     "objective",
     "BudgetExceeded",

@@ -148,6 +148,15 @@ class TestChooseL:
         assert t.state.l1 == pytest.approx(closed, abs=1e-9)
         assert float(t.state.block_length) == pytest.approx(closed, abs=1e-2)
 
+    def test_outer_lengths_scale_with_the_long_jobs(self):
+        # Both outer lengths are √(2K/ρ): K grows with the square of the
+        # jobs' scale and ρ does not change, so doubling p1 and p2 doubles
+        # l1 and l2 alike.
+        base = play("j2-first", delta="1e-2").state
+        doubled = play("j2-first", delta="2e-2", p1=2, p2="4.6728").state
+        assert doubled.l1 == pytest.approx(2 * base.l1, rel=1e-12)
+        assert doubled.l2 == pytest.approx(2 * base.l2, rel=1e-12)
+
 
 class TestTranscriptIO:
     def test_dict_shape(self):

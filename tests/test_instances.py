@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -146,6 +147,14 @@ class TestGenNested:
     def test_precondition_enforced(self):
         with pytest.raises(ValueError):
             gen_nested(self._params(p_s=Fraction(1, 1000)))
+
+    def test_inner_family_snaps_like_basic(self):
+        inner = ScenarioParams(y=Fraction(9, 10), v=Fraction(9, 10), delta=Fraction(1, 2))
+        params = replace(self._params(), inner=inner)
+        with pytest.raises(ValueError, match="y snaps to 1 or beyond"):
+            gen_nested(params)
+        with pytest.raises(ValueError, match="y snaps to 1 or beyond"):
+            gen_basic(inner)
 
 
 class TestGenRandom:
