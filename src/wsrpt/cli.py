@@ -54,30 +54,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument(
+def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
+    """The shared flag groups, each built once and attached as a parent
+    to the subcommands that read it: output and config (every command),
+    the RNG seed, and the rational/float print format."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output path")
+    output.add_argument(
+        "--config",
+        default=None,
+        help="key=value file supplying defaults for this command's flags",
+    )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed")
+    fmt = argparse.ArgumentParser(add_help=False)
+    group = fmt.add_mutually_exclusive_group()
+    group.add_argument(
         "--exact",
         action="store_true",
         dest="exact",
         help="print objectives as exact rationals",
     )
-    fmt.add_argument(
+    group.add_argument(
         "--float",
         action="store_false",
         dest="exact",
         help="print objectives as floats (default)",
     )
-    common.add_argument("--out", default=None, help="output path")
-    common.add_argument(
-        "--config",
-        default=None,
-        help="key=value file supplying defaults for any flag",
-    )
-    common.set_defaults(exact=False)
-    return common
+    fmt.set_defaults(exact=False)
+    return output, seed, fmt
 
 
 def _load_config(path) -> dict[str, str]:
@@ -93,30 +98,18 @@ def _load_config(path) -> dict[str, str]:
     return values
 
 
-_CONFIG_COERCE = {
-    "seed": int,
-    "trials": int,
-    "n_max": int,
-    "n": int,
-    "workers": int,
-    "exact": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The --config entries that name one of the parsed command's flags.
 
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Resolution order: explicit flag, then config entry, then default.
-
-    Configurable flags parse with default None; whatever is still None
-    after the config pass picks up the command's hard default.
+    They become that subcommand's parser defaults, which argparse converts
+    by each flag's own type; only the --exact/--float pair has no type.
+    Other keys, and the dispatch keys ``command`` and ``func``, are ignored.
     """
-    if args.config is not None:
-        for key, value in _load_config(args.config).items():
-            if getattr(args, key, None) is None:
-                coerce = _CONFIG_COERCE.get(key, str)
-                setattr(args, key, coerce(value))
-    for key, value in getattr(args, "hard_defaults", {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    flags = vars(args).keys() - {"command", "func"}
+    values = {k: v for k, v in _load_config(args.config).items() if k in flags}
+    if "exact" in values:
+        values["exact"] = values["exact"].lower() in ("1", "true", "yes")
+    return values
 
 
 def _out_path(args: argparse.Namespace, default_name: str | None = None):
@@ -184,8 +177,7 @@ def _cmd_gen(args) -> int:
     if args.family == "random":
         from random import Random
 
-        seed = args.seed if args.seed is not None else 0
-        instance = gen_random(Random(seed), args.n, args.kind)
+        instance = gen_random(Random(args.seed), args.n, args.kind)
     else:
         params = ScenarioParams(
             y=to_rational(args.y),
@@ -296,15 +288,8 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     out_dir = args.out if args.out is not None else os.environ.get(_ENV_OUT_DIR, ".")
-    report = fuzz(
-        args.trials,
-        n_max=args.n_max,
-        seed=seed,
-        out_dir=out_dir,
-        workers=args.workers,
-    )
+    report = fuzz(args.trials, n_max=args.n_max, seed=args.seed, out_dir=out_dir)
     print(f"trials {report.trials} seed {report.seed}")
     for kind in RANDOM_KINDS:
         st = report.classes[kind]
@@ -336,96 +321,73 @@ def _cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    """The ``wsrpt`` parser; ``parser.commands`` maps each subcommand name
+    to its own parser."""
+    output, seed, fmt = _flag_groups()
     parser = _Parser(prog="wsrpt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
+    policies = [x.value for x in Policy]
+    ties = [x.value for x in TieRule]
 
-    p = sub.add_parser("simulate", parents=[common], help="run a policy on an instance")
+    p = sub.add_parser("simulate", parents=[output, fmt], help="run a policy on an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--policy", choices=[x.value for x in Policy])
-    p.add_argument("--tie", choices=[x.value for x in TieRule])
-    p.set_defaults(
-        func=_cmd_simulate,
-        hard_defaults={"policy": "wsrpt", "tie": "prefer-running"},
-    )
+    p.add_argument("--policy", choices=policies, default="wsrpt")
+    p.add_argument("--tie", choices=ties, default="prefer-running")
+    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("optimal", parents=[common], help="compute an optimal schedule")
+    p = sub.add_parser("optimal", parents=[output, fmt], help="compute an optimal schedule")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", choices=["brute", "dp", "structured"])
+    p.add_argument("--method", choices=["brute", "dp", "structured"], default="brute")
     p.add_argument("--grid", default=None, help="time grid for --method dp")
-    p.set_defaults(func=_cmd_optimal, hard_defaults={"method": "brute"})
+    p.set_defaults(func=_cmd_optimal)
 
-    p = sub.add_parser("gen", parents=[common], help="generate an instance file")
+    p = sub.add_parser("gen", parents=[output, seed], help="generate an instance file")
     p.add_argument("family", choices=["basic", "nested", "random"])
-    p.add_argument("--y")
-    p.add_argument("--v")
-    p.add_argument("--z")
-    p.add_argument("--delta")
-    p.add_argument("--r-s", dest="r_s")
+    p.add_argument("--y", default="0.8157")
+    p.add_argument("--v", default=None, help="defaults to --y")
+    p.add_argument("--z", default="0")
+    p.add_argument("--delta", default="1e-2")
+    p.add_argument("--r-s", dest="r_s", default="0.5307")
     p.add_argument("--p-s", dest="p_s", default=None)
-    p.add_argument("--n", type=int)
-    p.add_argument("--kind", choices=list(RANDOM_KINDS))
-    p.set_defaults(
-        func=_cmd_gen,
-        hard_defaults={
-            "y": "0.8157",
-            "z": "0",
-            "delta": "1e-2",
-            "r_s": "0.5307",
-            "n": 6,
-            "kind": "general",
-        },
-    )
+    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--kind", choices=list(RANDOM_KINDS), default="general")
+    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("table1", parents=[common], help="reproduce the reference table")
+    p = sub.add_parser("table1", parents=[output], help="reproduce the reference table")
     p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("optimize", parents=[common], help="run an optimizer")
+    p = sub.add_parser("optimize", parents=[output], help="run an optimizer")
     p.add_argument("target", choices=["basic", "lb"])
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("curves", parents=[common], help="lower-bound curves CSV")
+    p = sub.add_parser("curves", parents=[output], help="lower-bound curves CSV")
     p.set_defaults(func=_cmd_curves)
 
-    p = sub.add_parser("adversary", parents=[common], help="play the two-job game")
-    p.add_argument(
-        "--policy",
-        choices=[x.value for x in Policy] + list(EXTRA_POLICIES),
-    )
+    p = sub.add_parser("adversary", parents=[output, fmt], help="play the two-job game")
+    p.add_argument("--policy", choices=policies + list(EXTRA_POLICIES), default="wsrpt")
     p.add_argument(
         "--tie",
         choices=[x.value for x in TieRule if x is not TieRule.SCRIPTED],
+        default="prefer-running",
     )
-    p.add_argument("--delta")
-    p.add_argument("--p1")
-    p.add_argument("--p2")
-    p.set_defaults(
-        func=_cmd_adversary,
-        hard_defaults={
-            "policy": "wsrpt",
-            "tie": "prefer-running",
-            "delta": "1e-3",
-            "p1": "1",
-            "p2": "2.3364",
-        },
-    )
+    p.add_argument("--delta", default="1e-3")
+    p.add_argument("--p1", default="1")
+    p.add_argument("--p2", default="2.3364")
+    p.set_defaults(func=_cmd_adversary)
 
-    p = sub.add_parser("fuzz", parents=[common], help="randomized envelope check")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(func=_cmd_fuzz, hard_defaults={"trials": 10000, "n_max": 7})
+    p = sub.add_parser("fuzz", parents=[output, seed, fmt], help="randomized envelope check")
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--n-max", dest="n_max", type=int, default=7)
+    p.set_defaults(func=_cmd_fuzz)
 
-    p = sub.add_parser("render", parents=[common], help="render an SVG figure")
+    p = sub.add_parser("render", parents=[output], help="render an SVG figure")
     p.add_argument("view", choices=["gantt", "profile"])
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", default=None, help="schedule JSON from simulate --out")
-    p.add_argument("--policy", choices=[x.value for x in Policy])
-    p.add_argument("--tie", choices=[x.value for x in TieRule])
-    p.set_defaults(
-        func=_cmd_render,
-        hard_defaults={"policy": "wsrpt", "tie": "prefer-running"},
-    )
+    p.add_argument("--policy", choices=policies, default="wsrpt")
+    p.add_argument("--tie", choices=ties, default="prefer-running")
+    p.set_defaults(func=_cmd_render)
 
     return parser
 
@@ -434,7 +396,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config is not None:
+            # Config entries become parser defaults, so explicit flags win.
+            parser.commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

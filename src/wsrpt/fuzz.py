@@ -5,17 +5,13 @@ Every trial draws a small random instance, simulates the policy under its
 worst tie-breaking, divides by the brute-force optimum (both exact
 rationals), and checks the quotient against the 1.2259 envelope.  The two
 structured classes — unit weights and common release — must come out at
-exactly 1.  Trials can run across a process pool; the report is merged by
-a deterministic max-reduction keyed by (ratio, instance hash), so the
-outcome is independent of worker scheduling.
+exactly 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -68,7 +64,8 @@ class FuzzReport:
 
 
 def instance_digest(instance: Instance) -> str:
-    """Stable content hash of an instance (used for tie-free reduction)."""
+    """Stable content hash of an instance; among instances with equal
+    ratios, the one with the largest digest becomes the certificate."""
     payload = json.dumps(instance_to_dict(instance), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -89,29 +86,11 @@ def evaluate_instance(instance: Instance) -> Fraction | None:
     return Fraction(objective(schedule, instance), best)
 
 
-def _trial_instances(trials: int, n_max: int, seed: int) -> list[Instance]:
-    rng = Random(seed)
-    out = []
-    for i in range(trials):
-        kind = RANDOM_KINDS[i % len(RANDOM_KINDS)]
-        n = rng.randint(2, n_max)
-        out.append(gen_random(rng, n, kind))
-    return out
-
-
-def fuzz(
-    trials: int,
-    n_max: int = 7,
-    seed: int = 0,
-    out_dir=None,
-    workers: int | None = None,
-) -> FuzzReport:
+def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport:
     """Run ``trials`` random instances and report the worst ratio found.
 
     Instances cycle through the three kinds and are fully determined by
-    ``seed``, so reruns reproduce the same trials.  ``workers`` > 1 spreads
-    evaluation over a process pool of at most ``os.cpu_count()`` processes
-    (default: serial); values below 1 are rejected.  When ``out_dir`` is
+    ``seed``, so reruns reproduce the same trials.  When ``out_dir`` is
     given, the worst general-class instance is written there as a
     replayable certificate carrying its expected ratio in a tag.  Raises
     EnvelopeBreach if any ratio exceeds 1.2259 + 1e-6, and AssertionError
@@ -123,28 +102,19 @@ def fuzz(
         raise ValueError("n_max must be at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        workers = min(workers, os.cpu_count() or 1)
 
-    instances = _trial_instances(trials, n_max, seed)
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            ratios = list(
-                pool.map(evaluate_instance, instances, chunksize=64)
-            )
-    else:
-        ratios = [evaluate_instance(inst) for inst in instances]
-
+    rng = Random(seed)
     counts = {kind: 0 for kind in RANDOM_KINDS}
     skipped = {kind: 0 for kind in RANDOM_KINDS}
     at_optimum = {kind: 0 for kind in RANDOM_KINDS}
     worst: dict[str, tuple[Fraction, str, Instance] | None] = {
         kind: None for kind in RANDOM_KINDS
     }
-    for instance, ratio in zip(instances, ratios):
-        kind = instance.tags["kind"]
+    for i in range(trials):
+        kind = RANDOM_KINDS[i % len(RANDOM_KINDS)]
+        n = rng.randint(2, n_max)
+        instance = gen_random(rng, n, kind)
+        ratio = evaluate_instance(instance)
         counts[kind] += 1
         if ratio is None:
             skipped[kind] += 1

@@ -76,7 +76,7 @@ def _integer_scaled(instance: Instance):
     return releases, procs, weights, den_t, den_w
 
 
-def optimal_bruteforce(instance: Instance, max_n: int = 10) -> OptimalResult:
+def optimal_bruteforce(instance: Instance, max_n: int = MAX_BRUTEFORCE_JOBS) -> OptimalResult:
     """Exact preemptive optimum via the completion-order subset DP.
 
     Minimizes over all completion orders (equivalently, all n! priority

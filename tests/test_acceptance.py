@@ -189,7 +189,7 @@ def test_criterion_6_lower_bound_game():
 
 def test_criterion_7_fuzz_envelope(tmp_path):
     start = time.perf_counter()
-    report = fuzz(10_000, n_max=7, seed=11, out_dir=tmp_path, workers=4)
+    report = fuzz(10_000, n_max=7, seed=11, out_dir=tmp_path)
     elapsed = time.perf_counter() - start
     assert report.classes["unit-weight"].worst_ratio == 1
     assert report.classes["zero-release"].worst_ratio == 1

@@ -6,11 +6,22 @@ import json
 import pytest
 
 from wsrpt.cli import main
+from wsrpt.core import rational_str
+from wsrpt.instances import read_instance
+from wsrpt.oracle import optimal_objective
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def exit_code(*argv):
+    """main's return value, or the status of the SystemExit it raised."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestGenerateSimulateOptimal:
@@ -94,6 +105,18 @@ class TestGenerateSimulateOptimal:
         )
         assert brute_code == dp_code == 0
         assert brute_out.split()[-1] == dp_out.split()[-1]
+
+    def test_brute_force_takes_eleven_jobs(self, tmp_path, capsys):
+        # The CLI's brute-force method shares the subset DP's 16-job cap.
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "random", "--n", "11", "--seed", "5", "--out", str(inst))
+        code, out = run(
+            capsys, "optimal", "--instance", str(inst), "--method", "brute",
+            "--exact",
+        )
+        assert code == 0
+        expected = rational_str(optimal_objective(read_instance(inst)))
+        assert out == f"brute-force objective {expected}\n"
 
 
 class TestRender:
@@ -191,6 +214,44 @@ class TestConfigAndEnvironment:
         assert code == 0
         assert out.startswith("trials 5 ")
 
+    @pytest.mark.parametrize(
+        "value, flags, rational",
+        [("true", [], True), ("no", [], False), ("true", ["--float"], False)],
+    )
+    def test_config_exact_picks_the_format(self, tmp_path, capsys, value, flags, rational):
+        cfg = tmp_path / "wsrpt.cfg"
+        cfg.write_text(f"exact={value}\n")
+        code, out = run(
+            capsys, "adversary", "--delta", "1e-2", *flags, "--config", str(cfg),
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 0
+        assert ("/" in out.split("ratio ", 1)[1].splitlines()[0]) is rational
+
+    def test_config_values_take_the_flags_types(self, tmp_path, capsys):
+        cfg = tmp_path / "wsrpt.cfg"
+        cfg.write_text("n=3\nseed=5\n")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(capsys, "gen", "random", "--config", str(cfg), "--out", str(a))[0] == 0
+        run(capsys, "gen", "random", "--n", "3", "--seed", "5", "--out", str(b))
+        assert a.read_text() == b.read_text()
+
+    def test_config_value_of_wrong_type_is_validation_failure(self, tmp_path):
+        cfg = tmp_path / "wsrpt.cfg"
+        cfg.write_text("trials=abc\n")
+        assert exit_code("fuzz", "--config", str(cfg), "--out", str(tmp_path)) == 1
+
+    def test_config_ignores_keys_the_command_lacks(self, tmp_path, capsys):
+        # adversary has no --seed; func and command must not redirect dispatch.
+        cfg = tmp_path / "wsrpt.cfg"
+        cfg.write_text("seed=3\nfunc=x\ncommand=table1\nbogus=1\n")
+        code, out = run(
+            capsys, "adversary", "--delta", "1e-2", "--config", str(cfg),
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 0
+        assert out.startswith("branch terminal\n")
+
     def test_out_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WSRPT_OUT_DIR", str(tmp_path))
         code, _ = run(capsys, "gen", "basic", "--y", "0.5", "--delta", "0.1")
@@ -203,13 +264,18 @@ class TestExitCodes:
         code = main(["simulate", "--instance", str(tmp_path / "missing.json")])
         assert code == 1
 
-    def test_usage_error_is_validation_failure(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate"])  # --instance is required
-        assert exc.value.code == 1
-        with pytest.raises(SystemExit) as exc:
-            main(["optimal", "--instance", "x.json", "--method", "bogus"])
-        assert exc.value.code == 1
+    def test_usage_error_is_validation_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WSRPT_OUT_DIR", str(tmp_path))
+        for argv in (
+            ["simulate"],  # --instance is required
+            ["optimal", "--instance", "x.json", "--method", "bogus"],
+            ["adversary", "--seed", "3"],  # flags the command does not read
+            ["table1", "--exact"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_domain_error_is_validation_failure(self, tmp_path, capsys):
         code = main(
@@ -225,7 +291,7 @@ class TestExitCodes:
         code = main(["fuzz", "--trials", "1", "--out", str(tmp_path)])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [["--workers", "0"], ["--n-max", "1"]])
+    @pytest.mark.parametrize("flag", [["--n-max", "1"]])
     def test_bad_fuzz_bounds_are_validation_failures(self, tmp_path, capsys, flag):
         code = main(["fuzz", "--trials", "1", "--out", str(tmp_path), *flag])
         assert code == 1
