@@ -291,7 +291,9 @@ class TestExitCodes:
         code = main(["fuzz", "--trials", "1", "--out", str(tmp_path)])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [["--n-max", "1"]])
+    @pytest.mark.parametrize(
+        "flag", [["--n-max", "9"], ["--n-max", "1"], ["--trials", "0"]]
+    )
     def test_bad_fuzz_bounds_are_validation_failures(self, tmp_path, capsys, flag):
         code = main(["fuzz", "--trials", "1", "--out", str(tmp_path), *flag])
         assert code == 1
