@@ -3,9 +3,10 @@
 The adversary releases two proportionate jobs (p = w) at time zero, watches
 how the policy splits the machine between them, and answers with one burst
 of identical high-ratio small jobs sized and timed by which branch of the
-game the observed remainders select.  All checkpoint bookkeeping is exact
-rational arithmetic on the simulated schedule; only the burst-length search
-for the intermediate branches is float numerics.
+game the observed remainders select: first-untouched and second-ahead
+strike at p1, terminal at p2.  All checkpoint bookkeeping is exact rational
+arithmetic on the simulated schedule; only the second-ahead branch's
+burst-length search is float numerics.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Union
+from typing import Union
 
 from scipy.optimize import minimize_scalar
 
@@ -35,8 +36,7 @@ from .simulator import Policy, TieRule, simulate
 #: Branch names, in the order the game tests them.
 BRANCH_FIRST_UNTOUCHED = "first-untouched"  # second job ran the whole prefix
 BRANCH_SECOND_AHEAD = "second-ahead"  # second job's ratio leads at p1
-BRANCH_EQUALIZED = "equalized"  # ratios meet at some t_s in (p1, p2]
-BRANCH_TERMINAL = "terminal"  # no equalization by p2
+BRANCH_TERMINAL = "terminal"  # first job's ratio leads at p1: strike at p2
 
 #: Named policies beyond the simulator's enum.
 EXTRA_POLICIES = ("j2-first", "equalizer")
@@ -49,7 +49,7 @@ class AdversaryState:
     """Everything the adversary observed and decided in one game.
 
     ``checkpoints`` holds (time, first remainder, second remainder) at each
-    inspection time — p1 always, plus t_s or p2 when a later branch fires.
+    inspection time — p1 always, plus p2 when the terminal branch fires.
     ``l1`` and ``l2`` are the closed-form burst lengths of the two outer
     branches at their extreme ratios (p2/(p2−p1) with the second job
     untouched at p1, p2/p1 with the first job done by p2), recorded for
@@ -59,7 +59,6 @@ class AdversaryState:
     p1: Fraction
     p2: Fraction
     checkpoints: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    t_s: Fraction | None
     branch: str
     block_release: Fraction
     block_ratio: Fraction
@@ -98,8 +97,8 @@ def choose_l(branch_state: AdversaryState) -> float:
     quotients share the constant K = p1² + p1·p2 + p2² and the quadratic
     coefficient ρ/2, so the maximizer is √(2K/ρ) (``burst_length``) — l1
     when the second job ran the whole prefix, and l2 = √(2K·p1/p2) in the
-    terminal branch when the first job is done by p2.  Intermediate
-    branches maximize the certified ratio numerically over
+    terminal branch when the first job is done by p2.  The second-ahead
+    branch maximizes the certified ratio numerically over
     (0, 4·p2] to 1e-6: the certified online value is the cheapest
     continuation the policy could still play (the burst and job remainders
     commute freely only when their ratios tie, so all six orders are
@@ -195,7 +194,7 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
     while rem[0] > 0 or rem[1] > 0:
         if t_switch is not None and now >= t_switch:
             break
-        progressed = False
+        # now < t_switch here, so the first job with work left gets d > 0.
         for jid in (0, 1):
             if rem[jid] == 0:
                 continue
@@ -208,9 +207,6 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
             rem[jid] -= d
             now += d
             running = jid
-            progressed = True
-        if not progressed:
-            break
 
     alive = [j for j in instance.jobs if rem[j.id] > 0]
     alive.sort(
@@ -237,12 +233,12 @@ def play(
     """Play the two-job game against ``policy`` and certify the ratio.
 
     Releases the two long jobs, probes the policy's schedule, and branches
-    on the exact remainders: second job ran the whole prefix → burst at p1
-    with ratio p2/(p2−p1) and closed-form length; second job's ratio leads
-    at p1 → burst at p1 with ratio p2/p2(p1); otherwise wait for the first
-    exact equalization time t_s ≤ p2 (piecewise-linear remainders give an
-    exact rational root inside a slice) and burst there; no equalization →
-    burst at p2.  A completed job counts as infinite ratio.  The burst is
+    on the exact remainders at p1: second job ran the whole prefix
+    (first-untouched) → burst at p1 with ratio p2/(p2−p1) and closed-form
+    length; second job's ratio leads (second-ahead) → burst at p1 with
+    ratio p2/rem2(p1) and a numerically searched length; otherwise
+    (terminal) → burst at p2 with ratio p2/rem2(p2) and closed-form length.
+    A completed job counts as infinite ratio.  The burst is
     discretized into pieces of length ``delta`` (default p1/1000) whose
     weights realize the branch ratio exactly; the transcript's optimal side
     is the exact discrete pair closed form.
@@ -264,30 +260,21 @@ def play(
     rem1_p1 = p1 - probe_schedule.executed(0, p1)
     rem2_p1 = p2 - probe_schedule.executed(1, p1)
     checkpoints = [(p1, rem1_p1, rem2_p1)]
-    t_s: Fraction | None = None
 
     if rem2_p1 == p2 - p1:
         branch, t_r, rho = BRANCH_FIRST_UNTOUCHED, p1, Fraction(p2, rem2_p1)
     elif rem1_p1 > 0 and p2 * rem1_p1 >= p1 * rem2_p1:
         branch, t_r, rho = BRANCH_SECOND_AHEAD, p1, Fraction(p2, rem2_p1)
     else:
-        t_s = _equalization_time(probe_schedule, p1, p2)
-        if t_s is not None:
-            rem1_ts = p1 - probe_schedule.executed(0, t_s)
-            rem2_ts = p2 - probe_schedule.executed(1, t_s)
-            checkpoints.append((t_s, rem1_ts, rem2_ts))
-            branch, t_r, rho = BRANCH_EQUALIZED, t_s, Fraction(p2, rem2_ts)
-        else:
-            rem1_p2 = p1 - probe_schedule.executed(0, p2)
-            rem2_p2 = p2 - probe_schedule.executed(1, p2)
-            checkpoints.append((p2, rem1_p2, rem2_p2))
-            branch, t_r, rho = BRANCH_TERMINAL, p2, Fraction(p2, rem2_p2)
+        rem1_p2 = p1 - probe_schedule.executed(0, p2)
+        rem2_p2 = p2 - probe_schedule.executed(1, p2)
+        checkpoints.append((p2, rem1_p2, rem2_p2))
+        branch, t_r, rho = BRANCH_TERMINAL, p2, Fraction(p2, rem2_p2)
 
     state = AdversaryState(
         p1=p1,
         p2=p2,
         checkpoints=tuple(checkpoints),
-        t_s=t_s,
         branch=branch,
         block_release=t_r,
         block_ratio=rho,
@@ -329,46 +316,6 @@ def play(
     )
 
 
-def _equalization_time(
-    schedule: Schedule, p1: Fraction, p2: Fraction
-) -> Fraction | None:
-    """First t in (p1, p2] where p2·rem1(t) = p1·rem2(t), exactly.
-
-    The gap g(t) = p2·rem1(t) − p1·rem2(t) is piecewise linear along the
-    schedule — constant while neither long job runs, falling at rate p2
-    while the first runs, rising at rate p1 while the second does — so the
-    first zero is either a slice endpoint or an exact rational root inside
-    a slice.  Entered only when g(p1) < 0; returns None when no zero
-    occurs by p2 (including the completed-job case, where the finished
-    job's infinite ratio can never be matched).
-    """
-    rem1 = p1 - schedule.executed(0, p1)
-    rem2 = p2 - schedule.executed(1, p1)
-    g = p2 * rem1 - p1 * rem2
-    for s in schedule.slices:
-        if s.end <= p1:
-            continue
-        start = max(s.start, p1)
-        if start >= p2:
-            break
-        end = min(s.end, p2)
-        span = end - start
-        if s.job == 0:
-            slope = -p2
-            rem1 -= span
-        elif s.job == 1:
-            slope = p1
-            rem2 -= span
-        else:
-            continue
-        g_end = g + slope * span
-        if g < 0 <= g_end:
-            t = start + Fraction(-g, slope)
-            return t if t <= p2 else None
-        g = g_end
-    return None
-
-
 def transcript_to_dict(transcript: AdversaryTranscript) -> dict:
     """JSON-ready form of a game transcript (rationals as exact strings)."""
     st = transcript.state
@@ -380,7 +327,6 @@ def transcript_to_dict(transcript: AdversaryTranscript) -> dict:
             [rational_str(t), rational_str(r1), rational_str(r2)]
             for t, r1, r2 in st.checkpoints
         ],
-        "t_s": None if st.t_s is None else rational_str(st.t_s),
         "block": {
             "release": rational_str(st.block_release),
             "ratio": rational_str(st.block_ratio),
@@ -407,7 +353,6 @@ __all__ = [
     "AdversaryTranscript",
     "BRANCH_FIRST_UNTOUCHED",
     "BRANCH_SECOND_AHEAD",
-    "BRANCH_EQUALIZED",
     "BRANCH_TERMINAL",
     "EXTRA_POLICIES",
     "choose_l",

@@ -6,7 +6,7 @@ routes are kept deliberately separate so they can check each other:
 ``profile_metrics`` integrates the schedule structure by adaptive
 quadrature, while ``basic_ratio_closed`` and the optimizers evaluate one
 general closed form built from antiderivatives.  Optimizers are
-deterministic grid-then-refine searches, never stochastic.
+deterministic grid-then-refine searches or bisections, never stochastic.
 """
 
 from __future__ import annotations
@@ -428,35 +428,27 @@ def burst_length(p1: float, p2: float, rho: float) -> float:
     return math.sqrt(2 * k / rho)
 
 
+def _lb_curve(p1: float, p2: float, j1_first: bool) -> float:
+    """Guaranteed ratio of the pair game's outer branch in which the first
+    (``j1_first``) or the second long job finishes first online.
+
+    Second first: the burst arrives at p1 with ratio p2/(p2-p1).  First
+    first: at t = p2 the second job's remainder is p1, so the burst arrives
+    at p2 with ratio p2/p1.  The burst has length ``burst_length``; the
+    bound divides the online objective by the other completion order's.
+    """
+    if not 0 < p1 < p2:
+        raise ValueError("need 0 < p1 < p2")
+    t_r, rho = (p2, p2 / p1) if j1_first else (p1, p2 / (p2 - p1))
+    l = burst_length(p1, p2, rho)
+    first, second = pair_objectives(p1, p2, t_r, rho, l, l / 2)
+    return first / second if j1_first else second / first
+
+
 def lb_c1(p1: float, p2: float) -> float:
-    """Guaranteed ratio when the second long job finishes first.
-
-    The burst arrives at p1 with ratio p2/(p2-p1) and length
-    ``burst_length``; the bound divides the online (second-first) objective
-    by the finish-J1-first counter-schedule.
-    """
-    if not 0 < p1 < p2:
-        raise ValueError("need 0 < p1 < p2")
-    rho = p2 / (p2 - p1)
-    l = burst_length(p1, p2, rho)
-    counter, online = pair_objectives(p1, p2, p1, rho, l, l / 2)
-    return online / counter
-
-
-def _lb_j1_first(p1: float, p2: float) -> float:
-    """Guaranteed ratio when the first long job finishes first.
-
-    At the checkpoint t = p2 the second job's remainder is p1, so the burst
-    arrives at p2 with ratio p2/p1 and length ``burst_length``; the bound
-    divides the online (first-first) objective by the finish-J2-first
-    counter-schedule.
-    """
-    if not 0 < p1 < p2:
-        raise ValueError("need 0 < p1 < p2")
-    rho = p2 / p1
-    l = burst_length(p1, p2, rho)
-    online, counter = pair_objectives(p1, p2, p2, rho, l, l / 2)
-    return online / counter
+    """Guaranteed ratio when the second long job finishes first (the
+    first-untouched branch)."""
+    return _lb_curve(p1, p2, j1_first=False)
 
 
 @dataclass(frozen=True)
@@ -474,7 +466,7 @@ def lb_crossing(p1: float = 1.0, lo: float = 1.05, hi: float = 6.0) -> tuple[flo
     """Bisection (to 1e-6) for the p2 where the two curves meet."""
 
     def gap(p2: float) -> float:
-        return _lb_j1_first(p1, p2) - lb_c1(p1, p2)
+        return _lb_curve(p1, p2, j1_first=True) - lb_c1(p1, p2)
 
     a, b = lo, hi
     ga, gb = gap(a), gap(b)
@@ -493,32 +485,25 @@ def lb_crossing(p1: float = 1.0, lo: float = 1.05, hi: float = 6.0) -> tuple[flo
 def lb_curves(p2_values: Sequence[float], p1: float = 1.0) -> LbCurves:
     """Evaluate both strategy curves and locate their intersection."""
     p2s = tuple(float(p) for p in p2_values)
-    j1 = tuple(_lb_j1_first(p1, p) for p in p2s)
+    j1 = tuple(_lb_curve(p1, p, j1_first=True) for p in p2s)
     j2 = tuple(lb_c1(p1, p) for p in p2s)
     cross_p2, cross_val = lb_crossing(p1)
     return LbCurves(p2s, j1, j2, cross_p2, cross_val)
 
 
 def optimize_lb() -> tuple[float, float]:
-    """(p2*, ratio*) maximizing the weaker of the two curves over (1, 10].
+    """(p2*, ratio*) maximizing the weaker of the two curves at p1 = 1.
 
     The finish-J1-first curve rises and the finish-J2-first curve falls, so
     the max-min sits at their crossing.
     """
-    best = None
-    for i in range(1, 900):
-        p2 = 1 + i * 0.01
-        val = min(_lb_j1_first(1.0, p2), lb_c1(1.0, p2))
-        if best is None or val > best[0]:
-            best = (val, p2)
-    p2, value = lb_crossing(1.0, max(1.01, best[1] - 0.05), best[1] + 0.05)
-    return p2, value
+    return lb_crossing(1.0)
 
 
 def equalization_bounds(p1: float = 1.0, p2: float = 2.3364) -> tuple[float, float]:
     """Guaranteed ratios against a policy equalizing both remainders.
 
-    The equalization time t_s splits at (p1+p2)/2; each case is evaluated
+    The time the ratios meet splits at (p1+p2)/2; each case is evaluated
     at its extremal second-job remainder (p2^2/(p1+p2), resp. p2/2) with
     the burst volume set to that remainder.
     """

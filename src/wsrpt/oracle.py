@@ -28,6 +28,10 @@ from .simulator import BudgetExceeded, _memo_search, _run
 #: Cap on the time-indexed DP's total slots and memoized states.
 DEFAULT_STATE_BUDGET = 2_000_000
 
+#: Cap on the job remainders the time-indexed DP's memo holds in all (each
+#: state keeps one per job), so wide instances get fewer states.
+CELLS = 4_000_000
+
 #: Hard job-count cap for the subset DP (2^n table).
 MAX_BRUTEFORCE_JOBS = 16
 
@@ -113,8 +117,9 @@ def optimal_dp_timeindexed(
     the state (slot, per-job remaining slots) is complete; transitions run
     one available job for one slot, jobs identical in parameters and
     remaining work branch once, and a lone available job fast-forwards to
-    its next event.  More total slots or distinct states than
-    DEFAULT_STATE_BUDGET raises BudgetExceeded.
+    its next event.  More total slots than DEFAULT_STATE_BUDGET, or more
+    distinct states than min(DEFAULT_STATE_BUDGET, CELLS // n), raises
+    BudgetExceeded.
     """
     jobs = instance.jobs
     n = len(jobs)
@@ -169,7 +174,7 @@ def optimal_dp_timeindexed(
             yield 0, None, (min(releases[i] for i in live), rem)  # idle
 
     value, steps = _memo_search(
-        (min(releases), tuple(procs)), moves, budget, "time-indexed DP"
+        (min(releases), tuple(procs)), moves, min(budget, CELLS // n), "time-indexed DP"
     )
     schedule = Schedule(
         merge_slices([Slice(jid, t * grid, end * grid) for jid, t, end in steps])

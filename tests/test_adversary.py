@@ -129,7 +129,6 @@ class TestChooseL:
             p1=p1,
             p2=p2,
             checkpoints=((p1, p1, p2 - p1),),
-            t_s=None,
             branch=BRANCH_SECOND_AHEAD,
             block_release=p1,
             block_ratio=p2 / (p2 - p1),

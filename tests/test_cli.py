@@ -2,12 +2,14 @@
 resolution, default output locations, and exit-code discipline."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from wsrpt import analysis
 from wsrpt.cli import main
-from wsrpt.core import rational_str
-from wsrpt.instances import read_instance
+from wsrpt.core import Instance, Job, rational_str
+from wsrpt.instances import read_instance, write_instance
 from wsrpt.oracle import optimal_objective
 
 
@@ -86,6 +88,18 @@ class TestGenerateSimulateOptimal:
         processings = [j["p"] for j in payload["jobs"]]
         assert "5" in processings  # the inner segment opener
 
+    def test_gen_nested_takes_the_optimized_opener(self, tmp_path, capsys):
+        # Without --p-s the opener's length is optimize_nested's p* at --r-s.
+        inst = tmp_path / "nested.json"
+        code, _ = run(
+            capsys, "gen", "nested", "--y", "0.5", "--delta", "0.05",
+            "--r-s", "0.3", "--out", str(inst),
+        )
+        assert code == 0
+        p_star, _ = analysis.optimize_nested(0.3)
+        p_s = rational_str(Fraction(p_star).limit_denominator(10**6))
+        assert p_s in [j["p"] for j in json.loads(inst.read_text())["jobs"]]
+
     def test_gen_random_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "gen", "random", "--n", "5", "--seed", "42", "--out", str(a))
@@ -119,6 +133,26 @@ class TestGenerateSimulateOptimal:
         assert out == f"brute-force objective {expected}\n"
 
 
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_brute_force_writes_its_schedule(self, tmp_path, capsys, suffix):
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "random", "--n", "4", "--seed", "9", "--out", str(inst))
+        dest = tmp_path / f"sched.{suffix}"
+        code, out = run(
+            capsys, "optimal", "--instance", str(inst), "--method", "brute",
+            "--exact", "--out", str(dest),
+        )
+        assert code == 0 and out.endswith(f"wrote {dest}\n")
+        expected = optimal_objective(read_instance(inst))
+        if suffix == "json":
+            payload = json.loads(dest.read_text())
+            assert payload["objective"] == rational_str(expected)
+            assert all({"job", "start", "end"} == set(s) for s in payload["slices"])
+        else:
+            lines = dest.read_text().strip().splitlines()
+            assert lines[0] == "job,start,end" and len(lines) > 1
+
+
 class TestRender:
     def test_gantt_from_schedule_file(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -144,6 +178,16 @@ class TestRender:
         )
         assert code == 0
         assert "<polyline" in svg.read_text()
+
+    def test_profile_breaks_across_idle_time(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        write_instance(Instance((Job(0, 0, 1, 1), Job(1, 3, 1, 2))), inst)
+        svg = tmp_path / "profile.svg"
+        code, _ = run(
+            capsys, "render", "profile", "--instance", str(inst), "--out", str(svg),
+        )
+        assert code == 0
+        assert svg.read_text().count("<polyline") == 2
 
 
 class TestAnalysisCommands:
@@ -282,6 +326,16 @@ class TestExitCodes:
             ["gen", "basic", "--y", "1.5", "--out", str(tmp_path / "x.json")]
         )
         assert code == 1
+
+    def test_bad_scripted_choice_is_validation_failure(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        script = ((Fraction(0), 1),)  # job 0 has the higher ratio at t=0
+        write_instance(
+            Instance((Job(0, 0, 1, 2), Job(1, 0, 1, 1)), tie_script=script), inst
+        )
+        code = main(["simulate", "--instance", str(inst), "--tie", "scripted"])
+        assert code == 1
+        assert "not among the tied leaders" in capsys.readouterr().err
 
     def test_assertion_failure_is_2(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

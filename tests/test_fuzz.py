@@ -1,8 +1,20 @@
-"""Fuzz driver argument checks."""
+"""Fuzz driver argument checks and the gates on each trial's ratio."""
+
+import importlib
+from fractions import Fraction
 
 import pytest
 
-from wsrpt.fuzz import fuzz
+from wsrpt.cli import main
+from wsrpt.fuzz import EnvelopeBreach, fuzz
+
+# The package exports the function under the module's name.
+fuzz_module = importlib.import_module("wsrpt.fuzz")
+
+
+def _unit_weight_above_one(instance):
+    # Inside the envelope, so only the structured-class check can fire.
+    return Fraction(11, 10) if instance.tags["kind"] == "unit-weight" else Fraction(1)
 
 
 class TestOutDir:
@@ -22,3 +34,33 @@ class TestNMax:
 
     def test_two_is_accepted(self):
         assert fuzz(3, n_max=2, seed=0).trials == 3
+
+
+class TestGates:
+    def test_ratio_past_the_envelope_is_a_breach(self, monkeypatch):
+        monkeypatch.setattr(fuzz_module, "evaluate_instance", lambda _: Fraction(13, 10))
+        with pytest.raises(EnvelopeBreach, match="ratio 1.300000000 exceeds") as exc:
+            fuzz(1, seed=0)
+        assert exc.value.ratio == Fraction(13, 10)
+
+    def test_unit_weight_ratio_above_one_fails(self, monkeypatch):
+        monkeypatch.setattr(fuzz_module, "evaluate_instance", _unit_weight_above_one)
+        with pytest.raises(AssertionError) as exc:
+            fuzz(3, seed=0)
+        assert not isinstance(exc.value, EnvelopeBreach)
+        assert str(exc.value) == "unit-weight instance simulated at ratio 11/10 != 1"
+
+    @pytest.mark.parametrize(
+        "rigged, message",
+        [
+            (lambda _: Fraction(13, 10), "ratio 1.300000000 exceeds envelope"),
+            (_unit_weight_above_one, "unit-weight instance simulated at ratio 11/10"),
+        ],
+        ids=["breach", "unit-weight"],
+    )
+    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch, rigged, message):
+        monkeypatch.setattr(fuzz_module, "evaluate_instance", rigged)
+        code = main(["fuzz", "--trials", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"assertion failed: {message}")
+        assert list(tmp_path.iterdir()) == []

@@ -150,6 +150,19 @@ class TestTimeIndexedDP:
         with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 6 states"):
             optimal_dp_timeindexed(inst, grid=Fraction(1))
 
+    @pytest.mark.parametrize("cells, refused", [(74, True), (75, False)])
+    def test_cells_cap_the_states_of_wide_instances(self, monkeypatch, cells, refused):
+        # Each state holds one remainder per job, so 3 jobs get CELLS // 3
+        # states; this instance needs 25 of them.
+        monkeypatch.setattr(oracle, "CELLS", cells)
+        inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
+        if refused:
+            with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 24 states"):
+                optimal_dp_timeindexed(inst, grid=Fraction(1))
+        else:
+            result = optimal_dp_timeindexed(inst, grid=Fraction(1))
+            assert result.objective == optimal_objective(inst)
+
     def test_depth_guard(self):
         # Two equal jobs branch slot by slot: 900 levels deep at grid 1.
         inst = Instance((Job(0, 0, 900, 1), Job(1, 0, 900, 1)))

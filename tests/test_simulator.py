@@ -141,6 +141,19 @@ class TestTieRules:
         assert first.slices[0].job == 0
         assert second.slices[0].job == 1
 
+    @pytest.mark.parametrize(
+        "choice", [1, 5], ids=["not-yet-released", "unknown-id"]
+    )
+    def test_scripted_choice_must_be_available(self, choice):
+        inst = Instance((Job(0, 0, 1, 1), Job(1, 1, 1, 1)))
+        with pytest.raises(ValueError, match=f"choice {choice} at t=0 is not available"):
+            simulate(inst, tie=TieRule.SCRIPTED, script=((Fraction(0), choice),))
+
+    def test_scripted_choice_must_be_a_tied_leader(self):
+        inst = Instance((Job(0, 0, 1, 2), Job(1, 0, 1, 1)))  # job 0 leads
+        with pytest.raises(ValueError, match="choice 1 at t=0 is not among the tied leaders"):
+            simulate(inst, tie=TieRule.SCRIPTED, script=((Fraction(0), 1),))
+
     def test_prefer_new_longest_vs_shortest(self):
         inst = _two_long_jobs()
         longest = simulate(inst, tie=TieRule.PREFER_NEW_LONGEST)
