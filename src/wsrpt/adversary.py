@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Union
 
-from scipy.optimize import minimize_scalar
-
 from .core import (
     Instance,
     Job,
@@ -28,7 +26,7 @@ from .core import (
     rational_str,
     to_rational,
 )
-from .analysis import burst_length
+from .analysis import _argmax, burst_length
 from .instances import instance_to_dict, slices_to_dicts, write_json
 from .oracle import closed_pair_optimal, pair_objectives, priority_schedule
 from .simulator import Policy, TieRule, simulate
@@ -98,11 +96,11 @@ def choose_l(branch_state: AdversaryState) -> float:
     coefficient ρ/2, so the maximizer is √(2K/ρ) (``burst_length``) — l1
     when the second job ran the whole prefix, and l2 = √(2K·p1/p2) in the
     terminal branch when the first job is done by p2.  The second-ahead
-    branch maximizes the certified ratio numerically over
-    (0, 4·p2] to 1e-6: the certified online value is the cheapest
-    continuation the policy could still play (the burst and job remainders
-    commute freely only when their ratios tie, so all six orders are
-    evaluated), the optimal value is the pair closed form.
+    branch maximizes the certified ratio over (0, 4·p2] to 1e-6 by the
+    analysis module's bounded Brent search: the certified online value is
+    the cheapest continuation the policy could still play (the burst and
+    job remainders commute freely only when their ratios tie, so all six
+    orders are evaluated), the optimal value is the pair closed form.
     """
     p1, p2 = float(branch_state.p1), float(branch_state.p2)
     rho = float(branch_state.block_ratio)
@@ -127,13 +125,7 @@ def choose_l(branch_state: AdversaryState) -> float:
         online_floor = min(map(online_cost, permutations(chunks)))
         return online_floor / min(pair_objectives(p1, p2, t_r, rho, l, l / 2))
 
-    res = minimize_scalar(
-        lambda l: -certified(l),
-        bounds=(1e-9, 4 * p2),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return float(res.x)
+    return _argmax(certified, 1e-9, 4 * p2, 1e-6)[0]
 
 
 def _run_policy(policy: PolicyLike, tie: TieRule, instance: Instance) -> Schedule:

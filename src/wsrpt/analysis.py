@@ -5,8 +5,9 @@ arithmetic lives in the simulator and oracles.  Two independent evaluation
 routes are kept deliberately separate so they can check each other:
 ``profile_metrics`` integrates the schedule structure by adaptive
 quadrature, while ``basic_ratio_closed`` and the optimizers evaluate one
-general closed form built from antiderivatives.  Optimizers are
-deterministic grid-then-refine searches or bisections, never stochastic.
+general closed form built from antiderivatives.  Every continuum maximum
+goes through one deterministic bounded Brent search (``_argmax``), nested
+for two parameters, and the lower-bound crossing is one Brent root.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .oracle import pair_objectives
 
@@ -163,64 +164,34 @@ def profile_metrics(y: float, v: float | None = None, z: float = 0.0) -> Scenari
     return ScenarioMetrics(C, C_star, C / C_star, W, L)
 
 
-def _refine_box(
-    f: Callable[[tuple[float, ...]], float],
-    center: tuple[float, ...],
-    half: tuple[float, ...],
-    clip: Callable[[tuple[float, ...]], tuple[float, ...]],
-    tol: float = 1e-6,
-) -> tuple[tuple[float, ...], float]:
-    """Deterministic 2-D pattern search: 5-point stencil per axis, halving box."""
-    best_x = clip(center)
-    best_f = f(best_x)
-    half = list(half)
-    while max(half) > tol:
-        improved = False
-        dim = len(best_x)
-        for offsets in _stencil():
-            x = clip(tuple(best_x[i] + offsets[i] * half[i] for i in range(dim)))
-            val = f(x)
-            if val > best_f + 1e-15:
-                best_f = val
-                best_x = x
-                improved = True
-        if not improved:
-            half = [h / 2 for h in half]
-    return best_x, best_f
+def _argmax(
+    f: Callable[[float], float], lo: float, hi: float, xatol: float
+) -> tuple[float, float]:
+    """(x, f(x)) maximizing f over (lo, hi) by bounded Brent search.
 
-
-def _stencil() -> list[tuple[float, float]]:
-    steps = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    return [(a, b) for a in steps for b in steps]
+    The package's one maximizer: a unimodal f is enough, and a
+    two-parameter maximum nests it, the inner search inside the outer's f.
+    """
+    res = minimize_scalar(
+        lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+    )
+    return float(res.x), -float(res.fun)
 
 
 @lru_cache(maxsize=1)
 def optimize_basic() -> tuple[float, float, float]:
     """Worst (y, v) of the z = 0 family and its ratio.
 
-    Coarse 200x200 grid over (y, v/y), then pattern refinement to a 1e-6
-    box; fully deterministic.
+    Nested bounded Brent: over y in (0, 1) of the best v in (0, y), each
+    to xatol 1e-10; fully deterministic.
     """
 
-    def ratio_at(x: tuple[float, ...]) -> float:
-        y, s = x
-        return basic_ratio_closed(y, s * y).ratio
+    def best_v(y: float) -> tuple[float, float]:
+        return _argmax(lambda v: basic_ratio_closed(y, v).ratio, 0.0, y, 1e-10)
 
-    def clip(x: tuple[float, ...]) -> tuple[float, ...]:
-        y, s = x
-        return (min(max(y, 1e-4), 1 - 1e-6), min(max(s, 1e-6), 1.0))
-
-    best = None
-    for i in range(1, 201):
-        y = i / 201
-        for j in range(1, 201):
-            s = j / 200
-            val = basic_ratio_closed(y, s * y).ratio
-            if best is None or val > best[0]:
-                best = (val, y, s)
-    (_, y0, s0) = best
-    (y, s), ratio = _refine_box(ratio_at, (y0, s0), (1 / 201, 1 / 200), clip)
-    return y, s * y, ratio
+    y, _ = _argmax(lambda y: best_v(y)[1], 0.0, 1.0, 1e-10)
+    v, ratio = best_v(y)
+    return y, v, ratio
 
 
 @lru_cache(maxsize=1)
@@ -255,13 +226,7 @@ def optimize_nested(
     """(p_s*, ratio*) maximizing the combined ratio at fixed r_s."""
     if inner is None:
         inner = worst_basic_metrics()
-    res = minimize_scalar(
-        lambda p: -nested_ratio(r_s, p, inner),
-        bounds=(0.5, 500.0),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return float(res.x), -float(res.fun)
+    return _argmax(lambda p: nested_ratio(r_s, p, inner), 0.5, 500.0, 1e-6)
 
 
 def nesting_condition(r_s: float, w_over_l: float, extra_weight: float = 0.0) -> float:
@@ -340,43 +305,15 @@ class TableRow:
         return max(abs(d[k]) for k in ("C", "C_star", "ratio", "W", "L"))
 
 
-def _optimize_z(y: float) -> float:
-    """argmax over z of the v = y family's ratio at fixed y."""
-    grid = [i * 0.005 for i in range(601)]
-    z0 = max(grid, key=lambda z: _closed_ratio(y, y, z))
-    res = minimize_scalar(
-        lambda z: -_closed_ratio(y, y, max(z, 0.0)),
-        bounds=(max(z0 - 0.01, 0.0), z0 + 0.01),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return max(float(res.x), 0.0)
+def _optimize_row(y: float, free_v: bool) -> tuple[float, float]:
+    """(v, z) maximizing the family's ratio at fixed y: the best z in
+    (0, 3), at v = y or, with ``free_v``, at the best v in (0, y)."""
 
+    def best_z(v: float) -> tuple[float, float]:
+        return _argmax(lambda z: _closed_ratio(y, v, z), 0.0, 3.0, 1e-10)
 
-def _optimize_vz(y: float) -> tuple[float, float]:
-    """argmax over (v, z) of the family's ratio at fixed y."""
-
-    def val(x: tuple[float, ...]) -> float:
-        v, z = x
-        return _closed_ratio(y, v, z)
-
-    def clip(x: tuple[float, ...]) -> tuple[float, ...]:
-        v, z = x
-        return (min(max(v, 1e-6), y), max(z, 0.0))
-
-    v_lo = 0.3 if y > 0.3 else 0.0
-    v_step = (y - v_lo) / 120
-    best = None
-    for i in range(121):
-        v = min(v_lo + (i + 1) * v_step, y)
-        for j in range(121):
-            z = j * 0.01
-            r = _closed_ratio(y, v, z)
-            if best is None or r > best[0]:
-                best = (r, v, z)
-    (_, v0, z0) = best
-    (v, z), _ = _refine_box(val, (v0, z0), (v_step, 0.01), clip)
-    return v, z
+    v = _argmax(lambda v: best_z(v)[1], 0.0, y, 1e-10)[0] if free_v else y
+    return v, best_z(v)[0]
 
 
 def table1() -> list[TableRow]:
@@ -395,17 +332,13 @@ def table1() -> list[TableRow]:
         candidates: list[tuple[float, float, float]] = []
         if v_ref is None and z_ref is None:
             candidates.append((y, y, 0.0))
-        elif v_ref is None:
-            candidates.append((y, y, z_ref))
-            candidates.append((y, y, _optimize_z(y)))
         elif z_ref is None:
             candidates.append((y, v_ref, 0.0))
             y_opt, v_opt, _ = optimize_basic()
             candidates.append((y_opt, v_opt, 0.0))
         else:
-            candidates.append((y, v_ref, z_ref))
-            v_opt, z_opt = _optimize_vz(y)
-            candidates.append((y, v_opt, z_opt))
+            candidates.append((y, y if v_ref is None else v_ref, z_ref))
+            candidates.append((y, *_optimize_row(y, free_v=v_ref is not None)))
         rows.append(
             min(
                 (
@@ -463,22 +396,15 @@ class LbCurves:
 
 
 def lb_crossing(p1: float = 1.0, lo: float = 1.05, hi: float = 6.0) -> tuple[float, float]:
-    """Bisection (to 1e-6) for the p2 where the two curves meet."""
+    """Brent root (to 1e-12) of the gap between the two curves: the p2
+    where they meet."""
 
     def gap(p2: float) -> float:
         return _lb_curve(p1, p2, j1_first=True) - lb_c1(p1, p2)
 
-    a, b = lo, hi
-    ga, gb = gap(a), gap(b)
-    if ga > 0 or gb < 0:
+    if gap(lo) > 0 or gap(hi) < 0:
         raise ValueError("curves do not bracket a crossing on [lo, hi]")
-    while b - a > 1e-6:
-        mid = (a + b) / 2
-        if gap(mid) <= 0:
-            a = mid
-        else:
-            b = mid
-    p2 = (a + b) / 2
+    p2 = brentq(gap, lo, hi, xtol=1e-12)
     return p2, lb_c1(p1, p2)
 
 

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from wsrpt.analysis import (
+    REFERENCE_ROWS,
     FParams,
+    _closed_ratio,
     basic_ratio_closed,
     equalization_bounds,
     f_curve,
@@ -24,10 +26,13 @@ from wsrpt.analysis import (
     worst_basic_metrics,
 )
 
-# The box refinement is deterministic, so the optimum can be frozen tightly.
-WORST_Y = 0.8157388108286693
-WORST_V = 0.7065013068165649
-TIGHT_RATIO = 1.2258825036727696
+# The nested Brent search is deterministic, so the optimum can be frozen
+# tightly.  PREVIOUS_RATIO is the optimum the grid-and-box search found;
+# a re-freeze must not settle for less.
+WORST_Y = 0.8157388615898968
+WORST_V = 0.7065014281805206
+TIGHT_RATIO = 1.2258825036727754
+PREVIOUS_RATIO = 1.2258825036727696
 
 
 class TestCurves:
@@ -128,6 +133,17 @@ class TestOptimizeBasic:
         assert y == pytest.approx(WORST_Y, abs=1e-7)
         assert v == pytest.approx(WORST_V, abs=1e-7)
         assert ratio == pytest.approx(TIGHT_RATIO, abs=1e-9)
+        assert ratio >= PREVIOUS_RATIO
+
+    def test_beats_a_coarse_grid(self):
+        # the search never scans the whole domain, so a local maximum would
+        # lose to some point of a coarse (y, v/y) grid
+        grid = max(
+            _closed_ratio(i / 41, j / 40 * i / 41, 0.0)
+            for i in range(1, 41)
+            for j in range(1, 41)
+        )
+        assert optimize_basic()[2] >= grid
 
     def test_matches_published_point(self):
         y, v, ratio = optimize_basic()
@@ -169,6 +185,22 @@ class TestReferenceSweep:
         rows = table1()
         best = max(rows, key=lambda r: r.metrics.ratio)
         assert best.metrics.ratio == pytest.approx(TIGHT_RATIO, abs=1e-6)
+
+    def test_reoptimized_rows_beat_a_coarse_grid(self):
+        # rows whose kept candidate is the re-optimized one, not the printed
+        # parameters; each must beat a coarse grid over its free parameters
+        reoptimized = [
+            (row, v_ref)
+            for row, (y, v_ref, z_ref, *_) in zip(table1(), REFERENCE_ROWS)
+            if z_ref is not None and (row.v, row.z) != (v_ref or y, z_ref)
+        ]
+        assert len(reoptimized) >= 3
+        for row, v_ref in reoptimized:
+            vs = [row.y] if v_ref is None else [k / 40 * row.y for k in range(1, 41)]
+            grid = max(
+                _closed_ratio(row.y, v, k / 10) for v in vs for k in range(31)
+            )
+            assert row.metrics.ratio >= grid
 
     def test_known_typo_is_quarantined(self):
         # the y=0.92 row's final column disagrees with its own W and L;
@@ -218,6 +250,10 @@ class TestLowerBound:
         p2, value = lb_crossing()
         assert p2 == pytest.approx(2.3364, abs=1e-3)
         assert value == pytest.approx(1.1038411, abs=1e-6)
+
+    def test_crossing_needs_a_bracket(self):
+        with pytest.raises(ValueError, match="do not bracket"):
+            lb_crossing(lo=3.0, hi=6.0)
 
     def test_optimizer_agrees_with_crossing(self):
         p2, bound = optimize_lb()

@@ -314,6 +314,9 @@ class TestExitCodes:
             ["simulate"],  # --instance is required
             ["optimal", "--instance", "x.json", "--method", "bogus"],
             ["adversary", "--seed", "3"],  # flags the command does not read
+            # the game outgrows the exhaustive tie search; argparse refuses
+            # before any search starts
+            ["adversary", "--tie", "exhaustive-worst"],
             ["table1", "--exact"],
         ):
             with pytest.raises(SystemExit) as exc:
