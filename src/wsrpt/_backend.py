@@ -23,21 +23,19 @@ def backend_name() -> str:
 def subset_makespans(releases: list[int], procs: list[int], n: int) -> list[int]:
     """Makespan of every job subset, indexed by bitmask.
 
-    The makespan of a set run work-conservingly is the classic sweep
-    ``t = max(t, r_j) + p_j`` over the set in release order.
+    Run work-conservingly, a set ends at ``max(m, r_j) + p_j``, where j is
+    its last job in (release, index) order and ``m`` is the makespan of the
+    rest.  Walking the jobs in that order builds each subset once, from the
+    subset without its last job, so the table takes O(2^n) steps.
     """
-    by_release = sorted(range(n), key=lambda j: (releases[j], j))
-    size = 1 << n
-    m = [0] * size
-    for s in range(1, size):
-        t = 0
-        for j in by_release:
-            if s >> j & 1:
-                rj = releases[j]
-                if rj > t:
-                    t = rj
-                t += procs[j]
-        m[s] = t
+    m = [0] * (1 << n)
+    built = [0]  # every subset of the jobs walked so far
+    for j in sorted(range(n), key=lambda j: (releases[j], j)):
+        bit, rj, pj = 1 << j, releases[j], procs[j]
+        for s in built:
+            t = m[s]
+            m[s | bit] = (t if t > rj else rj) + pj
+        built += [s | bit for s in built]
     return m
 
 

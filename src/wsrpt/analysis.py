@@ -220,12 +220,9 @@ def nested_ratio(r_s: float, p_s: float, inner: ScenarioMetrics) -> float:
     return num / den
 
 
-def optimize_nested(
-    r_s: float = 0.5307, inner: ScenarioMetrics | None = None
-) -> tuple[float, float]:
+def optimize_nested(r_s: float = 0.5307) -> tuple[float, float]:
     """(p_s*, ratio*) maximizing the combined ratio at fixed r_s."""
-    if inner is None:
-        inner = worst_basic_metrics()
+    inner = worst_basic_metrics()
     return _argmax(lambda p: nested_ratio(r_s, p, inner), 0.5, 500.0, 1e-6)
 
 

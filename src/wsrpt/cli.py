@@ -161,8 +161,7 @@ def _cmd_optimal(args) -> int:
     if args.method == "brute":
         result = optimal_bruteforce(instance)
     elif args.method == "dp":
-        grid = None if args.grid is None else to_rational(args.grid)
-        result = optimal_dp_timeindexed(instance, grid=grid)
+        result = optimal_dp_timeindexed(instance, grid=args.grid)
     else:
         result = structured_optimal(instance)
     print(f"{result.method} objective {_show(result.objective, args.exact)}")
@@ -179,19 +178,14 @@ def _cmd_gen(args) -> int:
 
         instance = gen_random(Random(args.seed), args.n, args.kind)
     else:
-        params = ScenarioParams(
-            y=to_rational(args.y),
-            v=to_rational(args.v if args.v is not None else args.y),
-            z=to_rational(args.z),
-            delta=to_rational(args.delta),
-        )
+        v = args.y if args.v is None else args.v
+        params = ScenarioParams(y=args.y, v=v, z=args.z, delta=args.delta)
         if args.family == "basic":
             instance = gen_basic(params)
         else:
             r_s = to_rational(args.r_s)
-            if args.p_s is not None:
-                p_s = to_rational(args.p_s)
-            else:
+            p_s = args.p_s
+            if p_s is None:
                 p_star, _ = analysis.optimize_nested(float(r_s))
                 p_s = Fraction(p_star).limit_denominator(10**6)
             # The inner segment reuses the outer scenario's parameters.
@@ -273,9 +267,9 @@ def _cmd_adversary(args) -> int:
     transcript = play(
         args.policy,
         tie=TieRule(args.tie),
-        delta=to_rational(args.delta),
-        p1=to_rational(args.p1),
-        p2=to_rational(args.p2),
+        delta=args.delta,
+        p1=args.p1,
+        p2=args.p2,
     )
     print(f"branch {transcript.branch}")
     print(f"online {_show(transcript.online_objective, args.exact)}")

@@ -82,16 +82,6 @@ def _snap_steps(value: Fraction, delta: Fraction) -> int:
     return int((num + Fraction(1, 2)).__floor__())
 
 
-def _segment_length(params: ScenarioParams) -> Fraction:
-    """Continuum length of the busy segment a scenario produces.
-
-    Long job (1) plus floor work (v), wall work at density (1+z)/(1-y)
-    over [v, y), plus the block (z).
-    """
-    y, v, z = params.y, params.v, params.z
-    return _ONE + v + (_ONE + z) * (y - v) / (_ONE - y) + z
-
-
 def _small_pieces(
     m_steps: int, n_steps: int, z: Fraction, delta: Fraction
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -189,16 +179,19 @@ def gen_nested(params: NestedParams) -> Instance:
         raise ValueError("r_s must lie in the outer floor region (r_s <= v)")
     p_s = params.p_s
     w_s = p_s / (_ONE - r_eff)
+    inner = params.inner
+    inner_pieces, _, _ = _family_pieces(inner)
+    # The segment's work: the opener's p_s plus the scaled inner pieces.
+    inner_total = p_s * (_ONE + sum(p for _, p, _ in inner_pieces))
 
     # Truncating the outer family at r_s is only harmless when the inner
     # segment outlasts the dropped outer releases: r_s + p_s*L >= y(1-v)/(1-y).
     outer_y, outer_v = params.outer.y, params.outer.v
-    inner_l = _segment_length(params.inner)
     horizon = outer_y * (_ONE - outer_v) / (_ONE - outer_y)
-    if r_eff + p_s * inner_l < horizon:
+    if r_eff + inner_total < horizon:
         raise ValueError(
             "inner segment too short to cover the truncated outer releases: "
-            f"r_s + p_s*L = {float(r_eff + p_s * inner_l):.4f} < "
+            f"r_s + p_s*L = {float(r_eff + inner_total):.4f} < "
             f"{float(horizon):.4f} = y(1-v)/(1-y)"
         )
 
@@ -212,9 +205,6 @@ def gen_nested(params: NestedParams) -> Instance:
     jobs.append(Job(small_id, r_eff, p_s, w_s))
     script.append((r_eff, small_id))
 
-    inner = params.inner
-    inner_pieces, _, _ = _family_pieces(inner)
-
     resume_ratio_ids: list[tuple[Fraction, int]] = []  # (processing, id)
     for rel, proc, weight in inner_pieces:
         jid = len(jobs)
@@ -227,7 +217,6 @@ def gen_nested(params: NestedParams) -> Instance:
     # Pieces released with the segment opener share the outer long job's
     # frozen ratio; they run back to back at the segment's very end, each
     # chosen by script over the long job at the preceding completion.
-    inner_total = p_s * (_ONE + sum(p for _, p, _ in inner_pieces))
     t = r_eff + inner_total - sum(p for p, _ in resume_ratio_ids)
     for proc, jid in resume_ratio_ids:
         script.append((t, jid))

@@ -25,12 +25,9 @@ from .core import (
 )
 from .simulator import BudgetExceeded, _memo_search, _run
 
-#: Cap on the time-indexed DP's total slots and memoized states.
+#: Cap on the time-indexed DP's total slots (its memo's state cap is
+#: ``simulator.CELLS`` // n, shared with the exhaustive tie search).
 DEFAULT_STATE_BUDGET = 2_000_000
-
-#: Cap on the job remainders the time-indexed DP's memo holds in all (each
-#: state keeps one per job), so wide instances get fewer states.
-CELLS = 4_000_000
 
 #: Hard job-count cap for the subset DP (2^n table).
 MAX_BRUTEFORCE_JOBS = 16
@@ -117,9 +114,8 @@ def optimal_dp_timeindexed(
     the state (slot, per-job remaining slots) is complete; transitions run
     one available job for one slot, jobs identical in parameters and
     remaining work branch once, and a lone available job fast-forwards to
-    its next event.  More total slots than DEFAULT_STATE_BUDGET, or more
-    distinct states than min(DEFAULT_STATE_BUDGET, CELLS // n), raises
-    BudgetExceeded.
+    its next event.  More total slots than DEFAULT_STATE_BUDGET raises
+    BudgetExceeded, as do the limits of ``simulator._memo_search``.
     """
     jobs = instance.jobs
     n = len(jobs)
@@ -140,10 +136,9 @@ def optimal_dp_timeindexed(
                     f"job {j.id}: {datum} is not a multiple of grid {grid}"
                 )
             out.append(int(scaled))
-    budget = DEFAULT_STATE_BUDGET
-    if sum(procs) > budget:
+    if sum(procs) > DEFAULT_STATE_BUDGET:
         raise BudgetExceeded(
-            f"total work spans {sum(procs)} slots; budget is {budget}"
+            f"total work spans {sum(procs)} slots; budget is {DEFAULT_STATE_BUDGET}"
         )
     den_w = lcm(*(j.weight.denominator for j in jobs))
     weights = [int(j.weight * den_w) for j in jobs]
@@ -173,9 +168,8 @@ def optimal_dp_timeindexed(
         elif live:
             yield 0, None, (min(releases[i] for i in live), rem)  # idle
 
-    value, steps = _memo_search(
-        (min(releases), tuple(procs)), moves, min(budget, CELLS // n), "time-indexed DP"
-    )
+    start = (min(releases), tuple(procs))
+    value, steps = _memo_search(start, moves, n, "time-indexed DP")
     schedule = Schedule(
         merge_slices([Slice(jid, t * grid, end * grid) for jid, t, end in steps])
     )
@@ -255,9 +249,9 @@ def closed_pair_optimal(
     return min(pair_objectives(p1, p2, t_r, rho, l, mid))
 
 
-def optimal_objective(instance: Instance, max_n: int = MAX_BRUTEFORCE_JOBS) -> Fraction:
+def optimal_objective(instance: Instance) -> Fraction:
     """The subset-DP optimum's objective value, without building its schedule."""
-    return _subset_optimum(instance, max_n)[0]
+    return _subset_optimum(instance, MAX_BRUTEFORCE_JOBS)[0]
 
 
 __all__ = [

@@ -40,13 +40,15 @@ class TieRule(Enum):
     EXHAUSTIVE_WORST = "exhaustive-worst"
 
 
-#: Upper bound on distinct states the EXHAUSTIVE_WORST search memoizes.
-DEFAULT_BRANCH_BUDGET = 2**20
-
 #: Longest path (in moves) the exhaustive tie search and the time-indexed
 #: DP explore, one recursion frame per move: below CPython's default limit
-#: of 1000 frames, with room left for the caller's own stack.
+#: of 1000 frames, with room left for the caller's own stack.  Each job's
+#: completion is a move of its own, so more jobs than this are refused.
 MAX_SEARCH_DEPTH = 800
+
+#: Cap on the job remainders either search's memo holds in all: each state
+#: keeps one per job, so an n-job search memoizes at most CELLS // n states.
+CELLS = 4_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -221,7 +223,7 @@ def _policy(instance: Instance, policy: Policy, tie: TieRule, script):
 _PATH_END = (0, None, None)
 
 
-def _memo_search(start, moves, budget: int, what: str):
+def _memo_search(start, moves, jobs: int, what: str):
     """Highest-value path from ``start``: ``(value, steps)``.
 
     ``moves(state)`` yields ``(gain, step, next_state)`` in preference
@@ -231,10 +233,18 @@ def _memo_search(start, moves, budget: int, what: str):
     memo entry is ``(value, step, continuation)``: it links to the entry of
     the rest of the path instead of copying it, and the path is read off
     those links at the end, leaving out ``None`` steps (moves that only
-    let time pass).  More than ``budget`` distinct states, or a path of
-    more than MAX_SEARCH_DEPTH moves, raises BudgetExceeded naming
-    ``what``.
+    let time pass).  ``jobs`` is the instance's job count; each job's
+    completion takes a move of its own.  More jobs than MAX_SEARCH_DEPTH
+    are refused up front, and more than CELLS // ``jobs`` distinct states
+    or a path of more than MAX_SEARCH_DEPTH moves raise BudgetExceeded
+    naming ``what``.
     """
+    if jobs > MAX_SEARCH_DEPTH:
+        raise BudgetExceeded(
+            f"{what} needs a search depth of at least {jobs} (one per job); "
+            f"the limit is {MAX_SEARCH_DEPTH}"
+        )
+    budget = CELLS // jobs
     memo: dict = {}
 
     def solve(state, depth: int) -> tuple:
@@ -271,15 +281,9 @@ def _exhaustive_worst(instance: Instance, policy: Policy):
     A state is (time, remaining work in id order): the future of a
     simulation depends on nothing else, so ``_memo_search`` computes each
     state's worst continuation once.  Tied candidates are tried in
-    ascending id order.  Every job ends its own slice, so more than
-    MAX_SEARCH_DEPTH jobs are refused up front.
+    ascending id order.
     """
     jobs = sorted(instance.jobs, key=lambda j: j.id)
-    if len(jobs) > MAX_SEARCH_DEPTH:
-        raise BudgetExceeded(
-            f"exhaustive tie search needs a search depth of at least "
-            f"{len(jobs)} (one per job); the limit is {MAX_SEARCH_DEPTH}"
-        )
     times = sorted({j.release for j in jobs})
 
     def moves(state):
@@ -309,7 +313,7 @@ def _exhaustive_worst(instance: Instance, policy: Policy):
     obj, steps = _memo_search(
         (times[0], tuple(j.processing for j in jobs)),
         moves,
-        DEFAULT_BRANCH_BUDGET,
+        len(jobs),
         "exhaustive tie search",
     )
     return obj, merge_slices([Slice(*step) for step in steps])
@@ -326,11 +330,7 @@ class EqualityReport:
         return self.passed
 
 
-def is_equality_instance(
-    instance: Instance,
-    tie: TieRule | None = None,
-    script: tuple[tuple[Fraction, int], ...] | None = None,
-) -> EqualityReport:
+def is_equality_instance(instance: Instance, tie: TieRule | None = None) -> EqualityReport:
     """Check that every release ties the running job's current Smith ratio.
 
     Simulates WSRPT under the given tie rule (default: the instance's own
@@ -340,7 +340,7 @@ def is_equality_instance(
     """
     if tie is None:
         tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
-    key, choose = _policy(instance, Policy.WSRPT, tie, script)
+    key, choose = _policy(instance, Policy.WSRPT, tie, None)
     jobs = {j.id: j for j in instance.jobs}
     violations: list[tuple[Fraction, str]] = []
 

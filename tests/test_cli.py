@@ -330,6 +330,15 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_short_inner_segment_is_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(
+            ["gen", "nested", "--v", "0.7066", "--p-s", "0.1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "inner segment too short" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_scripted_choice_is_validation_failure(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         script = ((Fraction(0), 1),)  # job 0 has the higher ratio at t=0

@@ -148,6 +148,22 @@ class TestGenNested:
         with pytest.raises(ValueError):
             gen_nested(self._params(p_s=Fraction(1, 1000)))
 
+    def test_truncation_check_measures_the_built_segment(self):
+        # The snapped inner family at delta 1e-2 is longer than its continuum
+        # (L = 2.3211 vs 2.2986), so p_s = 1/3 covers y(1-v)/(1-y) = 1.2986
+        # while p_s = 1/10 does not.
+        y, v = Fraction("0.8157"), Fraction("0.7066")
+        outer = ScenarioParams(y=y, v=v, delta=Fraction(1, 100))
+
+        def params(p_s):
+            return NestedParams(outer=outer, r_s=Fraction("0.5307"), p_s=p_s, inner=outer)
+
+        inst = gen_nested(params(Fraction(1, 3)))
+        r_eff = Fraction(inst.tags["r_s_effective"])
+        assert r_eff + Fraction(inst.tags["inner_length"]) / 3 >= y * (1 - v) / (1 - y)
+        with pytest.raises(ValueError, match=r"inner segment too short.* = 0\.7621 <"):
+            gen_nested(params(Fraction(1, 10)))
+
     def test_inner_family_snaps_like_basic(self):
         inner = ScenarioParams(y=Fraction(9, 10), v=Fraction(9, 10), delta=Fraction(1, 2))
         params = replace(self._params(), inner=inner)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wsrpt.oracle as oracle
+import wsrpt.simulator
+from wsrpt import _backend
 from wsrpt.core import Instance, Job, objective
 from wsrpt.instances import ScenarioParams, gen_basic, gen_random
 from wsrpt.oracle import (
@@ -74,7 +75,35 @@ class TestPrioritySchedule:
                 assert s.job == ready[0]
 
 
+def sweep_makespans(releases, procs, n):
+    """Reference makespan table: every subset swept in release order with
+    ``t = max(t, r_j) + p_j``."""
+    by_release = sorted(range(n), key=lambda j: (releases[j], j))
+    size = 1 << n
+    m = [0] * size
+    for s in range(1, size):
+        t = 0
+        for j in by_release:
+            if s >> j & 1:
+                rj = releases[j]
+                if rj > t:
+                    t = rj
+                t += procs[j]
+        m[s] = t
+    return m
+
+
 class TestBruteforce:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_makespans_match_the_subset_sweep(self, data):
+        n = data.draw(st.integers(0, 8))
+        releases = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        procs = data.draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+        assert _backend.subset_makespans(releases, procs, n) == sweep_makespans(
+            releases, procs, n
+        )
+
     def test_rejects_oversized(self):
         jobs = tuple(Job(i, 0, 1, 1) for i in range(5))
         with pytest.raises(ValueError):
@@ -144,8 +173,9 @@ class TestTimeIndexedDP:
             optimal_dp_timeindexed(inst, grid=Fraction(1))
 
     def test_state_budget_guard(self, monkeypatch):
-        # 6 slots fit the patched budget; the branching states do not.
-        monkeypatch.setattr(oracle, "DEFAULT_STATE_BUDGET", 6)
+        # 6 slots fit the slot budget; the branching states outgrow
+        # CELLS // 3 = 6.
+        monkeypatch.setattr(wsrpt.simulator, "CELLS", 18)
         inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
         with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 6 states"):
             optimal_dp_timeindexed(inst, grid=Fraction(1))
@@ -154,7 +184,7 @@ class TestTimeIndexedDP:
     def test_cells_cap_the_states_of_wide_instances(self, monkeypatch, cells, refused):
         # Each state holds one remainder per job, so 3 jobs get CELLS // 3
         # states; this instance needs 25 of them.
-        monkeypatch.setattr(oracle, "CELLS", cells)
+        monkeypatch.setattr(wsrpt.simulator, "CELLS", cells)
         inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
         if refused:
             with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 24 states"):
@@ -180,6 +210,16 @@ class TestTimeIndexedDP:
         else:
             result = optimal_dp_timeindexed(inst, grid=Fraction(1))
             assert len(result.schedule.slices) == n
+
+    def test_refuses_more_jobs_than_depth_up_front(self):
+        # Every job's completion is a move, so no path fits; no state is
+        # explored before the refusal.
+        inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(MAX_SEARCH_DEPTH + 1)))
+        with pytest.raises(
+            BudgetExceeded,
+            match=f"time-indexed DP needs a search depth of at least {MAX_SEARCH_DEPTH + 1}",
+        ):
+            optimal_dp_timeindexed(inst, grid=Fraction(1))
 
     def test_agrees_with_brute_on_seeded_instances(self):
         # the acceptance module runs the full hundred; spot-check here

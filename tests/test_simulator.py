@@ -193,11 +193,24 @@ class TestTieRules:
             simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
 
     def test_exhaustive_worst_refuses_past_state_budget(self, monkeypatch):
-        # Four tied unit jobs branch into more than five distinct states.
-        monkeypatch.setattr(wsrpt.simulator, "DEFAULT_BRANCH_BUDGET", 5)
+        # Four tied unit jobs branch into more than CELLS // 4 = 5 states.
+        monkeypatch.setattr(wsrpt.simulator, "CELLS", 20)
         inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(4)))
         with pytest.raises(BudgetExceeded, match="exhaustive tie search exceeded 5 states"):
             simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+
+    @pytest.mark.parametrize("cells, refused", [(59, True), (60, False)])
+    def test_cells_cap_the_exhaustive_search(self, monkeypatch, cells, refused):
+        # Each state holds one remainder per job, so 4 jobs get CELLS // 4
+        # states; four tied unit jobs need 15 of them.
+        monkeypatch.setattr(wsrpt.simulator, "CELLS", cells)
+        inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(4)))
+        if refused:
+            with pytest.raises(BudgetExceeded, match="exhaustive tie search exceeded 14 states"):
+                _exhaustive_worst(inst, Policy.WSRPT)
+        else:
+            value, _ = _exhaustive_worst(inst, Policy.WSRPT)
+            assert value == 1 + 2 + 3 + 4
 
 
 class TestSearchPaths:
