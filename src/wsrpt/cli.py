@@ -161,7 +161,7 @@ def _cmd_optimal(args) -> int:
     if args.method == "brute":
         result = optimal_bruteforce(instance)
     elif args.method == "dp":
-        result = optimal_dp_timeindexed(instance, grid=args.grid)
+        result = optimal_dp_timeindexed(instance)
     else:
         result = structured_optimal(instance)
     print(f"{result.method} objective {_show(result.objective, args.exact)}")
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal", parents=[output, fmt], help="compute an optimal schedule")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=["brute", "dp", "structured"], default="brute")
-    p.add_argument("--grid", default=None, help="time grid for --method dp")
     p.set_defaults(func=_cmd_optimal)
 
     p = sub.add_parser("gen", parents=[output, seed], help="generate an instance file")

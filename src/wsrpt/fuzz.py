@@ -19,7 +19,7 @@ from random import Random
 
 from .core import Instance, objective, rational_str
 from .instances import RANDOM_KINDS, gen_random, instance_to_dict, write_instance
-from .oracle import optimal_objective
+from .oracle import MAX_BRUTEFORCE_JOBS, optimal_objective
 from .simulator import BudgetExceeded, Policy, TieRule, simulate
 
 #: Analytic competitive ratio; no ratio may exceed it (plus float slack).
@@ -96,8 +96,11 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
     EnvelopeBreach if any ratio exceeds 1.2259 + 1e-6, and AssertionError
     if a structured-class ratio departs from exactly 1.
     """
-    if n_max > 8:
-        raise ValueError("n_max must be at most 8 (brute-force oracle bound)")
+    if n_max > MAX_BRUTEFORCE_JOBS:
+        raise ValueError(
+            f"n_max must be at most {MAX_BRUTEFORCE_JOBS} (MAX_BRUTEFORCE_JOBS, "
+            "the subset DP's job cap)"
+        )
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if trials < 1:

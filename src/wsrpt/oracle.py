@@ -2,10 +2,10 @@
 
 Two independent routes to the optimum — a completion-order subset DP and a
 slot-level time-indexed DP — deliberately kept separate so each can check
-the other, plus the priority-list scheduler both build on, the
-ratio-ordered schedule that realizes the optimum on generated equality
-instances, and the closed form for two long jobs plus one homogeneous
-burst.
+the other, plus the priority-list scheduler that turns the subset DP's
+completion order into a schedule, the ratio-ordered schedule that realizes
+the optimum on generated equality instances, and the closed form for two
+long jobs plus one homogeneous burst.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .core import (
     to_rational,
 )
 from .simulator import BudgetExceeded, _memo_search, _run
-
-#: Cap on the time-indexed DP's total slots (its memo's state cap is
-#: ``simulator.CELLS`` // n, shared with the exhaustive tie search).
-DEFAULT_STATE_BUDGET = 2_000_000
 
 #: Hard job-count cap for the subset DP (2^n table).
 MAX_BRUTEFORCE_JOBS = 16
@@ -102,46 +98,19 @@ def _subset_optimum(instance: Instance, max_n: int) -> tuple[Fraction, tuple[int
     return Fraction(cost, den_t * den_w), order
 
 
-def optimal_dp_timeindexed(
-    instance: Instance,
-    grid: Fraction | None = None,
-) -> OptimalResult:
+def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
     """Exact preemptive optimum by slot-level dynamic programming.
 
-    ``grid`` is the time step; every release and processing time must be a
-    whole number of steps (omit it to use the finest grid the instance's
-    denominators generate).  Some optimum preempts only at grid points, so
-    the state (slot, per-job remaining slots) is complete; transitions run
-    one available job for one slot, jobs identical in parameters and
-    remaining work branch once, and a lone available job fast-forwards to
-    its next event.  More total slots than DEFAULT_STATE_BUDGET raises
-    BudgetExceeded, as do the limits of ``simulator._memo_search``.
+    The time step is the finest grid the instance's denominators generate.
+    Some optimum preempts only at grid points, so the state (slot, per-job
+    remaining slots) is complete; transitions run one available job for
+    one slot, jobs identical in parameters and remaining work branch once,
+    and a lone available job fast-forwards to its next event.  The limits
+    of ``simulator._memo_search`` raise BudgetExceeded.
     """
     jobs = instance.jobs
     n = len(jobs)
-    if grid is None:
-        den = lcm(*(x.denominator for j in jobs for x in (j.release, j.processing)))
-        grid = Fraction(1, den)
-    else:
-        grid = to_rational(grid)
-        if grid <= 0:
-            raise ValueError("grid must be positive")
-    releases = []
-    procs = []
-    for j in jobs:
-        for datum, out in ((j.release, releases), (j.processing, procs)):
-            scaled = datum / grid
-            if scaled.denominator != 1:
-                raise ValueError(
-                    f"job {j.id}: {datum} is not a multiple of grid {grid}"
-                )
-            out.append(int(scaled))
-    if sum(procs) > DEFAULT_STATE_BUDGET:
-        raise BudgetExceeded(
-            f"total work spans {sum(procs)} slots; budget is {DEFAULT_STATE_BUDGET}"
-        )
-    den_w = lcm(*(j.weight.denominator for j in jobs))
-    weights = [int(j.weight * den_w) for j in jobs]
+    releases, procs, weights, den_t, den_w = _integer_scaled(instance)
     klass = [(releases[i], procs[i], weights[i]) for i in range(n)]
 
     def run(t: int, rem: tuple[int, ...], i: int, slots: int):
@@ -170,10 +139,9 @@ def optimal_dp_timeindexed(
 
     start = (min(releases), tuple(procs))
     value, steps = _memo_search(start, moves, n, "time-indexed DP")
-    schedule = Schedule(
-        merge_slices([Slice(jid, t * grid, end * grid) for jid, t, end in steps])
-    )
-    return OptimalResult(schedule, Fraction(-value, den_w) * grid, "dp-timeindexed")
+    slices = [Slice(jid, Fraction(t, den_t), Fraction(end, den_t)) for jid, t, end in steps]
+    schedule = Schedule(merge_slices(slices))
+    return OptimalResult(schedule, Fraction(-value, den_t * den_w), "dp-timeindexed")
 
 
 def structured_optimal(instance: Instance) -> OptimalResult:

@@ -52,7 +52,7 @@ CELLS = 4_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an exhaustive search outgrows its configured budget."""
+    """Raised when a memoized search outgrows the limit rule of ``_memo_search``."""
 
 
 def policy_key(policy: Policy, job: Job, remaining: Fraction) -> Fraction:
@@ -169,17 +169,14 @@ def _run(instance: Instance, key, choose) -> Schedule:
 
 
 def _policy(instance: Instance, policy: Policy, tie: TieRule, script):
-    """``(key, choose)`` for ``_run``: the policy's key and the tie rule."""
+    """``(key, choose)`` for ``_run``: the policy's key and the tie rule.
+
+    EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
+    """
     jobs = {j.id: j for j in instance.jobs}
 
     def key(jid: int, remaining: Fraction) -> Fraction:
         return policy_key(policy, jobs[jid], remaining)
-
-    if tie is TieRule.EXHAUSTIVE_WORST:
-        # Follow the worst path (simulate returns it without this replay).
-        worst = _exhaustive_worst(instance, policy)[1]
-        starts = [s.start for s in worst]
-        return key, lambda now, *_: worst[bisect_right(starts, now) - 1].job
 
     script_map: dict[Fraction, int] = {}
     if tie is TieRule.SCRIPTED:
@@ -330,16 +327,15 @@ class EqualityReport:
         return self.passed
 
 
-def is_equality_instance(instance: Instance, tie: TieRule | None = None) -> EqualityReport:
+def is_equality_instance(instance: Instance) -> EqualityReport:
     """Check that every release ties the running job's current Smith ratio.
 
-    Simulates WSRPT under the given tie rule (default: the instance's own
-    script when present, else PREFER_RUNNING) and verifies exactly, at every
-    release instant, that all newly submitted jobs share one Smith ratio and
-    that it equals the interrupted job's current ratio when one is running.
+    Simulates WSRPT under the instance's own tie script (PREFER_RUNNING
+    when it has none) and verifies exactly, at every release instant, that
+    all newly submitted jobs share one Smith ratio and that it equals the
+    interrupted job's current ratio when one is running.
     """
-    if tie is None:
-        tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
+    tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
     key, choose = _policy(instance, Policy.WSRPT, tie, None)
     jobs = {j.id: j for j in instance.jobs}
     violations: list[tuple[Fraction, str]] = []

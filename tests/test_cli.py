@@ -313,6 +313,7 @@ class TestExitCodes:
         for argv in (
             ["simulate"],  # --instance is required
             ["optimal", "--instance", "x.json", "--method", "bogus"],
+            ["optimal", "--instance", "x.json", "--grid", "1/2"],  # no such flag
             ["adversary", "--seed", "3"],  # flags the command does not read
             # the game outgrows the exhaustive tie search; argparse refuses
             # before any search starts
@@ -358,7 +359,7 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag", [["--n-max", "9"], ["--n-max", "1"], ["--trials", "0"]]
+        "flag", [["--n-max", "17"], ["--n-max", "1"], ["--trials", "0"]]
     )
     def test_bad_fuzz_bounds_are_validation_failures(self, tmp_path, capsys, flag):
         code = main(["fuzz", "--trials", "1", "--out", str(tmp_path), *flag])
@@ -368,20 +369,22 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "family, argv, message",
         [
-            (["random", "--n", "6", "--seed", "3"],
-             ["optimal", "--method", "dp", "--grid", "1/1000000"],
-             "error: total work spans 12500000 slots"),
-            (["random", "--n", "6", "--seed", "3"],
-             ["optimal", "--method", "dp", "--grid", "1/100"],
-             "error: time-indexed DP exceeded search depth"),
             (["basic", "--delta", "1e-3"],
              ["simulate", "--tie", "exhaustive-worst"],
              "error: exhaustive tie search needs a search depth"),
+            # Two equal jobs branch slot by slot: 900 levels deep.
+            (Instance((Job(0, 0, 900, 1), Job(1, 0, 900, 1))),
+             ["optimal", "--method", "dp"],
+             "error: time-indexed DP exceeded search depth"),
         ],
     )
     def test_search_budget_is_validation_failure(self, tmp_path, capsys, family, argv, message):
+        # ``family`` is either gen's arguments or an instance written as is.
         inst = tmp_path / "inst.json"
-        run(capsys, "gen", *family, "--out", str(inst))
+        if isinstance(family, Instance):
+            write_instance(family, inst)
+        else:
+            run(capsys, "gen", *family, "--out", str(inst))
         code = main([*argv, "--instance", str(inst)])
         assert code == 1
         assert capsys.readouterr().err.startswith(message)

@@ -35,6 +35,18 @@ class TestNMax:
     def test_two_is_accepted(self):
         assert fuzz(3, n_max=2, seed=0).trials == 3
 
+    def test_subset_dp_cap_is_accepted(self):
+        # n_max may reach the subset DP's 16-job cap (seed 2 draws two
+        # 16-job trials); the exhaustive tie search finishes every trial,
+        # so none is skipped.
+        report = fuzz(6, n_max=16, seed=2)
+        assert report.trials == 6
+        assert sum(c.skipped for c in report.classes.values()) == 0
+
+    def test_past_the_subset_dp_cap_is_refused(self):
+        with pytest.raises(ValueError, match="n_max must be at most 16"):
+            fuzz(1, n_max=17)
+
 
 class TestGates:
     def test_ratio_past_the_envelope_is_a_breach(self, monkeypatch):

@@ -157,28 +157,31 @@ class TestTimeIndexedDP:
 
     def test_two_job_hand_instance(self):
         inst = Instance((Job(0, 0, 2, 1), Job(1, 1, 1, 9)))
-        result = optimal_dp_timeindexed(inst, grid=Fraction(1))
+        result = optimal_dp_timeindexed(inst)
         assert result.method == "dp-timeindexed"
         assert result.objective == optimal_bruteforce(inst).objective
         assert objective(result.schedule, inst) == result.objective
 
-    def test_misaligned_grid_rejected(self):
-        inst = Instance((Job(0, 0, Fraction(1, 3), 1),))
-        with pytest.raises(ValueError):
-            optimal_dp_timeindexed(inst, grid=Fraction(1, 2))
-
-    def test_budget_guard(self):
-        inst = Instance((Job(0, 0, 10**7, 1),))
-        with pytest.raises(BudgetExceeded):
-            optimal_dp_timeindexed(inst, grid=Fraction(1))
+    def test_many_slots_few_states(self):
+        # Each instance spans at least ten million slots, but every job runs
+        # alone in one fast-forward move (the second idles until t = 10), so
+        # the search holds a few states.
+        tiny = Fraction(1, 10**7)
+        for jobs, value in [
+            ((Job(0, 0, 10**7, 1),), 10**7),
+            ((Job(0, 0, 1, 1), Job(1, 10, tiny, 1)), 1 + 10 + tiny),
+        ]:
+            inst = Instance(jobs)
+            result = optimal_dp_timeindexed(inst)
+            assert result.objective == value == optimal_objective(inst)
+            assert objective(result.schedule, inst) == value
 
     def test_state_budget_guard(self, monkeypatch):
-        # 6 slots fit the slot budget; the branching states outgrow
-        # CELLS // 3 = 6.
+        # The branching states outgrow CELLS // 3 = 6.
         monkeypatch.setattr(wsrpt.simulator, "CELLS", 18)
         inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
         with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 6 states"):
-            optimal_dp_timeindexed(inst, grid=Fraction(1))
+            optimal_dp_timeindexed(inst)
 
     @pytest.mark.parametrize("cells, refused", [(74, True), (75, False)])
     def test_cells_cap_the_states_of_wide_instances(self, monkeypatch, cells, refused):
@@ -188,16 +191,16 @@ class TestTimeIndexedDP:
         inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
         if refused:
             with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 24 states"):
-                optimal_dp_timeindexed(inst, grid=Fraction(1))
+                optimal_dp_timeindexed(inst)
         else:
-            result = optimal_dp_timeindexed(inst, grid=Fraction(1))
+            result = optimal_dp_timeindexed(inst)
             assert result.objective == optimal_objective(inst)
 
     def test_depth_guard(self):
         # Two equal jobs branch slot by slot: 900 levels deep at grid 1.
         inst = Instance((Job(0, 0, 900, 1), Job(1, 0, 900, 1)))
         with pytest.raises(BudgetExceeded, match="search depth"):
-            optimal_dp_timeindexed(inst, grid=Fraction(1))
+            optimal_dp_timeindexed(inst)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_depth_limit_counts_moves(self, extra):
@@ -206,9 +209,9 @@ class TestTimeIndexedDP:
         inst = Instance(tuple(Job(i, i, 1, 1) for i in range(n)))
         if extra:
             with pytest.raises(BudgetExceeded, match="search depth"):
-                optimal_dp_timeindexed(inst, grid=Fraction(1))
+                optimal_dp_timeindexed(inst)
         else:
-            result = optimal_dp_timeindexed(inst, grid=Fraction(1))
+            result = optimal_dp_timeindexed(inst)
             assert len(result.schedule.slices) == n
 
     def test_refuses_more_jobs_than_depth_up_front(self):
@@ -219,7 +222,7 @@ class TestTimeIndexedDP:
             BudgetExceeded,
             match=f"time-indexed DP needs a search depth of at least {MAX_SEARCH_DEPTH + 1}",
         ):
-            optimal_dp_timeindexed(inst, grid=Fraction(1))
+            optimal_dp_timeindexed(inst)
 
     def test_agrees_with_brute_on_seeded_instances(self):
         # the acceptance module runs the full hundred; spot-check here
