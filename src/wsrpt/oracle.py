@@ -1,29 +1,27 @@
 """Exact optima for preemptive total weighted completion time.
 
-Two independent routes to the optimum — a completion-order subset DP and a
-slot-level time-indexed DP — deliberately kept separate so each can check
-the other, plus the priority-list scheduler that turns the subset DP's
-completion order into a schedule, the ratio-ordered schedule that realizes
-the optimum on generated equality instances, and the closed form for two
-long jobs plus one homogeneous burst.
+Two separate routes to the optimum — a completion-order subset DP and an
+event-level time-indexed DP whose moves run one job until it completes or
+the next release — kept apart so each can check the other, plus the
+priority-list scheduler that turns the subset DP's completion order into a
+schedule, the ratio-ordered schedule that realizes the optimum on
+generated equality instances, and the closed form for two long jobs plus
+one homogeneous burst.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import _backend
 from .core import (
     Instance,
     Schedule,
-    Slice,
-    merge_slices,
     objective,
     to_rational,
 )
-from .simulator import BudgetExceeded, _memo_search, _run
+from .simulator import BudgetExceeded, _event_search, _integer_scaled, _run
 
 #: Hard job-count cap for the subset DP (2^n table).
 MAX_BRUTEFORCE_JOBS = 16
@@ -62,17 +60,6 @@ def priority_schedule(instance: Instance, order) -> Schedule:
     )
 
 
-def _integer_scaled(instance: Instance):
-    """Clear denominators: (releases, procs, weights as ints, scales)."""
-    jobs = instance.jobs
-    den_t = lcm(*(x.denominator for j in jobs for x in (j.release, j.processing)))
-    den_w = lcm(*(j.weight.denominator for j in jobs))
-    releases = [int(j.release * den_t) for j in jobs]
-    procs = [int(j.processing * den_t) for j in jobs]
-    weights = [int(j.weight * den_w) for j in jobs]
-    return releases, procs, weights, den_t, den_w
-
-
 def optimal_bruteforce(instance: Instance, max_n: int = MAX_BRUTEFORCE_JOBS) -> OptimalResult:
     """Exact preemptive optimum via the completion-order subset DP.
 
@@ -92,56 +79,32 @@ def _subset_optimum(instance: Instance, max_n: int) -> tuple[Fraction, tuple[int
             f"instance has {n} jobs; exact search is capped at "
             f"{min(max_n, MAX_BRUTEFORCE_JOBS)}"
         )
-    releases, procs, weights, den_t, den_w = _integer_scaled(instance)
+    releases, procs, weights, den_t, den_w = _integer_scaled(instance.jobs)
     cost, order_idx = _backend.subset_dp(releases, procs, weights, n)
     order = tuple(instance.jobs[i].id for i in order_idx)
     return Fraction(cost, den_t * den_w), order
 
 
 def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
-    """Exact preemptive optimum by slot-level dynamic programming.
+    """Exact preemptive optimum by an event-level memoized search.
 
-    The time step is the finest grid the instance's denominators generate.
-    Some optimum preempts only at grid points, so the state (slot, per-job
-    remaining slots) is complete; transitions run one available job for
-    one slot, jobs identical in parameters and remaining work branch once,
-    and a lone available job fast-forwards to its next event.  The limits
-    of ``simulator._memo_search`` raise BudgetExceeded.
+    Some optimum is a priority-list schedule (the subset DP minimizes over
+    them all), and a priority-list schedule switches jobs only at releases
+    and completions.  So the optimum is a path of ``_event_search`` moves,
+    each running one available job until it completes or the next release.
+    Available jobs of equal weight and remaining work are interchangeable,
+    so one job per such class branches.  The limits of
+    ``simulator._memo_search`` raise BudgetExceeded.
     """
-    jobs = instance.jobs
-    n = len(jobs)
-    releases, procs, weights, den_t, den_w = _integer_scaled(instance)
-    klass = [(releases[i], procs[i], weights[i]) for i in range(n)]
 
-    def run(t: int, rem: tuple[int, ...], i: int, slots: int):
-        # Gains are negated costs, so the search's maximum is the optimum.
-        end, left = t + slots, rem[i] - slots
-        gain = -weights[i] * end if left == 0 else 0
-        return gain, (jobs[i].id, t, end), (end, rem[:i] + (left,) + rem[i + 1 :])
+    def one_per_class(available, rem, weights, procs):
+        classes = {}
+        for k in available:
+            classes.setdefault((weights[k], rem[k]), k)
+        return classes.values()
 
-    def moves(state):
-        t, rem = state
-        live = [i for i in range(n) if rem[i]]
-        available = [i for i in live if releases[i] <= t]
-        if len(available) > 1:
-            seen_classes = set()
-            for i in available:
-                c = klass[i] + (rem[i],)
-                if c not in seen_classes:
-                    seen_classes.add(c)
-                    yield run(t, rem, i, 1)
-        elif available:
-            (i,) = available
-            upcoming = [releases[k] for k in live if releases[k] > t]
-            yield run(t, rem, i, min(rem[i], min(upcoming) - t) if upcoming else rem[i])
-        elif live:
-            yield 0, None, (min(releases[i] for i in live), rem)  # idle
-
-    start = (min(releases), tuple(procs))
-    value, steps = _memo_search(start, moves, n, "time-indexed DP")
-    slices = [Slice(jid, Fraction(t, den_t), Fraction(end, den_t)) for jid, t, end in steps]
-    schedule = Schedule(merge_slices(slices))
-    return OptimalResult(schedule, Fraction(-value, den_t * den_w), "dp-timeindexed")
+    obj, slices = _event_search(instance, one_per_class, -1, "time-indexed DP")
+    return OptimalResult(Schedule(slices), obj, "dp-timeindexed")
 
 
 def structured_optimal(instance: Instance) -> OptimalResult:

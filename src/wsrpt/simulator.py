@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     Instance,
@@ -272,48 +273,83 @@ def _memo_search(start, moves, jobs: int, what: str):
     return value, steps
 
 
-def _exhaustive_worst(instance: Instance, policy: Policy):
-    """Explore every tie branch; return (objective, slices) of the worst run.
+def _integer_scaled(jobs):
+    """Clear denominators: (releases, procs, weights as ints, scales)."""
+    den_t = lcm(*(x.denominator for j in jobs for x in (j.release, j.processing)))
+    den_w = lcm(*(j.weight.denominator for j in jobs))
+    releases = [int(j.release * den_t) for j in jobs]
+    procs = [int(j.processing * den_t) for j in jobs]
+    weights = [int(j.weight * den_w) for j in jobs]
+    return releases, procs, weights, den_t, den_w
 
-    A state is (time, remaining work in id order): the future of a
-    simulation depends on nothing else, so ``_memo_search`` computes each
-    state's worst continuation once.  Tied candidates are tried in
-    ascending id order.
+
+def _event_search(instance: Instance, leaders, sign: int, what: str):
+    """The move rule of both memoized searches: ``(objective, slices)``.
+
+    Works on integer-scaled data.  A state is (time, remaining work in id
+    order): a run's future depends on nothing else, so ``_memo_search``
+    scores each state's continuation once.  A move runs one available job
+    until it completes or the next release, and with no job available time
+    jumps to the next release.
+
+    ``leaders(available, rem, weights, procs)`` picks, in preference order,
+    the jobs a move may run; jobs are indices in id order.  A completion at
+    ``end`` gains ``sign * w * end``, so ``_memo_search`` finds the worst
+    objective for ``sign`` = 1 and the best for -1, naming ``what`` when a
+    limit is exceeded.
     """
     jobs = sorted(instance.jobs, key=lambda j: j.id)
-    times = sorted({j.release for j in jobs})
+    releases, procs, weights, den_t, den_w = _integer_scaled(jobs)
+    times = sorted(set(releases))
+    n = len(jobs)
 
     def moves(state):
         now, rem = state
         i = bisect_right(times, now)
-        nxt = times[i] if i < len(times) else None
-        keys = {
-            k: policy_key(policy, jobs[k], left)
-            for k, left in enumerate(rem)
-            if left and jobs[k].release <= now
-        }
-        if not keys:
-            if nxt is not None:
-                yield 0, None, (nxt, rem)  # idle until the next release
+        available = [k for k in range(n) if rem[k] and releases[k] <= now]
+        if not available and i < len(times):
+            yield 0, None, (times[i], rem)  # idle until the next release
             return
-        top = max(keys.values())
-        for k, key in keys.items():
-            if key != top:
-                continue
+        for k in leaders(available, rem, weights, procs):
             end = now + rem[k]
-            if nxt is not None and nxt < end:
-                end = nxt
+            if i < len(times) and times[i] < end:
+                end = times[i]
             left = rem[k] - (end - now)
-            gain = jobs[k].weight * end if left == 0 else 0
-            yield gain, (jobs[k].id, now, end), (end, rem[:k] + (left,) + rem[k + 1 :])
+            gain = sign * weights[k] * end if left == 0 else 0
+            yield gain, (k, now, end), (end, rem[:k] + (left,) + rem[k + 1 :])
 
-    obj, steps = _memo_search(
-        (times[0], tuple(j.processing for j in jobs)),
-        moves,
-        len(jobs),
-        "exhaustive tie search",
-    )
-    return obj, merge_slices([Slice(*step) for step in steps])
+    value, steps = _memo_search((times[0], tuple(procs)), moves, n, what)
+    slices = [
+        Slice(jobs[k].id, Fraction(t, den_t), Fraction(end, den_t)) for k, t, end in steps
+    ]
+    return Fraction(sign * value, den_t * den_w), merge_slices(slices)
+
+
+def _exhaustive_worst(instance: Instance, policy: Policy):
+    """Explore every tie branch; return (objective, slices) of the worst run.
+
+    Each move runs one of the policy's tied leaders, tried in ascending id
+    order, so among equally bad choices the smallest id wins.
+    """
+    if not isinstance(policy, Policy):
+        raise ValueError(f"unknown policy {policy!r}")
+    srpt = policy is Policy.SRPT
+    static = policy is Policy.WSPT_PREEMPTIVE
+
+    def leaders(available, rem, weights, procs):
+        # Each key is a ratio x/y of w/rem, w/p or 1/rem; compare them by
+        # cross-multiplying the scaled integers.
+        top, a, b = [], 0, 1
+        for k in available:
+            x = 1 if srpt else weights[k]
+            y = procs[k] if static else rem[k]
+            if not top or x * b > a * y:
+                top, a, b = [k], x, y
+            elif x * b == a * y:
+                top.append(k)
+        return top
+
+    return _event_search(instance, leaders, 1, "exhaustive tie search")
 
 
 @dataclass

@@ -18,6 +18,13 @@ def small_instances(draw, max_jobs: int = 5):
     return Instance(tuple(jobs))
 
 
+def interrupts(n: int) -> Instance:
+    """A low-ratio long job that n short high-ratio arrivals each preempt,
+    so the run has about 2n slices and no ties."""
+    short = tuple(Job(i, i, Fraction(1, 2), 4) for i in range(1, n + 1))
+    return Instance((Job(0, 0, n, 1),) + short)
+
+
 def remaining_at(instance: Instance, schedule, t: Fraction) -> dict[int, Fraction]:
     """Each job's unexecuted work at time t, read off the schedule."""
     rem = {j.id: j.processing for j in instance.jobs}

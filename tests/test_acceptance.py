@@ -56,6 +56,12 @@ TIGHT = 1.2259
 WORST_Y = Fraction(8157, 10000)
 WORST_V = Fraction(7066, 10000)
 SWEEP_DELTAS = (Fraction(1, 100), Fraction(3, 1000), Fraction(1, 1000))
+#: Generated basic instances of 9 and 15 jobs, on which both exact oracles
+#: must agree: the worst-case families are where the optimum matters.
+GENERATED = (
+    ScenarioParams(y=Fraction(3, 5), v=Fraction(3, 10), delta=Fraction(1, 7)),
+    ScenarioParams(y=Fraction(4, 5), v=Fraction(7, 10), delta=Fraction(1, 11)),
+)
 
 
 def _simulated_ratio(instance) -> float:
@@ -157,8 +163,29 @@ def test_criterion_5_oracles_agree():
         inst = gen_basic(params)
         assert len(inst.jobs) <= 8
         assert structured_optimal(inst).objective == optimal_bruteforce(inst).objective
+    for params in GENERATED:
+        inst = gen_basic(params)
+        brute = optimal_bruteforce(inst).objective
+        dp = optimal_dp_timeindexed(inst).objective
+        assert brute == dp, f"{len(inst.jobs)} jobs: brute {brute} != dp {dp}"
     elapsed = time.perf_counter() - start
-    print(f"PASS 5: 100 random brute==dp, 4 structured==brute, {elapsed:.1f}s")
+    print(
+        "PASS 5: 100 random brute==dp, 4 structured==brute, "
+        f"{len(GENERATED)} generated brute==dp, {elapsed:.1f}s"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="structured_optimal runs a partly done ramp piece too late on this "
+    "9-job basic instance (ROADMAP open item 2); item 2's fix removes this marker",
+)
+def test_criterion_5_structured_matches_dp_on_generated():
+    inst = gen_basic(GENERATED[0])
+    assert len(inst.jobs) == 9
+    dp = optimal_dp_timeindexed(inst).objective
+    assert dp == Fraction(36187, 13230)
+    assert structured_optimal(inst).objective == dp
 
 
 def test_criterion_6_lower_bound_game():

@@ -11,6 +11,9 @@ from wsrpt.cli import main
 from wsrpt.core import Instance, Job, rational_str
 from wsrpt.instances import read_instance, write_instance
 from wsrpt.oracle import optimal_objective
+from wsrpt.simulator import MAX_SEARCH_DEPTH
+
+from conftest import interrupts
 
 
 def run(capsys, *argv):
@@ -372,8 +375,9 @@ class TestExitCodes:
             (["basic", "--delta", "1e-3"],
              ["simulate", "--tie", "exhaustive-worst"],
              "error: exhaustive tie search needs a search depth"),
-            # Two equal jobs branch slot by slot: 900 levels deep.
-            (Instance((Job(0, 0, 900, 1), Job(1, 0, 900, 1))),
+            # The long job's path through 410 releases, then 410 short
+            # jobs: 820 moves deep.
+            (interrupts(MAX_SEARCH_DEPTH // 2 + 10),
              ["optimal", "--method", "dp"],
              "error: time-indexed DP exceeded search depth"),
         ],

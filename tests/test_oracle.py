@@ -3,6 +3,7 @@ structure-aware fast path, and the two-long-job closed form."""
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from random import Random
 
@@ -24,7 +25,7 @@ from wsrpt.oracle import (
 )
 from wsrpt.simulator import MAX_SEARCH_DEPTH, BudgetExceeded, Policy, simulate
 
-from conftest import decision_instants, remaining_at, small_instances
+from conftest import decision_instants, interrupts, remaining_at, small_instances
 
 
 class TestPrioritySchedule:
@@ -147,7 +148,42 @@ class TestBruteforce:
         assert optimal_objective(instance) == optimal_bruteforce(instance).objective
 
 
+def slot_optimum(releases, procs, weights):
+    """Reference optimum on integer data: at each integer slot run one
+    released unfinished job for one unit, idling only when none is
+    released.  It relies only on some optimum preempting on the integer
+    grid, not on priority lists."""
+
+    @cache
+    def best(t, rem):
+        live = [k for k, left in enumerate(rem) if left]
+        ready = [k for k in live if releases[k] <= t]
+        if not ready:
+            return best(min(releases[k] for k in live), rem) if live else 0
+        return min(
+            (weights[k] * (t + 1) if rem[k] == 1 else 0)
+            + best(t + 1, rem[:k] + (rem[k] - 1,) + rem[k + 1 :])
+            for k in ready
+        )
+
+    return best(min(releases), tuple(procs))
+
+
 class TestTimeIndexedDP:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_slot_recursion(self, data):
+        n = data.draw(st.integers(1, 4))
+        releases = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        procs = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        inst = Instance(
+            tuple(Job(k, releases[k], procs[k], weights[k]) for k in range(n))
+        )
+        assert optimal_dp_timeindexed(inst).objective == slot_optimum(
+            releases, procs, weights
+        )
+
     def test_single_job_matches_brute(self):
         inst = Instance((Job(0, 0, 3, 2),))
         assert (
@@ -163,43 +199,41 @@ class TestTimeIndexedDP:
         assert objective(result.schedule, inst) == result.objective
 
     def test_many_slots_few_states(self):
-        # Each instance spans at least ten million slots, but every job runs
-        # alone in one fast-forward move (the second idles until t = 10), so
-        # the search holds a few states.
+        # Each instance spans 1,800 to ten million slots, but every move
+        # runs a job to its completion or the next release: the lone jobs
+        # take one move each (the second idles until t = 10), and the two
+        # equal 900-slot jobs are one class that completes in two moves.
         tiny = Fraction(1, 10**7)
         for jobs, value in [
             ((Job(0, 0, 10**7, 1),), 10**7),
             ((Job(0, 0, 1, 1), Job(1, 10, tiny, 1)), 1 + 10 + tiny),
+            ((Job(0, 0, 900, 1), Job(1, 0, 900, 1)), 900 + 1800),
         ]:
             inst = Instance(jobs)
             result = optimal_dp_timeindexed(inst)
             assert result.objective == value == optimal_objective(inst)
             assert objective(result.schedule, inst) == value
 
-    def test_state_budget_guard(self, monkeypatch):
-        # The branching states outgrow CELLS // 3 = 6.
-        monkeypatch.setattr(wsrpt.simulator, "CELLS", 18)
-        inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
-        with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 6 states"):
-            optimal_dp_timeindexed(inst)
-
-    @pytest.mark.parametrize("cells, refused", [(74, True), (75, False)])
+    @pytest.mark.parametrize("cells, refused", [(18, True), (20, True), (21, False)])
     def test_cells_cap_the_states_of_wide_instances(self, monkeypatch, cells, refused):
         # Each state holds one remainder per job, so 3 jobs get CELLS // 3
-        # states; this instance needs 25 of them.
+        # states; this instance needs 7 of them.
         monkeypatch.setattr(wsrpt.simulator, "CELLS", cells)
         inst = Instance(tuple(Job(i, 0, 2, i + 1) for i in range(3)))
         if refused:
-            with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 24 states"):
+            with pytest.raises(BudgetExceeded, match="time-indexed DP exceeded 6 states"):
                 optimal_dp_timeindexed(inst)
         else:
             result = optimal_dp_timeindexed(inst)
             assert result.objective == optimal_objective(inst)
 
     def test_depth_guard(self):
-        # Two equal jobs branch slot by slot: 900 levels deep at grid 1.
-        inst = Instance((Job(0, 0, 900, 1), Job(1, 0, 900, 1)))
-        with pytest.raises(BudgetExceeded, match="search depth"):
+        # Fewer jobs than the limit, but the first path runs the long job
+        # through all 410 releases before the short jobs: 820 moves.
+        inst = interrupts(MAX_SEARCH_DEPTH // 2 + 10)
+        with pytest.raises(
+            BudgetExceeded, match=f"time-indexed DP exceeded search depth {MAX_SEARCH_DEPTH}"
+        ):
             optimal_dp_timeindexed(inst)
 
     @pytest.mark.parametrize("extra", [0, 1])

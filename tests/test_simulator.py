@@ -24,20 +24,13 @@ from wsrpt.simulator import (
     split_job,
 )
 
-from conftest import decision_instants, remaining_at, small_instances
+from conftest import decision_instants, interrupts, remaining_at, small_instances
 
 FIXED_TIES = (
     TieRule.PREFER_RUNNING,
     TieRule.PREFER_NEW_LONGEST,
     TieRule.PREFER_NEW_SHORTEST,
 )
-
-
-def _interrupts(n):
-    """A low-ratio long job that n short high-ratio arrivals each preempt,
-    so the run has about 2n slices and no ties."""
-    short = tuple(Job(i, i, Fraction(1, 2), 4) for i in range(1, n + 1))
-    return Instance((Job(0, 0, n, 1),) + short)
 
 
 def _two_long_jobs():
@@ -177,7 +170,7 @@ class TestTieRules:
 
     def test_exhaustive_worst_refuses_deep_search(self):
         # Fewer jobs than the limit, but about twice as many slices.
-        inst = _interrupts(MAX_SEARCH_DEPTH // 2 + 10)
+        inst = interrupts(MAX_SEARCH_DEPTH // 2 + 10)
         with pytest.raises(BudgetExceeded, match=f"search depth {MAX_SEARCH_DEPTH}"):
             simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
 
