@@ -9,6 +9,7 @@ works with closed forms and quadrature under stated tolerances.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -29,7 +30,7 @@ def to_rational(value: Rational) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _without_digit_limit(Fraction, value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational numeral: {value!r}") from exc
     raise ValueError(f"refusing inexact value {value!r}; pass a string or Fraction")
@@ -37,9 +38,29 @@ def to_rational(value: Rational) -> Fraction:
 
 def rational_str(value: Fraction) -> str:
     """Render a Fraction as "num/den" (or plain "num" for integers)."""
+    return _without_digit_limit(_rational_str, value)
+
+
+def _rational_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _without_digit_limit(convert, value):
+    """``convert(value)`` with CPython's int/str digit limit lifted, then restored.
+
+    The exact objective of a schedule over thousands of jobs can have more
+    digits than the default limit of 4,300.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return convert(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)
@@ -237,9 +258,15 @@ def objective(schedule: Schedule, instance: Instance) -> Fraction:
         raise ValueError(
             f"schedule covers jobs {sorted(sched_jobs)} but instance has {sorted(inst_jobs)}"
         )
-    return sum(
-        (j.weight * schedule.completion(j.id) for j in instance.jobs), Fraction(0)
-    )
+    # Add in a balanced tree: a running total's denominator grows with every
+    # term, while pairwise partial sums stay small until the last few levels.
+    terms = [j.weight * schedule.completion(j.id) for j in instance.jobs]
+    while len(terms) > 1:
+        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            pairs.append(terms[-1])
+        terms = pairs
+    return terms[0]
 
 
 def merge_slices(raw: Sequence[Slice]) -> list[Slice]:

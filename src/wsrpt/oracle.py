@@ -21,7 +21,7 @@ from .core import (
     objective,
     to_rational,
 )
-from .simulator import BudgetExceeded, _event_search, _integer_scaled, _run
+from .simulator import BudgetExceeded, _event_search, _integer_scaled, _run, _timeline
 
 #: Hard job-count cap for the subset DP (2^n table).
 MAX_BRUTEFORCE_JOBS = 16
@@ -52,11 +52,13 @@ def priority_schedule(instance: Instance, order) -> Schedule:
     ids = sorted(j.id for j in instance.jobs)
     if sorted(order) != ids:
         raise ValueError("order must be a permutation of the instance's job ids")
+    timeline = _timeline(instance)
     pos = {jid: k for k, jid in enumerate(order)}
+    rank = [pos[j.id] for j in timeline.jobs]
     return _run(
-        instance,
-        lambda jid, _: -pos[jid],
-        lambda now, new_ids, running, remaining, top_key, top_id: top_id,
+        timeline,
+        lambda k, _: rank[k],
+        lambda now, new, running, rem, top_key, top: top,
     )
 
 

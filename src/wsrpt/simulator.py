@@ -3,8 +3,13 @@
 Decision points occur only at job releases and completions: between events
 the running job's priority can only improve relative to the waiting jobs
 under every supported policy, so no preemption can trigger mid-slice.
-Equality instances make *every* release a tie, which is why selection works
-on exact rationals and ties are resolved by an explicit rule or script.
+Equality instances make *every* release a tie, which is why selection is
+exact and ties are resolved by an explicit rule or script.  The single-path
+engine selects on scaled integers: times are multiplied once by the lcm of
+the release and processing denominators, a WSRPT or WSPT key is the reduced
+pair (weight numerator, weight denominator times remaining work) compared
+by cross-multiplying, and Fractions are built only for the returned slices
+and the equality audit's reports.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .core import (
     Instance,
@@ -22,7 +28,6 @@ from .core import (
     Schedule,
     Slice,
     merge_slices,
-    smith_ratio,
     to_rational,
 )
 
@@ -67,11 +72,43 @@ def policy_key(policy: Policy, job: Job, remaining: Fraction) -> Fraction:
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def _release_groups(instance: Instance) -> list[tuple[Fraction, list[int]]]:
-    groups: dict[Fraction, list[int]] = {}
-    for j in instance.jobs:
-        groups.setdefault(j.release, []).append(j.id)
-    return sorted((t, sorted(ids)) for t, ids in groups.items())
+class _Ratio(tuple):
+    """A nonnegative ratio as its reduced (numerator, denominator) pair.
+
+    Reduced, so equal ratios are equal tuples.  ``<`` cross-multiplies and
+    puts the larger ratio first, so a min-heap serves the highest ratio.
+    """
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self[0] * other[1] > other[0] * self[1]
+
+
+def _scaled_times(jobs) -> tuple[list[int], list[int], int]:
+    """``(releases, procs, den_t)``: the jobs' times as ints in units of 1/den_t.
+
+    ``den_t`` is the lcm of the release and processing denominators, so
+    every scaled time is exact.
+    """
+    den_t = lcm(*(x.denominator for j in jobs for x in (j.release, j.processing)))
+    releases = [j.release.numerator * (den_t // j.release.denominator) for j in jobs]
+    procs = [j.processing.numerator * (den_t // j.processing.denominator) for j in jobs]
+    return releases, procs, den_t
+
+
+class _Timeline(NamedTuple):
+    """An instance on its integer time grid; job k has the k-th smallest id."""
+
+    jobs: list[Job]
+    releases: list[int]
+    procs: list[int]
+    den_t: int
+
+
+def _timeline(instance: Instance) -> _Timeline:
+    jobs = sorted(instance.jobs, key=lambda j: j.id)
+    return _Timeline(jobs, *_scaled_times(jobs))
 
 
 def simulate(
@@ -92,127 +129,161 @@ def simulate(
     if tie is TieRule.EXHAUSTIVE_WORST:
         _, slices = _exhaustive_worst(instance, policy)
         return Schedule(slices)
-    return _run(instance, *_policy(instance, policy, tie, script))
+    timeline = _timeline(instance)
+    if script is None:
+        script = instance.tie_script
+    return _run(timeline, *_policy(timeline, policy, tie, script))
 
 
-def _run(instance: Instance, key, choose) -> Schedule:
+def _run(timeline: _Timeline, key, choose) -> Schedule:
     """The event loop behind every single-path schedule.
 
-    ``key(job_id, remaining)`` is a job's priority; larger runs first.  At
-    each decision point ``choose(now, new_ids, running, remaining, top_key,
-    top_id)`` returns the job to run until the next release or its
-    completion: ``new_ids`` are the jobs released at ``now``, ``running``
-    is the unfinished job that ran up to ``now`` (else None), and
-    ``top_id`` is the smallest id among the released jobs of maximal key
-    ``top_key``.
+    Runs on the integer grid of ``timeline``: a job is its index k, and
+    times and remaining work are ints in units of 1/den_t.  ``key(k, rem)``
+    ranks job k with ``rem`` work left; the smallest rank runs first.  At
+    each decision point ``choose(now, new, running, rem, top_key, top)``
+    returns the job to run until the next release or its completion:
+    ``new`` are the jobs released at ``now``, ``running`` is the unfinished
+    job that ran up to ``now`` (else None), ``rem`` holds every job's
+    remaining work, and ``top`` is the smallest index among the released
+    jobs of minimal rank ``top_key``.  Fractions are built only for the
+    returned slices, one per distinct time.
     """
-    remaining = {j.id: j.processing for j in instance.jobs}
-    releases = _release_groups(instance)
-    n = len(remaining)
+    groups: dict[int, list[int]] = {}
+    for k, r in enumerate(timeline.releases):
+        groups.setdefault(r, []).append(k)
+    releases = sorted(groups.items())
+    rem = list(timeline.procs)
+    unfinished = len(rem)
 
-    # Lazy max-heap: entries (negated key, id, version).  Only the running
-    # job's key can change between events, so entries go stale only when we
-    # re-push that one job with a bumped version.
+    # Lazy min-heap of (rank, index, version).  Only the running job's rank
+    # can change between events, so entries go stale only when we re-push
+    # that one job with a bumped version, or when their job completes.
     heap: list[tuple] = []
-    version: dict[int, int] = {}
-    completed: set[int] = set()
+    version = [0] * len(rem)
 
-    def push(jid: int) -> None:
-        version[jid] = version.get(jid, 0) + 1
-        heapq.heappush(heap, (-key(jid, remaining[jid]), jid, version[jid]))
+    def push(k: int) -> None:
+        version[k] += 1
+        heapq.heappush(heap, (key(k, rem[k]), k, version[k]))
 
-    def top():
-        while heap:
-            neg_key, jid, ver = heap[0]
-            if jid in completed or version.get(jid) != ver:
-                heapq.heappop(heap)
-                continue
-            return -neg_key, jid
-        return None
-
-    raw: list[Slice] = []
+    runs: list[list[int]] = []  # [job, start, end], adjacent runs of a job fused
     idx = 0
     now = releases[0][0]
     running: int | None = None
 
-    while len(completed) < n:
-        new_ids: list[int] = []
-        while idx < len(releases) and releases[idx][0] <= now:
-            t, ids = releases[idx]
-            for jid in ids:
-                push(jid)
-            if t == now:
-                new_ids.extend(ids)
+    while unfinished:
+        new: list[int] = []
+        if idx < len(releases) and releases[idx][0] == now:
+            new = releases[idx][1]
+            for k in new:
+                push(k)
             idx += 1
 
-        best = top()
-        if best is None:
+        while heap:
+            top_key, top, ver = heap[0]
+            if rem[top] and version[top] == ver:
+                break
+            heapq.heappop(heap)
+        else:
             # Idle: jump to the next release.
             now = releases[idx][0]
             running = None
             continue
 
-        chosen = choose(now, new_ids, running, remaining, *best)
+        chosen = choose(now, new, running, rem, top_key, top)
 
-        finish = now + remaining[chosen]
-        end = min(finish, releases[idx][0]) if idx < len(releases) else finish
-        raw.append(Slice(chosen, now, end))
-        remaining[chosen] -= end - now
-        now = end
-        if remaining[chosen] == 0:
-            completed.add(chosen)
-            running = None
+        end = now + rem[chosen]
+        if idx < len(releases) and releases[idx][0] < end:
+            end = releases[idx][0]
+        if runs and runs[-1][0] == chosen and runs[-1][2] == now:
+            runs[-1][2] = end
         else:
+            runs.append([chosen, now, end])
+        rem[chosen] -= end - now
+        now = end
+        if rem[chosen]:
             running = chosen
-            push(chosen)  # refresh the executed job's key
+            push(chosen)  # refresh the executed job's rank
+        else:
+            unfinished -= 1
+            running = None
 
-    return Schedule(merge_slices(raw))
+    times: dict[int, Fraction] = {}
+
+    def at(t: int) -> Fraction:
+        f = times.get(t)
+        if f is None:
+            f = times[t] = Fraction(t, timeline.den_t)
+        return f
+
+    jobs = timeline.jobs
+    return Schedule(Slice(jobs[k].id, at(start), at(end)) for k, start, end in runs)
 
 
-def _policy(instance: Instance, policy: Policy, tie: TieRule, script):
-    """``(key, choose)`` for ``_run``: the policy's key and the tie rule.
+def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
+    """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
 
+    ``policy_key`` on the integer grid.  WSRPT ranks by the ratio w/rem as a
+    ``_Ratio`` (the common factor den_t left out), WSPT by the same pair at
+    full processing time and SRPT by ``rem`` itself.  ``script`` is the tie
+    script SCRIPTED follows; its entries off the grid match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
-    jobs = {j.id: j for j in instance.jobs}
+    jobs, den_t = timeline.jobs, timeline.den_t
 
-    def key(jid: int, remaining: Fraction) -> Fraction:
-        return policy_key(policy, jobs[jid], remaining)
+    def ratio(k: int, rem: int) -> _Ratio:
+        w = jobs[k].weight
+        g = gcd(w.numerator, rem)
+        return _Ratio((w.numerator // g, w.denominator * (rem // g)))
 
-    script_map: dict[Fraction, int] = {}
+    if policy is Policy.WSRPT:
+        key = ratio
+    elif policy is Policy.WSPT_PREEMPTIVE:
+        static = [ratio(k, p) for k, p in enumerate(timeline.procs)]
+
+        def key(k: int, rem: int) -> _Ratio:
+            return static[k]
+    elif policy is Policy.SRPT:
+
+        def key(k: int, rem: int) -> int:
+            return rem
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+
+    # Scaled time -> (job id, its index or None when no job has that id).
+    script_map: dict[int, tuple[int, int | None]] = {}
     if tie is TieRule.SCRIPTED:
-        entries = script if script is not None else instance.tie_script
-        if entries is None:
+        if script is None:
             raise ValueError("SCRIPTED tie rule needs a script")
-        script_map = {to_rational(t): choice for t, choice in entries}
+        index = {j.id: k for k, j in enumerate(jobs)}
+        for t, choice in script:
+            t = to_rational(t)
+            if den_t % t.denominator == 0:
+                script_map[t.numerator * (den_t // t.denominator)] = (choice, index.get(choice))
     prefer_new = tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST)
     longest = tie is TieRule.PREFER_NEW_LONGEST
 
-    def choose(now, new_ids, running, remaining, top_key, top_id) -> int:
+    def choose(now, new, running, rem, top_key, top) -> int:
         if now in script_map:
-            choice = script_map[now]
-            if (
-                choice not in remaining
-                or remaining[choice] <= 0
-                or jobs[choice].release > now
-            ):
-                raise ValueError(f"scripted choice {choice} at t={now} is not available")
-            if key(choice, remaining[choice]) != top_key:
+            choice, k = script_map[now]
+            if k is None or not rem[k] or timeline.releases[k] > now:
                 raise ValueError(
-                    f"scripted choice {choice} at t={now} is not among the tied leaders"
+                    f"scripted choice {choice} at t={Fraction(now, den_t)} is not available"
                 )
-            return choice
+            if key(k, rem[k]) != top_key:
+                raise ValueError(
+                    f"scripted choice {choice} at t={Fraction(now, den_t)} "
+                    "is not among the tied leaders"
+                )
+            return k
         if prefer_new:
-            tied_new = [jid for jid in new_ids if key(jid, remaining[jid]) == top_key]
+            tied_new = [k for k in new if key(k, rem[k]) == top_key]
             if tied_new:
-                return min(
-                    tied_new,
-                    key=lambda jid: (-remaining[jid] if longest else remaining[jid], jid),
-                )
+                return min(tied_new, key=lambda k: (-rem[k] if longest else rem[k], k))
             # fall through to the running-job preference
-        if running is not None and key(running, remaining[running]) == top_key:
+        if running is not None and key(running, rem[running]) == top_key:
             return running
-        return top_id
+        return top
 
     return key, choose
 
@@ -274,12 +345,10 @@ def _memo_search(start, moves, jobs: int, what: str):
 
 
 def _integer_scaled(jobs):
-    """Clear denominators: (releases, procs, weights as ints, scales)."""
-    den_t = lcm(*(x.denominator for j in jobs for x in (j.release, j.processing)))
+    """Clear denominators: (releases, procs, weights as ints, den_t, den_w)."""
+    releases, procs, den_t = _scaled_times(jobs)
     den_w = lcm(*(j.weight.denominator for j in jobs))
-    releases = [int(j.release * den_t) for j in jobs]
-    procs = [int(j.processing * den_t) for j in jobs]
-    weights = [int(j.weight * den_w) for j in jobs]
+    weights = [j.weight.numerator * (den_w // j.weight.denominator) for j in jobs]
     return releases, procs, weights, den_t, den_w
 
 
@@ -371,30 +440,39 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
     all newly submitted jobs share one Smith ratio and that it equals the
     interrupted job's current ratio when one is running.
     """
+    timeline = _timeline(instance)
+    jobs, den_t = timeline.jobs, timeline.den_t
     tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
-    key, choose = _policy(instance, Policy.WSRPT, tie, None)
-    jobs = {j.id: j for j in instance.jobs}
+    key, choose = _policy(timeline, Policy.WSRPT, tie, instance.tie_script)
     violations: list[tuple[Fraction, str]] = []
 
-    def audited(now, new_ids, running, remaining, top_key, top_id) -> int:
+    def ids(indices: list[int]) -> list[int]:
+        return [jobs[k].id for k in indices]
+
+    def unscaled(ratio: _Ratio) -> Fraction:
+        return Fraction(ratio[0] * den_t, ratio[1])
+
+    def audited(now, new, running, rem, top_key, top) -> int:
         # Every release group is decided at its own instant; ``running`` is
         # the job it interrupts, or None after a completion or idle time.
-        ratios = {jobs[i].ratio for i in new_ids}
+        # A new job's rank is its static ratio, since it has not run yet.
+        ratios = {key(k, rem[k]) for k in new}
         if len(ratios) > 1:
             violations.append(
-                (now, f"co-released jobs {new_ids} have distinct ratios")
+                (Fraction(now, den_t), f"co-released jobs {ids(new)} have distinct ratios")
             )
         elif ratios and running is not None:
-            (released_ratio,) = ratios
-            current = smith_ratio(jobs[running], remaining[running])
-            if current != released_ratio:
+            (released,) = ratios
+            current = key(running, rem[running])
+            if current != released:
                 violations.append(
-                    (now, f"jobs {new_ids} (ratio {released_ratio}) vs running job "
-                          f"{running} (ratio {current})")
+                    (Fraction(now, den_t),
+                     f"jobs {ids(new)} (ratio {unscaled(released)}) vs running job "
+                     f"{jobs[running].id} (ratio {unscaled(current)})")
                 )
-        return choose(now, new_ids, running, remaining, top_key, top_id)
+        return choose(now, new, running, rem, top_key, top)
 
-    _run(instance, key, audited)
+    _run(timeline, key, audited)
     return EqualityReport(passed=not violations, violations=violations)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from wsrpt import analysis
 from wsrpt.cli import main
-from wsrpt.core import Instance, Job, rational_str
+from wsrpt.core import Instance, Job, rational_str, to_rational
 from wsrpt.instances import read_instance, write_instance
 from wsrpt.oracle import optimal_objective
 from wsrpt.simulator import MAX_SEARCH_DEPTH
@@ -66,6 +66,24 @@ class TestGenerateSimulateOptimal:
         assert code == 0
         value = out.split("objective ", 1)[1].strip()
         assert "/" in value or value.isdigit()
+
+    def test_exact_objective_past_the_int_str_digit_limit(self, tmp_path, capsys):
+        # 1,500 unit jobs whose weights have distinct prime denominators:
+        # the objective's denominator has about 5,700 digits, more than
+        # CPython converts between int and str by default.
+        primes = [p for p in range(2, 12_600) if all(p % d for d in range(2, int(p**0.5) + 1))]
+        inst = Instance(
+            tuple(Job(i, i, 1, Fraction(1, q)) for i, q in enumerate(primes[:1500]))
+        )
+        path, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+        write_instance(inst, path)
+        code, out = run(
+            capsys, "simulate", "--instance", str(path), "--exact", "--out", str(sched)
+        )
+        assert code == 0
+        expected = sum(Fraction(i + 1, q) for i, q in enumerate(primes[:1500]))
+        assert to_rational(out.split("objective ", 1)[1].split()[0]) == expected
+        assert to_rational(json.loads(sched.read_text())["objective"]) == expected
 
     def test_csv_schedule_export(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

@@ -1,5 +1,6 @@
 """Domain types: exact conversion, schedules, and the objective."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,17 @@ class TestToRational:
     def test_rational_str_round_trips(self, num, den):
         x = Fraction(num, den)
         assert to_rational(rational_str(x)) == x
+
+    def test_values_past_the_int_str_digit_limit_round_trip(self):
+        # Over 5,000 digits each way, past CPython's default limit of 4,300;
+        # the limit in force is back in place after both conversions.
+        x = Fraction(10**5000 + 7, 3**11000)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        text = rational_str(x)
+        assert len(text) > 10_000
+        assert to_rational(text) == x
+        assert limit() == before
 
 
 class TestJob:

@@ -1,6 +1,7 @@
 """Policy simulation: spec'd schedules, tie rules, equality instances,
 segments, and the splitting transformation."""
 
+import heapq
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsrpt.simulator
-from wsrpt.core import Instance, Job, Schedule, objective
+from wsrpt.core import Instance, Job, Schedule, Slice, merge_slices, objective
 from wsrpt.instances import ScenarioParams, gen_basic
-from wsrpt.oracle import optimal_dp_timeindexed, optimal_objective
+from wsrpt.oracle import optimal_dp_timeindexed, optimal_objective, priority_schedule
 from wsrpt.simulator import (
     MAX_SEARCH_DEPTH,
     BudgetExceeded,
@@ -35,6 +36,95 @@ FIXED_TIES = (
 
 def _two_long_jobs():
     return Instance((Job(0, 0, 1, 1), Job(1, 0, 2, 2)))
+
+
+@st.composite
+def mixed_instances(draw, max_jobs: int = 5):
+    """Times in thirds, fifths and sevenths, weights of distinct
+    denominators and ids out of order, so the engine's time scaling, its
+    ratio comparisons and its id order all matter."""
+    n = draw(st.integers(min_value=1, max_value=max_jobs))
+    ids = draw(st.permutations(range(0, 3 * n, 3)))
+    weight_dens = draw(
+        st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n, unique=True)
+    )
+    jobs = []
+    for jid, w_den in zip(ids, weight_dens):
+        r = Fraction(draw(st.integers(min_value=0, max_value=12)), draw(st.sampled_from((3, 5, 7))))
+        p = Fraction(draw(st.integers(min_value=1, max_value=12)), draw(st.sampled_from((3, 5, 7))))
+        w = Fraction(draw(st.integers(min_value=1, max_value=40)), w_den)
+        jobs.append(Job(jid, r, p, w))
+    return Instance(tuple(jobs))
+
+
+def _ids_reversed(instance):
+    """The same jobs with ids descending in listing order, 3 apart."""
+    n = len(instance.jobs)
+    return Instance(
+        tuple(Job(3 * (n - i), j.release, j.processing, j.weight) for i, j in enumerate(instance.jobs))
+    )
+
+
+#: Both kinds of instance with ids out of listing order: mixed denominators
+#: scale times and compare unlike ratios, half-integers tie often.
+SCRAMBLED = st.one_of(mixed_instances(), small_instances().map(_ids_reversed))
+
+
+def reference_slices(instance, key, tie=TieRule.PREFER_RUNNING, script=()):
+    """The event loop on Fractions: the reference the engine must match.
+
+    ``key(job, remaining)`` is a priority (larger runs first).  At each
+    release or completion the released jobs of maximal key are popped off
+    a heap in id order, and the tie rule picks one to run until its
+    completion or the next release.
+    """
+    jobs = {j.id: j for j in instance.jobs}
+    rem = {jid: j.processing for jid, j in jobs.items()}
+    released: dict[Fraction, list[int]] = {}
+    for jid in sorted(jobs):
+        released.setdefault(jobs[jid].release, []).append(jid)
+    times = sorted(released)
+    choices = dict(script)
+    heap, slices, running, i = [], [], None, 0
+    now = times[0]
+    while heap or i < len(times):
+        new = released[now] if i < len(times) and times[i] == now else []
+        i += bool(new)
+        for jid in new:
+            heapq.heappush(heap, (-key(jobs[jid], rem[jid]), jid))
+        if not heap:
+            now, running = times[i], None
+            continue
+        top_key, leaders = heap[0][0], []
+        while heap and heap[0][0] == top_key:
+            leaders.append(heapq.heappop(heap)[1])
+        tied_new = [jid for jid in leaders if jid in new]
+        if now in choices:
+            chosen = choices[now]
+            assert chosen in leaders
+        elif tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST) and tied_new:
+            sign = -1 if tie is TieRule.PREFER_NEW_LONGEST else 1
+            chosen = min(tied_new, key=lambda jid: (sign * rem[jid], jid))
+        elif running in leaders:
+            chosen = running
+        else:
+            chosen = leaders[0]
+        for jid in leaders:
+            if jid != chosen:
+                heapq.heappush(heap, (top_key, jid))
+        end = now + rem[chosen]
+        if i < len(times) and times[i] < end:
+            end = times[i]
+        slices.append(Slice(chosen, now, end))
+        rem[chosen] -= end - now
+        now, running = end, (chosen if rem[chosen] else None)
+        if running is not None:
+            heapq.heappush(heap, (-key(jobs[chosen], rem[chosen]), chosen))
+    return tuple(merge_slices(slices))
+
+
+def _policy_key(policy):
+    return lambda job, remaining: policy_key(policy, job, remaining)
 
 
 class TestSimulate:
@@ -121,6 +211,34 @@ class TestSimulate:
         assert objective(sched, flat) == optimal_objective(flat)
 
 
+class TestAgainstReference:
+    """The integer engine gives the Fraction-level reference's slices."""
+
+    @given(SCRAMBLED, st.sampled_from(list(Policy)), st.sampled_from(FIXED_TIES))
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_tie_rules(self, instance, policy, tie):
+        expected = reference_slices(instance, _policy_key(policy), tie)
+        assert simulate(instance, policy=policy, tie=tie).slices == expected
+
+    @given(SCRAMBLED, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_priority_schedule(self, instance, rnd):
+        order = [j.id for j in instance.jobs]
+        rnd.shuffle(order)
+        pos = {jid: k for k, jid in enumerate(order)}
+        expected = reference_slices(instance, lambda job, _: -pos[job.id])
+        assert priority_schedule(instance, order).slices == expected
+
+    def test_scripted_generated_family(self):
+        inst = gen_basic(
+            ScenarioParams(y=Fraction(8157, 10000), v=Fraction(7066, 10000), delta=Fraction(1, 1000))
+        )
+        expected = reference_slices(
+            inst, _policy_key(Policy.WSRPT), TieRule.SCRIPTED, inst.tie_script
+        )
+        assert simulate(inst, tie=TieRule.SCRIPTED).slices == expected
+
+
 class TestTieRules:
     def test_scripted_requires_script(self):
         inst = _two_long_jobs()
@@ -141,6 +259,23 @@ class TestTieRules:
         inst = Instance((Job(0, 0, 1, 1), Job(1, 1, 1, 1)))
         with pytest.raises(ValueError, match=f"choice {choice} at t=0 is not available"):
             simulate(inst, tie=TieRule.SCRIPTED, script=((Fraction(0), choice),))
+
+    def test_script_entries_off_events_are_ignored(self):
+        # Times are in thirds (events at 0, 1/3, 1 and 4/3): an entry off
+        # that grid, or on it but at no event, never applies, whatever it
+        # names.
+        inst = Instance((Job(0, 0, 1, 1), Job(1, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))))
+        script = ((Fraction(1, 2), 5), (Fraction(1, 6), 1), (Fraction(5, 3), 0), (Fraction(-1, 3), 1))
+        scripted = simulate(inst, tie=TieRule.SCRIPTED, script=script)
+        assert scripted == simulate(inst)
+
+    def test_scripted_choice_error_names_the_unscaled_time(self):
+        # den_t = 21; the bad choice falls at t = 1/3, scaled 7.
+        inst = Instance((Job(0, 0, 1, 1), Job(1, Fraction(1, 3), Fraction(1, 7), 1)))
+        with pytest.raises(ValueError, match=r"choice 0 at t=1/3 is not among the tied leaders"):
+            simulate(inst, tie=TieRule.SCRIPTED, script=((Fraction(1, 3), 0),))
+        with pytest.raises(ValueError, match=r"choice 4 at t=1/3 is not available"):
+            simulate(inst, tie=TieRule.SCRIPTED, script=((Fraction(1, 3), 4),))
 
     def test_scripted_choice_must_be_a_tied_leader(self):
         inst = Instance((Job(0, 0, 1, 2), Job(1, 0, 1, 1)))  # job 0 leads
@@ -235,6 +370,16 @@ class TestEqualityInstance:
         report = is_equality_instance(inst)
         assert not report.passed
         assert report.violations[0][0] == Fraction(1, 2)
+
+    def test_violation_reports_fractions_and_job_ids(self):
+        # den_t = 21.  At t = 1/3 job 9 has 2/3 left (ratio 3/2) and job 4
+        # arrives with ratio (2/7)/(1/7) = 2.
+        inst = Instance(
+            (Job(9, 0, 1, 1), Job(4, Fraction(1, 3), Fraction(1, 7), Fraction(2, 7)))
+        )
+        ((t, message),) = is_equality_instance(inst).violations
+        assert type(t) is Fraction and t == Fraction(1, 3)
+        assert message == "jobs [4] (ratio 2) vs running job 9 (ratio 3/2)"
 
     def test_co_released_distinct_ratios(self):
         inst = Instance((Job(0, 0, 1, 1), Job(1, 0, 1, 2)))
