@@ -174,7 +174,7 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
     """
     p1job, p2job = instance.job(0), instance.job(1)
     p1, p2 = p1job.processing, p2job.processing
-    later = sorted({j.release for j in instance.jobs if j.release > 0})
+    later = sorted(dict.fromkeys(j.release for j in instance.jobs if j.release > 0))
     t_switch = later[0] if later else None
 
     cycle = p1 / 50

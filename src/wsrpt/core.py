@@ -3,8 +3,11 @@
 Times and weights are arbitrary-precision rationals (`fractions.Fraction`)
 end-to-end in simulation and oracle code: the constructed instances tie
 Smith ratios *exactly* at every release, and floats would silently break
-those ties.  Floating point is reserved for the analysis module, which
-works with closed forms and quadrature under stated tolerances.
+those ties.  The event engine's rank puts a ratio's correctly rounded float
+in front of its exact pair, but never decides an order or a tie on the
+float alone.  Otherwise floating point is reserved for the analysis
+module, which works with closed forms and quadrature under stated
+tolerances.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[Fraction, int, str]
@@ -29,11 +33,24 @@ def to_rational(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return _without_digit_limit(Fraction, value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational numeral: {value!r}") from exc
+        return _without_digit_limit(_parse_rational, value)
     raise ValueError(f"refusing inexact value {value!r}; pass a string or Fraction")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """The string branch of ``to_rational``, under a digit limit lifted by the caller.
+
+    A plain ASCII "[-]digits[/digits]" numeral, the form ``rational_str``
+    writes, is read with ``int``; anything else goes to ``Fraction(text)``.
+    """
+    try:
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational numeral: {text!r}") from exc
 
 
 def rational_str(value: Fraction) -> str:
@@ -231,22 +248,33 @@ class Schedule:
         """
         if not self.slices:
             raise ValueError("schedule has no slices")
-        jobs = {j.id: j for j in instance.jobs}
-        prev_end: Fraction | None = None
-        total: dict[int, Fraction] = {jid: Fraction(0) for jid in jobs}
+        # Compare on the integer grid of the lcm of every denominator; the
+        # error texts show the unscaled Fractions.
+        den = lcm(
+            *(x.denominator for s in self.slices for x in (s.start, s.end)),
+            *(x.denominator for j in instance.jobs for x in (j.release, j.processing)),
+        )
+
+        def scaled(x: Fraction) -> int:
+            return x.numerator * (den // x.denominator)
+
+        release = {j.id: scaled(j.release) for j in instance.jobs}
+        total = dict.fromkeys(release, 0)
+        prev_end: int | None = None
         for s in self.slices:
-            if s.job not in jobs:
+            if s.job not in release:
                 raise ValueError(f"slice references unknown job {s.job}")
-            if prev_end is not None and s.start < prev_end:
+            start = scaled(s.start)
+            if prev_end is not None and start < prev_end:
                 raise ValueError(f"overlapping slices at {s.start}")
-            if s.start < jobs[s.job].release:
+            if start < release[s.job]:
                 raise ValueError(f"job {s.job} runs before its release")
-            total[s.job] += s.length
-            prev_end = s.end
-        for jid, job in jobs.items():
-            if total[jid] != job.processing:
+            prev_end = scaled(s.end)
+            total[s.job] += prev_end - start
+        for j in instance.jobs:
+            if total[j.id] != scaled(j.processing):
                 raise ValueError(
-                    f"job {jid} executes {total[jid]} of {job.processing}"
+                    f"job {j.id} executes {Fraction(total[j.id], den)} of {j.processing}"
                 )
 
 

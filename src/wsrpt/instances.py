@@ -18,7 +18,16 @@ from pathlib import Path
 from random import Random
 from typing import IO, Union
 
-from .core import Instance, Job, Slice, rational_str, to_rational
+from .core import (
+    Instance,
+    Job,
+    Slice,
+    _parse_rational,
+    _rational_str,
+    _without_digit_limit,
+    rational_str,
+    to_rational,
+)
 
 _ONE = Fraction(1)
 
@@ -144,7 +153,8 @@ def gen_basic(params: ScenarioParams) -> Instance:
     for rel, proc, weight in pieces:
         jobs.append(Job(len(jobs), rel, proc, weight))
 
-    release_times = sorted({rel for rel, _, _ in pieces} | {Fraction(0)})
+    # Pieces come in release order, so the sort only confirms it.
+    release_times = sorted(dict.fromkeys([Fraction(0), *(rel for rel, _, _ in pieces)]))
     script = tuple((t, 0) for t in release_times)
 
     tags = {
@@ -211,7 +221,7 @@ def gen_nested(params: NestedParams) -> Instance:
         jobs.append(Job(jid, r_eff + p_s * rel, p_s * proc, w_s * weight))
         if rel == 0:
             resume_ratio_ids.append((p_s * proc, jid))
-    for rel in sorted({rel for rel, _, _ in inner_pieces if rel > 0}):
+    for rel in sorted(dict.fromkeys(rel for rel, _, _ in inner_pieces if rel > 0)):
         script.append((r_eff + p_s * rel, small_id))
 
     # Pieces released with the segment opener share the outer long job's
@@ -269,20 +279,24 @@ PathOrFile = Union[str, Path, IO[str]]
 
 def instance_to_dict(instance: Instance) -> dict:
     """JSON-ready form with rationals rendered as exact num/den strings."""
+    return _without_digit_limit(_instance_to_dict, instance)
+
+
+def _instance_to_dict(instance: Instance) -> dict:
     payload = {
         "jobs": [
             {
                 "id": j.id,
-                "r": rational_str(j.release),
-                "p": rational_str(j.processing),
-                "w": rational_str(j.weight),
+                "r": _rational_str(j.release),
+                "p": _rational_str(j.processing),
+                "w": _rational_str(j.weight),
             }
             for j in instance.jobs
         ],
     }
     if instance.tie_script is not None:
         payload["tie_script"] = [
-            {"t": rational_str(t), "choice": c} for t, c in instance.tie_script
+            {"t": _rational_str(t), "choice": c} for t, c in instance.tie_script
         ]
     if instance.tags:
         payload["tags"] = dict(instance.tags)
@@ -291,37 +305,46 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def instance_from_dict(payload: dict) -> Instance:
     """Inverse of instance_to_dict."""
+    return _without_digit_limit(_instance_from_dict, payload)
+
+
+def _rational(value) -> Fraction:
+    """``to_rational`` under a digit limit the caller has lifted."""
+    return _parse_rational(value) if isinstance(value, str) else to_rational(value)
+
+
+def _instance_from_dict(payload: dict) -> Instance:
     jobs = tuple(
-        Job(
-            rec["id"],
-            to_rational(rec["r"]),
-            to_rational(rec["p"]),
-            to_rational(rec["w"]),
-        )
+        Job(rec["id"], _rational(rec["r"]), _rational(rec["p"]), _rational(rec["w"]))
         for rec in payload["jobs"]
     )
     script = payload.get("tie_script")
     tie_script = (
         None
         if script is None
-        else tuple((to_rational(e["t"]), int(e["choice"])) for e in script)
+        else tuple((_rational(e["t"]), int(e["choice"])) for e in script)
     )
     return Instance(jobs, tie_script=tie_script, tags=payload.get("tags", {}))
 
 
 def slices_to_dicts(slices) -> list[dict]:
     """JSON-ready slice list: ``{"job", "start", "end"}`` with exact times."""
-    return [
-        {"job": s.job, "start": rational_str(s.start), "end": rational_str(s.end)}
-        for s in slices
-    ]
+    return _without_digit_limit(
+        lambda slices: [
+            {"job": s.job, "start": _rational_str(s.start), "end": _rational_str(s.end)}
+            for s in slices
+        ],
+        slices,
+    )
 
 
 def slices_from_dicts(records) -> tuple[Slice, ...]:
     """Inverse of slices_to_dicts."""
-    return tuple(
-        Slice(int(s["job"]), Fraction(s["start"]), Fraction(s["end"]))
-        for s in records
+    return _without_digit_limit(
+        lambda records: tuple(
+            Slice(int(s["job"]), Fraction(s["start"]), Fraction(s["end"])) for s in records
+        ),
+        records,
     )
 
 

@@ -21,7 +21,15 @@ from .core import (
     objective,
     to_rational,
 )
-from .simulator import BudgetExceeded, _event_search, _integer_scaled, _run, _timeline
+from .simulator import (
+    BudgetExceeded,
+    _event_search,
+    _integer_scaled,
+    _ratio_key,
+    _run,
+    _schedule,
+    _timeline,
+)
 
 #: Hard job-count cap for the subset DP (2^n table).
 MAX_BRUTEFORCE_JOBS = 16
@@ -54,11 +62,14 @@ def priority_schedule(instance: Instance, order) -> Schedule:
         raise ValueError("order must be a permutation of the instance's job ids")
     timeline = _timeline(instance)
     pos = {jid: k for k, jid in enumerate(order)}
-    rank = [pos[j.id] for j in timeline.jobs]
-    return _run(
+    return _list_schedule(timeline, [pos[j.id] for j in timeline.jobs])
+
+
+def _list_schedule(timeline, rank: list[int]) -> Schedule:
+    """Run, at every event, the released job of smallest ``rank[k]``."""
+    return _schedule(
         timeline,
-        lambda k, _: rank[k],
-        lambda now, new, running, rem, top_key, top: top,
+        _run(timeline, lambda k, _: rank[k], lambda now, new, running, rem, top_key, top: top),
     )
 
 
@@ -121,14 +132,17 @@ def structured_optimal(instance: Instance) -> OptimalResult:
     """
     if instance.tags.get("family") not in ("basic", "nested"):
         raise ValueError("instance was not produced by a generator (no family tag)")
-    order = [
-        j.id
-        for j in sorted(
-            instance.jobs,
-            key=lambda j: (-j.ratio, j.processing, j.release, j.id),
-        )
-    ]
-    schedule = priority_schedule(instance, order)
+    # (-ratio, processing, release, id) on the integer grid: jobs are
+    # indices in id order, and _ratio_key ranks w/p exactly.
+    timeline = _timeline(instance)
+    ranked = sorted(
+        (*_ratio_key(j.weight, p), p, r, k)
+        for k, (j, p, r) in enumerate(zip(timeline.jobs, timeline.procs, timeline.releases))
+    )
+    rank = [0] * len(ranked)
+    for pos, entry in enumerate(ranked):
+        rank[entry[-1]] = pos
+    schedule = _list_schedule(timeline, rank)
     return OptimalResult(schedule, objective(schedule, instance), "structured")
 
 

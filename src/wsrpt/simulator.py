@@ -6,10 +6,13 @@ under every supported policy, so no preemption can trigger mid-slice.
 Equality instances make *every* release a tie, which is why selection is
 exact and ties are resolved by an explicit rule or script.  The single-path
 engine selects on scaled integers: times are multiplied once by the lcm of
-the release and processing denominators, a WSRPT or WSPT key is the reduced
-pair (weight numerator, weight denominator times remaining work) compared
-by cross-multiplying, and Fractions are built only for the returned slices
-and the equality audit's reports.
+the release and processing denominators, and a WSRPT or WSPT key is the
+ratio's correctly rounded float followed by its reduced pair (weight
+numerator, weight denominator times remaining work).  Rounding is monotone,
+so the float settles every order it can and never contradicts the exact
+one; two ratios with equal floats are compared by cross-multiplying the
+pairs.  Fractions are built only for the returned slices and the equality
+audit's reports.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 from .core import (
@@ -85,6 +88,23 @@ class _Ratio(tuple):
         return self[0] * other[1] > other[0] * self[1]
 
 
+def _ratio_key(weight: Fraction, work: int) -> tuple[float, _Ratio]:
+    """Rank of the ratio weight/work (smaller runs first): ``(-f, pair)``.
+
+    ``pair`` is the ratio as a reduced ``_Ratio`` and ``f`` its correctly
+    rounded float, or inf past the float range.  Rounding is monotone, so
+    ``f`` never orders two ratios against their exact order; equal floats
+    fall through to the pair, and equal ratios give equal keys.
+    """
+    g = gcd(weight.numerator, work)
+    num, den = weight.numerator // g, weight.denominator * (work // g)
+    try:
+        f = num / den
+    except OverflowError:
+        f = inf
+    return -f, _Ratio((num, den))
+
+
 def _scaled_times(jobs) -> tuple[list[int], list[int], int]:
     """``(releases, procs, den_t)``: the jobs' times as ints in units of 1/den_t.
 
@@ -132,11 +152,11 @@ def simulate(
     timeline = _timeline(instance)
     if script is None:
         script = instance.tie_script
-    return _run(timeline, *_policy(timeline, policy, tie, script))
+    return _schedule(timeline, _run(timeline, *_policy(timeline, policy, tie, script)))
 
 
-def _run(timeline: _Timeline, key, choose) -> Schedule:
-    """The event loop behind every single-path schedule.
+def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
+    """The event loop behind every single-path schedule: its runs.
 
     Runs on the integer grid of ``timeline``: a job is its index k, and
     times and remaining work are ints in units of 1/den_t.  ``key(k, rem)``
@@ -146,8 +166,9 @@ def _run(timeline: _Timeline, key, choose) -> Schedule:
     ``new`` are the jobs released at ``now``, ``running`` is the unfinished
     job that ran up to ``now`` (else None), ``rem`` holds every job's
     remaining work, and ``top`` is the smallest index among the released
-    jobs of minimal rank ``top_key``.  Fractions are built only for the
-    returned slices, one per distinct time.
+    jobs of minimal rank ``top_key``.  Returns the runs ``[k, start, end]``
+    on the grid, adjacent runs of a job fused; ``_schedule`` turns them
+    into slices.
     """
     groups: dict[int, list[int]] = {}
     for k, r in enumerate(timeline.releases):
@@ -207,7 +228,11 @@ def _run(timeline: _Timeline, key, choose) -> Schedule:
         else:
             unfinished -= 1
             running = None
+    return runs
 
+
+def _schedule(timeline: _Timeline, runs: list[list[int]]) -> Schedule:
+    """The schedule of ``_run``'s runs; one Fraction per distinct time."""
     times: dict[int, Fraction] = {}
 
     def at(t: int) -> Fraction:
@@ -223,25 +248,23 @@ def _run(timeline: _Timeline, key, choose) -> Schedule:
 def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
 
-    ``policy_key`` on the integer grid.  WSRPT ranks by the ratio w/rem as a
-    ``_Ratio`` (the common factor den_t left out), WSPT by the same pair at
-    full processing time and SRPT by ``rem`` itself.  ``script`` is the tie
+    ``policy_key`` on the integer grid.  WSRPT ranks by ``_ratio_key`` of
+    w/rem (the common factor den_t left out), WSPT by the same key at full
+    processing time and SRPT by ``rem`` itself.  ``script`` is the tie
     script SCRIPTED follows; its entries off the grid match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
     jobs, den_t = timeline.jobs, timeline.den_t
 
-    def ratio(k: int, rem: int) -> _Ratio:
-        w = jobs[k].weight
-        g = gcd(w.numerator, rem)
-        return _Ratio((w.numerator // g, w.denominator * (rem // g)))
-
     if policy is Policy.WSRPT:
-        key = ratio
-    elif policy is Policy.WSPT_PREEMPTIVE:
-        static = [ratio(k, p) for k, p in enumerate(timeline.procs)]
+        weights = [j.weight for j in jobs]
 
-        def key(k: int, rem: int) -> _Ratio:
+        def key(k: int, rem: int) -> tuple[float, _Ratio]:
+            return _ratio_key(weights[k], rem)
+    elif policy is Policy.WSPT_PREEMPTIVE:
+        static = [_ratio_key(j.weight, p) for j, p in zip(jobs, timeline.procs)]
+
+        def key(k: int, rem: int) -> tuple[float, _Ratio]:
             return static[k]
     elif policy is Policy.SRPT:
 
@@ -449,8 +472,9 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
     def ids(indices: list[int]) -> list[int]:
         return [jobs[k].id for k in indices]
 
-    def unscaled(ratio: _Ratio) -> Fraction:
-        return Fraction(ratio[0] * den_t, ratio[1])
+    def unscaled(rank: tuple[float, _Ratio]) -> Fraction:
+        num, den = rank[1]
+        return Fraction(num * den_t, den)
 
     def audited(now, new, running, rem, top_key, top) -> int:
         # Every release group is decided at its own instant; ``running`` is

@@ -1,10 +1,11 @@
 """Domain types: exact conversion, schedules, and the objective."""
 
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wsrpt.core import (
     Instance,
@@ -18,6 +19,7 @@ from wsrpt.core import (
     smith_ratio,
     to_rational,
 )
+from wsrpt.simulator import simulate
 
 from conftest import small_instances
 
@@ -62,6 +64,40 @@ class TestToRational:
         assert len(text) > 10_000
         assert to_rational(text) == x
         assert limit() == before
+
+
+    @given(st.text(alphabet="0123456789/-+_.e \u0663", max_size=12))
+    @settings(max_examples=500)
+    def test_strings_read_as_fraction_reads_them(self, text):
+        # An exponent of four or more digits would make Fraction build a
+        # huge power; shorter ones cover the same grammar.
+        assume(not re.search(r"e[-+]?[\d_]{4}", text))
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError, match="not a rational numeral"):
+                to_rational(text)
+        else:
+            assert to_rational(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("-0", Fraction(0)),
+            ("007/021", Fraction(1, 3)),
+            ("-12/8", Fraction(-3, 2)),
+            ("\u0663/4", Fraction(3, 4)),
+            (" 5/7 ", Fraction(5, 7)),
+            ("1_000", Fraction(1000)),
+        ],
+    )
+    def test_plain_and_fallback_numerals(self, text, value):
+        assert to_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1/0", "-5/0", "--1", "1/-2", "1/", "/2", "", "-"])
+    def test_malformed_numerals_rejected(self, text):
+        with pytest.raises(ValueError, match="not a rational numeral"):
+            to_rational(text)
 
 
 class TestJob:
@@ -167,6 +203,60 @@ class TestSchedule:
         assert sched.executed(0, Fraction(2)) == 1
         assert sched.remaining(inst.job(0), Fraction(2)) == 1
 
+    @pytest.mark.parametrize(
+        "slices, message",
+        [
+            ((), "schedule has no slices"),
+            (((5, 0, 1),), "slice references unknown job 5"),
+            (((0, 0, 1), (1, Fraction(1, 2), Fraction(3, 2))), "overlapping slices at 1/2"),
+            (((1, 0, 1), (0, 1, 2)), "job 1 runs before its release"),
+            (((0, 0, Fraction(2, 3)), (1, 1, 2)), "job 0 executes 2/3 of 1"),
+            (((0, 0, 1),), "job 1 executes 0 of 1"),
+        ],
+    )
+    def test_validate_error_texts(self, slices, message):
+        inst = Instance((Job(0, 0, 1, 1), Job(1, Fraction(1, 3), 1, 1)))
+        sched = Schedule(Slice(*s) for s in slices)
+        with pytest.raises(ValueError) as err:
+            sched.validate(inst)
+        assert str(err.value) == message
+
+    @given(
+        small_instances(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["start", "end", "drop", "relabel"]),
+                st.integers(min_value=0, max_value=20),
+                st.sampled_from([Fraction(-1, 3), Fraction(-1, 7), Fraction(1, 5), Fraction(1, 2)]),
+            ),
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_validate_matches_the_fraction_reference(self, instance, edits):
+        slices = list(simulate(instance).slices)
+        for kind, i, d in edits:
+            if not slices:
+                break
+            i %= len(slices)
+            s = slices[i]
+            if kind == "drop":
+                del slices[i]
+            elif kind == "relabel":
+                slices[i] = Slice(s.job + int(d * 10), s.start, s.end)
+            elif kind == "start" and s.start + d < s.end:
+                slices[i] = Slice(s.job, s.start + d, s.end)
+            elif kind == "end" and s.start < s.end + d:
+                slices[i] = Slice(s.job, s.start, s.end + d)
+        sched = Schedule(slices)
+        expected = reference_validate(sched, instance)
+        if expected is None:
+            sched.validate(instance)
+        else:
+            with pytest.raises(ValueError) as err:
+                sched.validate(instance)
+            assert str(err.value) == expected
+
     def test_validate_rejects_overlap(self):
         inst = Instance((Job(0, 0, 1, 1), Job(1, 0, 1, 1)))
         bad = Schedule(
@@ -189,6 +279,28 @@ class TestSchedule:
         bad = Schedule((Slice(0, Fraction(0), Fraction(1)),))
         with pytest.raises(ValueError):
             bad.validate(inst)
+
+
+def reference_validate(schedule, instance):
+    """``Schedule.validate`` on Fractions: its error text, or None."""
+    if not schedule.slices:
+        return "schedule has no slices"
+    jobs = {j.id: j for j in instance.jobs}
+    prev_end = None
+    total = {jid: Fraction(0) for jid in jobs}
+    for s in schedule.slices:
+        if s.job not in jobs:
+            return f"slice references unknown job {s.job}"
+        if prev_end is not None and s.start < prev_end:
+            return f"overlapping slices at {s.start}"
+        if s.start < jobs[s.job].release:
+            return f"job {s.job} runs before its release"
+        total[s.job] += s.length
+        prev_end = s.end
+    for jid, job in jobs.items():
+        if total[jid] != job.processing:
+            return f"job {jid} executes {total[jid]} of {job.processing}"
+    return None
 
 
 def test_merge_slices_joins_adjacent_same_job():

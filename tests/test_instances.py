@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -21,6 +22,8 @@ from wsrpt.instances import (
     instance_from_dict,
     instance_to_dict,
     read_instance,
+    slices_from_dicts,
+    slices_to_dicts,
     write_instance,
 )
 from wsrpt.simulator import Policy, TieRule, is_equality_instance, simulate
@@ -229,6 +232,35 @@ class TestFileIO:
     def test_missing_field_errors(self):
         with pytest.raises(KeyError):
             instance_from_dict({"jobs": [{"id": 0, "r": "0", "p": "1"}]})
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_digit_limit_lifted_once_per_document(self, monkeypatch):
+        # One lift and one restore per document, not per value, and the
+        # limit in force is back in place afterwards.
+        inst = gen_basic(ScenarioParams(y=Fraction(1, 2), v=Fraction(3, 10), delta=Fraction(1, 10)))
+        sched = simulate(inst, tie=TieRule.SCRIPTED)
+        before = sys.get_int_max_str_digits()
+        calls = []
+        lift = sys.set_int_max_str_digits
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: (calls.append(n), lift(n)))
+        payload = instance_to_dict(inst)
+        assert calls == [0, before]
+        assert instance_from_dict(payload).jobs == inst.jobs
+        assert calls == [0, before] * 2
+        assert slices_to_dicts(sched.slices)[0] == {"job": 0, "start": "0", "end": "1"}
+        assert calls == [0, before] * 3
+        assert sys.get_int_max_str_digits() == before
+
+    def test_values_past_the_digit_limit_round_trip(self):
+        huge = Fraction(10**5000 + 1, 3**11000)
+        inst = Instance((Job(0, huge, 1, huge), Job(1, 0, huge, 1)), tie_script=((huge, 0),))
+        back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+        assert back.jobs == inst.jobs
+        assert back.tie_script == inst.tie_script
+        sched = simulate(inst)
+        assert slices_from_dicts(json.loads(json.dumps(slices_to_dicts(sched)))) == sched.slices
 
     def test_to_dict_round_trip(self):
         inst = gen_random(Random(3), 4)

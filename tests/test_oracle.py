@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import wsrpt.simulator
 from wsrpt import _backend
 from wsrpt.core import Instance, Job, objective
-from wsrpt.instances import ScenarioParams, gen_basic, gen_random
+from wsrpt.instances import NestedParams, ScenarioParams, gen_basic, gen_nested, gen_random
 from wsrpt.oracle import (
     closed_pair_optimal,
     optimal_bruteforce,
@@ -269,6 +269,25 @@ class TestTimeIndexedDP:
             )
 
 
+def _relisted(inst):
+    """The same jobs listed in reverse with reversed ids, tags kept."""
+    n = len(inst.jobs)
+    return Instance(
+        tuple(Job(n - 1 - j.id, j.release, j.processing, j.weight) for j in reversed(inst.jobs)),
+        tags=dict(inst.tags),
+    )
+
+
+def _assert_fraction_key_order(inst):
+    """structured_optimal runs the list of the Fraction key
+    (-ratio, processing, release, id)."""
+    old = sorted(inst.jobs, key=lambda j: (-j.ratio, j.processing, j.release, j.id))
+    expected = priority_schedule(inst, [j.id for j in old])
+    result = structured_optimal(inst)
+    assert result.schedule == expected
+    assert result.objective == objective(expected, inst)
+
+
 class TestStructuredOptimal:
     def test_requires_generated_instance(self):
         with pytest.raises(ValueError):
@@ -282,6 +301,53 @@ class TestStructuredOptimal:
         assert result.method == "structured"
         assert result.objective == optimal_bruteforce(inst).objective
         assert objective(result.schedule, inst) == result.objective
+
+    @pytest.mark.parametrize("relist", [False, True])
+    @pytest.mark.parametrize(
+        "family, delta",
+        [
+            ("basic", Fraction(1, 7)),
+            ("basic", Fraction(1, 100)),
+            ("basic", Fraction(1, 1000)),
+            ("ramp", Fraction(1, 50)),
+            ("nested", Fraction(1, 20)),
+            ("nested", Fraction(1, 100)),
+        ],
+    )
+    def test_order_is_the_fraction_key(self, family, delta, relist):
+        # Relisted instances reverse both the listing and the ids, so equal
+        # pieces break their ties the other way round.
+        point = ScenarioParams(y=Fraction(8157, 10000), v=Fraction(7066, 10000), delta=delta)
+        if family == "basic":
+            inst = gen_basic(point)
+        elif family == "ramp":
+            inst = gen_basic(ScenarioParams(y=Fraction(3, 5), v=Fraction(1, 5), z=Fraction(1, 3), delta=delta))
+        else:
+            outer = ScenarioParams(y=Fraction(1, 2), v=Fraction(1, 2), delta=delta)
+            inner = ScenarioParams(y=Fraction(2, 5), v=Fraction(1, 5), z=Fraction(1, 4), delta=delta)
+            inst = gen_nested(NestedParams(outer=outer, r_s=Fraction(3, 10), p_s=Fraction(50), inner=inner))
+        _assert_fraction_key_order(_relisted(inst) if relist else inst)
+
+    @pytest.mark.parametrize("relist", [False, True])
+    def test_order_is_the_fraction_key_at_the_float_edges(self, relist):
+        # Equal ratios with processing and release in opposite orders, and
+        # distinct ratios that round to one float or overflow it.
+        big = 10**400
+        inst = Instance(
+            (
+                Job(0, 2, 1, 1),
+                Job(1, 0, 2, 2),
+                Job(2, 1, 3, 3),
+                Job(3, 0, 1, 1 + Fraction(1, 2**60)),
+                Job(4, 3, 2, 2 + Fraction(1, 2**59)),
+                Job(5, 1, 1, big),
+                Job(6, 0, 2, 2 * big + 1),
+                Job(7, 2, 1, Fraction(1, big)),
+                Job(8, 0, 1, 0),
+            ),
+            tags={"family": "basic"},
+        )
+        _assert_fraction_key_order(_relisted(inst) if relist else inst)
 
     def test_floor_only_objective_near_closed_form(self):
         # C* for the floor-only family at y=0.10 approaches 1.1054 as the

@@ -2,6 +2,7 @@
 segments, and the splitting transformation."""
 
 import heapq
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from wsrpt.simulator import (
     Policy,
     TieRule,
     _exhaustive_worst,
+    _ratio_key,
     is_equality_instance,
     policy_key,
     segments,
@@ -211,8 +213,100 @@ class TestSimulate:
         assert objective(sched, flat) == optimal_objective(flat)
 
 
+#: Ratios at the edges of the engine's float prefix, each with the larger
+#: ratio at the larger id, so a rank that stopped at the float would pick
+#: the wrong job: ratios past the float range, ratios that underflow to 0.0
+#: beside a zero weight, and ratios 2^-60 apart that round to one float.
+FLOAT_EDGES = {
+    "overflow": Instance(
+        (
+            Job(0, 0, 2, 10**400),
+            Job(1, 0, 1, 10**400),
+            Job(2, 0, 1, 10**400 + 1),
+            Job(3, Fraction(1, 2), 1, 10**300),
+            Job(4, Fraction(1, 2), 3, 3 * 10**400 + 1),
+        )
+    ),
+    "underflow": Instance(
+        (
+            Job(0, 0, 1, 0),
+            Job(1, 0, 1, Fraction(1, 10**400)),
+            Job(2, 0, 1, Fraction(2, 10**400)),
+            Job(3, Fraction(1, 2), 2, Fraction(3, 10**400)),
+            Job(4, Fraction(1, 2), 1, 0),
+        )
+    ),
+    "equal-floats": Instance(
+        (
+            Job(0, 0, 1, 1),
+            Job(1, 0, 1, 1 + Fraction(1, 2**60)),
+            Job(2, Fraction(1, 2), 2, 2 + Fraction(1, 2**59)),
+            Job(3, 0, 2, 2),
+            Job(4, Fraction(1, 2), 1, 2 - Fraction(1, 2**60)),
+        )
+    ),
+}
+
+
+def _weights_near(base: Fraction):
+    """Weights 2^-60 (relative) around ``base``: distinct, one float apart at most."""
+    return st.integers(min_value=-3, max_value=3).map(lambda d: base * (1 + Fraction(d, 2**60)))
+
+
+#: Weights across the whole float range and past both of its ends.
+WIDE_WEIGHTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**70)),
+    st.builds(
+        lambda num, exp: Fraction(num) * Fraction(10) ** exp,
+        st.integers(1, 10**6),
+        st.integers(-420, 420),
+    ),
+)
+
+
+class TestRatioKey:
+    """The float prefix never decides an order against the exact one."""
+
+    @given(
+        WIDE_WEIGHTS.flatmap(lambda w: st.tuples(st.just(w), _weights_near(w))),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_orders_as_the_exact_ratio(self, weights, p, q, same_work):
+        w, v = weights
+        q = p if same_work else q
+        a, b = _ratio_key(w, p), _ratio_key(v, q)
+        assert (a < b) == (w / p > v / q)
+        assert (a == b) == (w / p == v / q)
+
+    @pytest.mark.parametrize(
+        "weight, prefix",
+        [
+            (Fraction(10**400), -math.inf),
+            (Fraction(1, 10**400), -0.0),
+            (Fraction(0), -0.0),
+            (1 + Fraction(1, 2**60), -1.0),
+        ],
+    )
+    def test_prefix_is_the_rounded_float(self, weight, prefix):
+        key = _ratio_key(weight, 1)
+        assert key[0] == prefix
+        assert Fraction(*key[1]) == weight
+
+
 class TestAgainstReference:
     """The integer engine gives the Fraction-level reference's slices."""
+
+    @pytest.mark.parametrize("name", FLOAT_EDGES)
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("tie", FIXED_TIES)
+    def test_float_prefix_edges(self, name, policy, tie):
+        instance = FLOAT_EDGES[name]
+        expected = reference_slices(instance, _policy_key(policy), tie)
+        assert simulate(instance, policy=policy, tie=tie).slices == expected
 
     @given(SCRAMBLED, st.sampled_from(list(Policy)), st.sampled_from(FIXED_TIES))
     @settings(max_examples=150, deadline=None)
@@ -390,6 +484,41 @@ class TestEqualityInstance:
     def test_release_at_completion_interrupts_nothing(self):
         inst = Instance((Job(0, 0, 1, 1), Job(1, 1, 1, 2)))
         assert is_equality_instance(inst).violations == []
+
+    @pytest.mark.parametrize(
+        "weights, distinct",
+        [
+            ((1, 1 + Fraction(1, 2**60)), True),
+            ((10**400, 10**400 + 1), True),
+            ((Fraction(1, 10**400), 0), True),
+            ((10**400, 10**400), False),
+            ((Fraction(1, 10**400), Fraction(1, 10**400)), False),
+            ((0, 0), False),
+        ],
+    )
+    def test_co_released_ratios_at_the_float_edges(self, weights, distinct):
+        inst = Instance(tuple(Job(k, 0, 1, w) for k, w in enumerate(weights)))
+        expected = [(0, "co-released jobs [0, 1] have distinct ratios")] if distinct else []
+        assert is_equality_instance(inst).violations == expected
+
+    @pytest.mark.parametrize(
+        "scale, arrival, tied",
+        [
+            (1, 2, True),
+            (1, 2 + Fraction(1, 2**59), False),
+            (10**400, 2 * 10**400, True),
+            (10**400, 2 * 10**400 + 1, False),
+            (Fraction(1, 10**400), Fraction(2, 10**400), True),
+            (Fraction(1, 10**400), 0, False),
+        ],
+    )
+    def test_running_job_at_the_float_edges(self, scale, arrival, tied):
+        # Job 0 has 1 of 2 left at t = 1, so its ratio is 2 * scale.
+        inst = Instance((Job(0, 0, 2, 2 * scale), Job(1, 1, 1, arrival)))
+        expected = [] if tied else [
+            (1, f"jobs [1] (ratio {Fraction(arrival)}) vs running job 0 (ratio {2 * scale})")
+        ]
+        assert is_equality_instance(inst).violations == expected
 
     def test_release_onto_idle_machine(self):
         # t=2 finds the machine idle; only the arrival at 5/2, which meets
