@@ -122,9 +122,16 @@ def _out_path(args: argparse.Namespace, default_name: str | None = None):
 
 
 def _show(value, exact: bool) -> str:
+    """A value as its exact numeral with ``exact``, else as its float.
+
+    Every value shown is nonnegative, so one past the float range is inf.
+    """
     if exact and isinstance(value, Fraction):
         return rational_str(value)
-    return repr(float(value))
+    try:
+        return repr(float(value))
+    except OverflowError:
+        return "inf"
 
 
 def _write_schedule(schedule: Schedule, instance: Instance, path) -> None:

@@ -10,15 +10,13 @@ exactly 1.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 from .core import Instance, objective, rational_str
-from .instances import RANDOM_KINDS, gen_random, instance_to_dict, write_instance
+from .instances import RANDOM_KINDS, gen_random, write_instance
 from .oracle import MAX_BRUTEFORCE_JOBS, optimal_objective
 from .simulator import BudgetExceeded, Policy, TieRule, simulate
 
@@ -63,13 +61,6 @@ class FuzzReport:
             raise ValueError("worst ratio fell below 1")
 
 
-def instance_digest(instance: Instance) -> str:
-    """Stable content hash of an instance; among instances with equal
-    ratios, the one with the largest digest becomes the certificate."""
-    payload = json.dumps(instance_to_dict(instance), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def evaluate_instance(instance: Instance) -> Fraction | None:
     """Worst-tie simulated objective over the brute-force optimum.
 
@@ -91,10 +82,11 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
 
     Instances cycle through the three kinds and are fully determined by
     ``seed``, so reruns reproduce the same trials.  When ``out_dir`` is
-    given, the worst general-class instance is written there as a
-    replayable certificate carrying its expected ratio in a tag.  Raises
-    EnvelopeBreach if any ratio exceeds 1.2259 + 1e-6, and AssertionError
-    if a structured-class ratio departs from exactly 1.
+    given, the worst general-class instance (the earliest trial among
+    equally bad ones) is written there as a replayable certificate
+    carrying its expected ratio in a tag.  Raises EnvelopeBreach if any
+    ratio exceeds 1.2259 + 1e-6, and AssertionError if a structured-class
+    ratio departs from exactly 1.
     """
     if n_max > MAX_BRUTEFORCE_JOBS:
         raise ValueError(
@@ -110,7 +102,7 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
     counts = {kind: 0 for kind in RANDOM_KINDS}
     skipped = {kind: 0 for kind in RANDOM_KINDS}
     at_optimum = {kind: 0 for kind in RANDOM_KINDS}
-    worst: dict[str, tuple[Fraction, str, Instance] | None] = {
+    worst: dict[str, tuple[Fraction, Instance] | None] = {
         kind: None for kind in RANDOM_KINDS
     }
     for i in range(trials):
@@ -130,9 +122,8 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
             )
         if ratio == 1:
             at_optimum[kind] += 1
-        key = (ratio, instance_digest(instance))
-        if worst[kind] is None or key > (worst[kind][0], worst[kind][1]):
-            worst[kind] = (ratio, key[1], instance)
+        if worst[kind] is None or ratio > worst[kind][0]:
+            worst[kind] = (ratio, instance)
 
     classes = {
         kind: ClassStats(
@@ -148,7 +139,7 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
     certificate_path = None
     if worst["general"] is not None:
         if out_dir is not None:
-            ratio, _, instance = worst["general"]
+            ratio, instance = worst["general"]
             tagged = Instance(
                 instance.jobs,
                 tie_script=instance.tie_script,
@@ -174,5 +165,4 @@ __all__ = [
     "FuzzReport",
     "evaluate_instance",
     "fuzz",
-    "instance_digest",
 ]

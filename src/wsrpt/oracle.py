@@ -24,9 +24,10 @@ from .core import (
 from .simulator import (
     BudgetExceeded,
     _event_search,
-    _integer_scaled,
     _ratio_key,
     _run,
+    _scaled_times,
+    _scaled_weights,
     _schedule,
     _timeline,
 )
@@ -92,7 +93,8 @@ def _subset_optimum(instance: Instance, max_n: int) -> tuple[Fraction, tuple[int
             f"instance has {n} jobs; exact search is capped at "
             f"{min(max_n, MAX_BRUTEFORCE_JOBS)}"
         )
-    releases, procs, weights, den_t, den_w = _integer_scaled(instance.jobs)
+    releases, procs, den_t = _scaled_times(instance.jobs)
+    weights, den_w = _scaled_weights(instance.jobs)
     cost, order_idx = _backend.subset_dp(releases, procs, weights, n)
     order = tuple(instance.jobs[i].id for i in order_idx)
     return Fraction(cost, den_t * den_w), order
@@ -106,18 +108,19 @@ def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
     and completions.  So the optimum is a path of ``_event_search`` moves,
     each running one available job until it completes or the next release.
     Available jobs of equal weight and remaining work are interchangeable,
-    so one job per such class branches.  The limits of
-    ``simulator._memo_search`` raise BudgetExceeded.
+    so one job per such class branches.  The search's limits raise
+    BudgetExceeded: more than MAX_SEARCH_DEPTH jobs up front, more than
+    CELLS // n memo states, or a path deeper than MAX_SEARCH_DEPTH moves.
     """
 
-    def one_per_class(available, rem, weights, procs):
+    def one_per_class(available, rem, weights):
         classes = {}
         for k in available:
             classes.setdefault((weights[k], rem[k]), k)
         return classes.values()
 
-    obj, slices = _event_search(instance, one_per_class, -1, "time-indexed DP")
-    return OptimalResult(Schedule(slices), obj, "dp-timeindexed")
+    obj, schedule = _event_search(_timeline(instance), one_per_class, -1, "time-indexed DP")
+    return OptimalResult(schedule, obj, "dp-timeindexed")
 
 
 def structured_optimal(instance: Instance) -> OptimalResult:

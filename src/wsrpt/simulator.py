@@ -30,7 +30,6 @@ from .core import (
     Job,
     Schedule,
     Slice,
-    merge_slices,
     to_rational,
 )
 
@@ -61,7 +60,7 @@ CELLS = 4_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a memoized search outgrows the limit rule of ``_memo_search``."""
+    """Raised when a memoized search outgrows the limit rule of ``_event_search``."""
 
 
 def policy_key(policy: Policy, job: Job, remaining: Fraction) -> Fraction:
@@ -117,6 +116,13 @@ def _scaled_times(jobs) -> tuple[list[int], list[int], int]:
     return releases, procs, den_t
 
 
+def _scaled_weights(jobs) -> tuple[list[int], int]:
+    """``(weights, den_w)``: the jobs' weights as ints in units of 1/den_w."""
+    den_w = lcm(*(j.weight.denominator for j in jobs))
+    weights = [j.weight.numerator * (den_w // j.weight.denominator) for j in jobs]
+    return weights, den_w
+
+
 class _Timeline(NamedTuple):
     """An instance on its integer time grid; job k has the k-th smallest id."""
 
@@ -147,8 +153,7 @@ def simulate(
     choices, ties go to the smallest job id.
     """
     if tie is TieRule.EXHAUSTIVE_WORST:
-        _, slices = _exhaustive_worst(instance, policy)
-        return Schedule(slices)
+        return _exhaustive_worst(instance, policy)[1]
     timeline = _timeline(instance)
     if script is None:
         script = instance.tie_script
@@ -315,120 +320,94 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
 _PATH_END = (0, None, None)
 
 
-def _memo_search(start, moves, jobs: int, what: str):
-    """Highest-value path from ``start``: ``(value, steps)``.
+def _event_search(timeline: _Timeline, leaders, sign: int, what: str):
+    """The one memoized search: ``(objective, schedule)`` of its best path.
 
-    ``moves(state)`` yields ``(gain, step, next_state)`` in preference
-    order; a state with no moves ends the path at value 0.  Each state's
-    best continuation is computed once, and only a strictly higher value
-    replaces the incumbent, so among equal moves the first one wins.  A
-    memo entry is ``(value, step, continuation)``: it links to the entry of
-    the rest of the path instead of copying it, and the path is read off
-    those links at the end, leaving out ``None`` steps (moves that only
-    let time pass).  ``jobs`` is the instance's job count; each job's
-    completion takes a move of its own.  More jobs than MAX_SEARCH_DEPTH
-    are refused up front, and more than CELLS // ``jobs`` distinct states
-    or a path of more than MAX_SEARCH_DEPTH moves raise BudgetExceeded
-    naming ``what``.
+    Runs on the integer grid of ``timeline``, weights scaled to ints too.
+    A state is (time, remaining work of each job index): a run's future
+    depends on nothing else, so each state's best continuation is computed
+    once.  A move runs one available job until it completes or the next
+    release; with no job available, time jumps to the next release, a move
+    that leaves no slice.  ``leaders(available, rem, weights)`` picks, in
+    preference order, the jobs a move may run.  A completion at ``end``
+    gains ``sign * w * end``, so the search finds the worst objective for
+    ``sign`` = 1 and the best for -1; only a strictly higher value replaces
+    the incumbent, so among equal moves the first one wins.
+
+    A memo entry is ``(value, step, continuation)``: it links to the entry
+    of the rest of the path instead of copying it, and the path's steps are
+    fused into runs, as ``_run`` fuses them, off those links at the end.
+    Each job's completion takes a move of its own, so more jobs than
+    MAX_SEARCH_DEPTH are refused up front; more than CELLS // n distinct
+    states or a path of more than MAX_SEARCH_DEPTH moves raise
+    BudgetExceeded naming ``what``.
     """
-    if jobs > MAX_SEARCH_DEPTH:
+    n = len(timeline.jobs)
+    if n > MAX_SEARCH_DEPTH:
         raise BudgetExceeded(
-            f"{what} needs a search depth of at least {jobs} (one per job); "
+            f"{what} needs a search depth of at least {n} (one per job); "
             f"the limit is {MAX_SEARCH_DEPTH}"
         )
-    budget = CELLS // jobs
+    budget = CELLS // n
+    releases = timeline.releases
+    weights, den_w = _scaled_weights(timeline.jobs)
+    times = sorted(set(releases))
     memo: dict = {}
 
-    def solve(state, depth: int) -> tuple:
-        entry = memo.get(state)
+    def solve(now: int, rem: tuple, depth: int) -> tuple:
+        entry = memo.get((now, rem))
         if entry is not None:
             return entry
         if len(memo) >= budget:
             raise BudgetExceeded(f"{what} exceeded {budget} states")
-        entry = _PATH_END
-        for gain, step, nxt in moves(state):
-            if depth == MAX_SEARCH_DEPTH:
-                raise BudgetExceeded(
-                    f"{what} exceeded search depth {MAX_SEARCH_DEPTH}"
-                )
-            rest = solve(nxt, depth + 1)
-            value = gain + rest[0]
-            if entry is _PATH_END or value > entry[0]:
-                entry = (value, step, rest)
-        memo[state] = entry
-        return entry
-
-    entry = solve(start, 0)
-    value, steps = entry[0], []
-    while entry is not _PATH_END:
-        if entry[1] is not None:
-            steps.append(entry[1])
-        entry = entry[2]
-    return value, steps
-
-
-def _integer_scaled(jobs):
-    """Clear denominators: (releases, procs, weights as ints, den_t, den_w)."""
-    releases, procs, den_t = _scaled_times(jobs)
-    den_w = lcm(*(j.weight.denominator for j in jobs))
-    weights = [j.weight.numerator * (den_w // j.weight.denominator) for j in jobs]
-    return releases, procs, weights, den_t, den_w
-
-
-def _event_search(instance: Instance, leaders, sign: int, what: str):
-    """The move rule of both memoized searches: ``(objective, slices)``.
-
-    Works on integer-scaled data.  A state is (time, remaining work in id
-    order): a run's future depends on nothing else, so ``_memo_search``
-    scores each state's continuation once.  A move runs one available job
-    until it completes or the next release, and with no job available time
-    jumps to the next release.
-
-    ``leaders(available, rem, weights, procs)`` picks, in preference order,
-    the jobs a move may run; jobs are indices in id order.  A completion at
-    ``end`` gains ``sign * w * end``, so ``_memo_search`` finds the worst
-    objective for ``sign`` = 1 and the best for -1, naming ``what`` when a
-    limit is exceeded.
-    """
-    jobs = sorted(instance.jobs, key=lambda j: j.id)
-    releases, procs, weights, den_t, den_w = _integer_scaled(jobs)
-    times = sorted(set(releases))
-    n = len(jobs)
-
-    def moves(state):
-        now, rem = state
         i = bisect_right(times, now)
         available = [k for k in range(n) if rem[k] and releases[k] <= now]
-        if not available and i < len(times):
-            yield 0, None, (times[i], rem)  # idle until the next release
-            return
-        for k in leaders(available, rem, weights, procs):
-            end = now + rem[k]
-            if i < len(times) and times[i] < end:
-                end = times[i]
-            left = rem[k] - (end - now)
-            gain = sign * weights[k] * end if left == 0 else 0
-            yield gain, (k, now, end), (end, rem[:k] + (left,) + rem[k + 1 :])
+        if depth == MAX_SEARCH_DEPTH and (available or i < len(times)):
+            raise BudgetExceeded(f"{what} exceeded search depth {MAX_SEARCH_DEPTH}")
+        entry = _PATH_END
+        if available:
+            for k in leaders(available, rem, weights):
+                end = now + rem[k]
+                if i < len(times) and times[i] < end:
+                    end = times[i]
+                left = rem[k] - (end - now)
+                rest = solve(end, rem[:k] + (left,) + rem[k + 1 :], depth + 1)
+                value = rest[0] if left else rest[0] + sign * weights[k] * end
+                if entry is _PATH_END or value > entry[0]:
+                    entry = (value, (k, now, end), rest)
+        elif i < len(times):
+            rest = solve(times[i], rem, depth + 1)  # idle until the next release
+            entry = (rest[0], None, rest)
+        memo[now, rem] = entry
+        return entry
 
-    value, steps = _memo_search((times[0], tuple(procs)), moves, n, what)
-    slices = [
-        Slice(jobs[k].id, Fraction(t, den_t), Fraction(end, den_t)) for k, t, end in steps
-    ]
-    return Fraction(sign * value, den_t * den_w), merge_slices(slices)
+    entry = solve(times[0], tuple(timeline.procs), 0)
+    value, runs = entry[0], []
+    while entry is not _PATH_END:
+        if entry[1] is not None:
+            k, start, end = entry[1]
+            if runs and runs[-1][0] == k and runs[-1][2] == start:
+                runs[-1][2] = end
+            else:
+                runs.append([k, start, end])
+        entry = entry[2]
+    return Fraction(sign * value, timeline.den_t * den_w), _schedule(timeline, runs)
 
 
 def _exhaustive_worst(instance: Instance, policy: Policy):
-    """Explore every tie branch; return (objective, slices) of the worst run.
+    """Explore every tie branch; return (objective, schedule) of the worst run.
 
     Each move runs one of the policy's tied leaders, tried in ascending id
     order, so among equally bad choices the smallest id wins.
     """
     if not isinstance(policy, Policy):
         raise ValueError(f"unknown policy {policy!r}")
+    timeline = _timeline(instance)
+    procs = timeline.procs
     srpt = policy is Policy.SRPT
     static = policy is Policy.WSPT_PREEMPTIVE
 
-    def leaders(available, rem, weights, procs):
+    def leaders(available, rem, weights):
         # Each key is a ratio x/y of w/rem, w/p or 1/rem; compare them by
         # cross-multiplying the scaled integers.
         top, a, b = [], 0, 1
@@ -441,7 +420,7 @@ def _exhaustive_worst(instance: Instance, policy: Policy):
                 top.append(k)
         return top
 
-    return _event_search(instance, leaders, 1, "exhaustive tie search")
+    return _event_search(timeline, leaders, 1, "exhaustive tie search")
 
 
 @dataclass

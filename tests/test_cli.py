@@ -173,6 +173,27 @@ class TestGenerateSimulateOptimal:
             lines = dest.read_text().strip().splitlines()
             assert lines[0] == "job,start,end" and len(lines) > 1
 
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (("simulate", "--policy", "wsrpt"), "objective"),
+            (("optimal", "--method", "brute"), "brute-force objective"),
+        ],
+        ids=["simulate", "brute"],
+    )
+    def test_objective_past_the_float_range_prints_inf(self, tmp_path, capsys, argv, label):
+        # Weights 1e400, 1e-400 and 0: the objective is about 1e399, past
+        # the float range, so it prints as inf; --exact keeps the numeral.
+        inst = tmp_path / "edge.json"
+        inst.write_text(
+            '{"jobs":[{"id":0,"r":"0","p":"1","w":"1e400"},'
+            '{"id":1,"r":"0","p":"2","w":"1e-400"},{"id":2,"r":"1","p":"1","w":"0"}]}'
+        )
+        code, out = run(capsys, *argv, "--instance", str(inst))
+        assert code == 0 and out == f"{label} inf\n"
+        code, out = run(capsys, *argv, "--instance", str(inst), "--exact")
+        assert code == 0 and out == f"{label} 1{'0' * 799}3/1{'0' * 400}\n"
+
 
 class TestRender:
     def test_gantt_from_schedule_file(self, tmp_path, capsys):

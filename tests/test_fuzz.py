@@ -7,6 +7,7 @@ import pytest
 
 from wsrpt.cli import main
 from wsrpt.fuzz import EnvelopeBreach, fuzz
+from wsrpt.instances import read_instance
 
 # The package exports the function under the module's name.
 fuzz_module = importlib.import_module("wsrpt.fuzz")
@@ -24,6 +25,42 @@ class TestOutDir:
         monkeypatch.setenv("WSRPT_OUT_DIR", str(tmp_path))
         assert fuzz(5, seed=1).certificate_path is None
         assert list(tmp_path.iterdir()) == []
+
+
+def _rigged_general(ratios):
+    """An evaluate_instance that scores the k-th general trial ratios[k]
+    and every structured trial 1; the general instances land in a list."""
+    general = []
+
+    def evaluate(instance):
+        if instance.tags["kind"] != "general":
+            return Fraction(1)
+        general.append(instance)
+        return ratios[len(general) - 1]
+
+    return evaluate, general
+
+
+class TestCertificate:
+    """The certificate is the earliest general trial of the worst ratio."""
+
+    @pytest.mark.parametrize(
+        "ratios, chosen",
+        [
+            ((Fraction(11, 10),) * 3, 0),
+            ((Fraction(11, 10), Fraction(6, 5), Fraction(6, 5)), 1),
+        ],
+        ids=["equal-ratios-keep-the-first", "larger-ratio-replaces"],
+    )
+    def test_earliest_worst_trial(self, tmp_path, monkeypatch, ratios, chosen):
+        evaluate, general = _rigged_general(ratios)
+        monkeypatch.setattr(fuzz_module, "evaluate_instance", evaluate)
+        report = fuzz(9, seed=4, out_dir=tmp_path)
+        assert len(general) == 3
+        certificate = read_instance(report.certificate_path)
+        assert certificate.jobs == general[chosen].jobs
+        assert certificate.tags["fuzz_ratio"] == str(ratios[chosen])
+        assert report.classes["general"].worst_ratio == ratios[chosen]
 
 
 class TestNMax:

@@ -248,6 +248,19 @@ class TestTimeIndexedDP:
             result = optimal_dp_timeindexed(inst)
             assert len(result.schedule.slices) == n
 
+    @pytest.mark.parametrize("n", [MAX_SEARCH_DEPTH // 2, MAX_SEARCH_DEPTH // 2 + 1])
+    def test_idle_jumps_count_toward_depth(self, n):
+        # Each job runs alone and time idles to the next release: n slices
+        # but 2n - 1 moves, which fit the limit at n = 400 and not at 401.
+        inst = Instance(tuple(Job(i, 2 * i, 1, 1) for i in range(n)))
+        if 2 * n - 1 > MAX_SEARCH_DEPTH:
+            with pytest.raises(
+                BudgetExceeded, match=f"time-indexed DP exceeded search depth {MAX_SEARCH_DEPTH}"
+            ):
+                optimal_dp_timeindexed(inst)
+        else:
+            assert len(optimal_dp_timeindexed(inst).schedule.slices) == n
+
     def test_refuses_more_jobs_than_depth_up_front(self):
         # Every job's completion is a move, so no path fits; no state is
         # explored before the refusal.

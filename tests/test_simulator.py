@@ -409,6 +409,17 @@ class TestTieRules:
         sched = simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
         assert len(sched.slices) == MAX_SEARCH_DEPTH
 
+    @pytest.mark.parametrize("n", [MAX_SEARCH_DEPTH // 2, MAX_SEARCH_DEPTH // 2 + 1])
+    def test_exhaustive_worst_idle_jumps_count_toward_depth(self, n):
+        # Each job runs alone and time idles to the next release: n slices
+        # but 2n - 1 moves, which fit the limit at n = 400 and not at 401.
+        inst = Instance(tuple(Job(i, 2 * i, 1, 1) for i in range(n)))
+        if 2 * n - 1 > MAX_SEARCH_DEPTH:
+            with pytest.raises(BudgetExceeded, match=f"exceeded search depth {MAX_SEARCH_DEPTH}"):
+                simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+        else:
+            assert len(simulate(inst, tie=TieRule.EXHAUSTIVE_WORST).slices) == n
+
     def test_exhaustive_worst_refuses_more_jobs_than_depth(self):
         inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(MAX_SEARCH_DEPTH + 1)))
         with pytest.raises(BudgetExceeded, match="search depth of at least"):
