@@ -98,7 +98,9 @@ def _small_pieces(
 
     Unit-density floor pieces sit at the left endpoints 0..(n-1)·delta; the
     ramp on (v, y] carries density (1+z)/(1-y) per unit release, split into
-    equal pieces no longer than delta; the lump at y is z split likewise.
+    one piece of exactly delta (it fills the step to the next release) and
+    equal pieces no longer than delta of the rest; the lump at y is z split
+    into equal pieces no longer than delta.
     Weights use the release point, so each piece's ratio is exactly
     1/(1 - release) — the running long job's current ratio.
     """
@@ -109,10 +111,11 @@ def _small_pieces(
         pieces.append((x, delta, delta / (_ONE - x)))
     if m_steps > n_steps:
         density = (_ONE + z) / (_ONE - y)
-        k = ceil(density)
-        piece_p = delta * density / k
+        k = ceil(density - 1)
+        piece_p = delta * (density - 1) / k
         for i in range(n_steps, m_steps):
             x = i * delta
+            pieces.append((x, delta, delta / (_ONE - x)))
             w = piece_p / (_ONE - x)
             pieces.extend((x, piece_p, w) for _ in range(k))
     if z > 0:
@@ -342,7 +345,7 @@ def slices_from_dicts(records) -> tuple[Slice, ...]:
     """Inverse of slices_to_dicts."""
     return _without_digit_limit(
         lambda records: tuple(
-            Slice(int(s["job"]), Fraction(s["start"]), Fraction(s["end"])) for s in records
+            Slice(int(s["job"]), _rational(s["start"]), _rational(s["end"])) for s in records
         ),
         records,
     )

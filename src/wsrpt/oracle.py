@@ -4,15 +4,16 @@ Two separate routes to the optimum — a completion-order subset DP and an
 event-level time-indexed DP whose moves run one job until it completes or
 the next release — kept apart so each can check the other, plus the
 priority-list scheduler that turns the subset DP's completion order into a
-schedule, the ratio-ordered schedule that realizes the optimum on
-generated equality instances, and the closed form for two long jobs plus
-one homogeneous burst.
+schedule, the ratio-ordered list schedule that is certified optimal on any
+instance where it splits no job, and the closed form for two long jobs
+plus one homogeneous burst.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from . import _backend
 from .core import (
@@ -38,7 +39,7 @@ MAX_BRUTEFORCE_JOBS = 16
 
 @dataclass(frozen=True)
 class OptimalResult:
-    """An optimal (or structurally optimal) schedule with its objective."""
+    """An optimal schedule with its objective and the method that found it."""
 
     schedule: Schedule
     objective: Fraction
@@ -63,15 +64,9 @@ def priority_schedule(instance: Instance, order) -> Schedule:
         raise ValueError("order must be a permutation of the instance's job ids")
     timeline = _timeline(instance)
     pos = {jid: k for k, jid in enumerate(order)}
-    return _list_schedule(timeline, [pos[j.id] for j in timeline.jobs])
-
-
-def _list_schedule(timeline, rank: list[int]) -> Schedule:
-    """Run, at every event, the released job of smallest ``rank[k]``."""
-    return _schedule(
-        timeline,
-        _run(timeline, lambda k, _: rank[k], lambda now, new, running, rem, top_key, top: top),
-    )
+    rank = [pos[j.id] for j in timeline.jobs]
+    runs = _run(timeline, lambda k, _: rank[k], lambda now, new, running, rem, top_key, top: top)
+    return _schedule(timeline, runs)
 
 
 def optimal_bruteforce(instance: Instance, max_n: int = MAX_BRUTEFORCE_JOBS) -> OptimalResult:
@@ -124,28 +119,30 @@ def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
 
 
 def structured_optimal(instance: Instance) -> OptimalResult:
-    """Optimal schedule of a generated instance by its intended structure.
+    """Optimal schedule of any instance whose ratio-ordered list splits no job.
 
-    Priority order: descending static ratio (w/p), shorter first among
-    ties, so small jobs complete at their release while they outrank the
-    long job, later arrivals preempt earlier backlog, the ties left over
-    are exchange-neutral, and each long job runs unpreempted at the end of
-    its scope.  Only instances carrying a generator family tag are
-    accepted; the order is not optimal for arbitrary instances.
+    The list runs by descending w/p; among equal ratios, jobs that complete
+    by the next release after their own come first, longer first.  Every
+    ratio-ordered list schedule minimizes Goemans' mean-busy-time bound
+    sum w_j (M_j + p_j/2) <= sum w_j C_j, which a job run in one piece meets
+    exactly.  So an unsplit schedule is optimal; a split one raises ValueError.
     """
-    if instance.tags.get("family") not in ("basic", "nested"):
-        raise ValueError("instance was not produced by a generator (no family tag)")
-    # (-ratio, processing, release, id) on the integer grid: jobs are
-    # indices in id order, and _ratio_key ranks w/p exactly.
     timeline = _timeline(instance)
+    times = sorted(set(timeline.releases))
+    following = dict(zip(times, times[1:]))
+    # (-ratio, overruns the next release, -processing, release, index) on the
+    # integer grid: jobs are indices in id order, and _ratio_key ranks w/p.
     ranked = sorted(
-        (*_ratio_key(j.weight, p), p, r, k)
+        (*_ratio_key(j.weight, p), r + p > following.get(r, inf), -p, r, k)
         for k, (j, p, r) in enumerate(zip(timeline.jobs, timeline.procs, timeline.releases))
     )
     rank = [0] * len(ranked)
     for pos, entry in enumerate(ranked):
         rank[entry[-1]] = pos
-    schedule = _list_schedule(timeline, rank)
+    runs = _run(timeline, lambda k, _: rank[k], lambda now, new, running, rem, top_key, top: top)
+    if len(runs) != len(rank):
+        raise ValueError("the ratio-ordered schedule splits a job, so it is not certified optimal")
+    schedule = _schedule(timeline, runs)
     return OptimalResult(schedule, objective(schedule, instance), "structured")
 
 

@@ -3,8 +3,8 @@ tolerance and time budget, printing one pass line each (visible with -s).
 
 1. The reference sweep reproduces all 26 frozen rows within 1e-3.
 2. The two-parameter optimizer lands on the tight point and ratio.
-3. Generated worst-case instances approach the tight ratio as the grid
-   refines, simulated against the structure-aware optimum.
+3. Generated worst-case instances converge to the tight ratio as the grid
+   refines, simulated against the certified list optimum.
 4. The nested construction reaches the same ratio, simulated and analytic.
 5. The three optimality oracles agree exactly on shared ground.
 6. The two-job game certifies the general lower bound against every
@@ -116,29 +116,31 @@ def test_criterion_2_tight_optimum():
 
 def test_criterion_3_generated_family_converges(sweep_instances):
     start = time.perf_counter()
-    errors = []
-    for delta in SWEEP_DELTAS:
-        ratio = _simulated_ratio(sweep_instances[delta])
-        errors.append(abs(ratio - TIGHT))
+    _, _, closed = optimize_basic()
+    ratios = [_simulated_ratio(sweep_instances[delta]) for delta in SWEEP_DELTAS]
+    errors = [abs(ratio - closed) for ratio in ratios]
+    # The error is O(delta), so the Richardson limit cancels its first order.
+    richardson = (10 * ratios[2] - ratios[0]) / 9
     elapsed = time.perf_counter() - start
-    assert errors[-1] < 0.02
     assert errors[0] > errors[1] > errors[2]
+    assert errors[2] < 5e-4
+    assert abs(richardson - closed) < 1e-5
     assert elapsed < 60
     print(
         "PASS 3: errors "
         + " > ".join(f"{e:.6f}" for e in errors)
-        + f", final < 0.02, {elapsed:.1f}s"
+        + f", final < 5e-4, Richardson {richardson:.7f} vs {closed:.7f}, {elapsed:.1f}s"
     )
 
 
 def test_criterion_4_nested_family(nested_instance):
     simulated = _simulated_ratio(nested_instance)
-    assert simulated == pytest.approx(TIGHT, abs=0.02)
     p_star, analytic = optimize_nested(0.5307)
+    assert simulated == pytest.approx(analytic, abs=1e-3)
     assert analytic == pytest.approx(TIGHT, abs=5e-4)
     check = nested_ratio(0.5307, p_star, worst_basic_metrics())
     assert check == pytest.approx(analytic, abs=1e-9)
-    print(f"PASS 4: simulated {simulated:.6f} (+/-0.02), analytic {analytic:.7f}")
+    print(f"PASS 4: simulated {simulated:.6f} (+/-1e-3), analytic {analytic:.7f}")
 
 
 def test_criterion_5_oracles_agree():
@@ -175,16 +177,11 @@ def test_criterion_5_oracles_agree():
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="structured_optimal runs a partly done ramp piece too late on this "
-    "9-job basic instance (ROADMAP open item 2); item 2's fix removes this marker",
-)
 def test_criterion_5_structured_matches_dp_on_generated():
     inst = gen_basic(GENERATED[0])
     assert len(inst.jobs) == 9
     dp = optimal_dp_timeindexed(inst).objective
-    assert dp == Fraction(36187, 13230)
+    assert dp == Fraction(6016, 2205) == optimal_bruteforce(inst).objective
     assert structured_optimal(inst).objective == dp
 
 

@@ -173,6 +173,21 @@ class TestGenerateSimulateOptimal:
             lines = dest.read_text().strip().splitlines()
             assert lines[0] == "job,start,end" and len(lines) > 1
 
+    def test_structured_refuses_a_forged_family_tag(self, tmp_path, capsys):
+        # A random draw tagged as a basic family instance: its ratio-ordered
+        # schedule splits a job, so no objective is printed (the split
+        # schedule's 23 is above the optimum 89/4).
+        inst = tmp_path / "forged.json"
+        run(capsys, "gen", "random", "--n", "6", "--seed", "7", "--out", str(inst))
+        payload = json.loads(inst.read_text())
+        payload["tags"]["family"] = "basic"
+        inst.write_text(json.dumps(payload))
+        assert optimal_objective(read_instance(inst)) == Fraction(89, 4)
+        code = main(["optimal", "--instance", str(inst), "--method", "structured", "--exact"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "splits a job, so it is not certified optimal" in captured.err
+
     @pytest.mark.parametrize(
         "argv, label",
         [
@@ -208,6 +223,18 @@ class TestRender:
         )
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+    def test_gantt_refuses_a_float_slice_time(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        write_instance(Instance((Job(0, 0, Fraction(1, 10), 1),)), inst)
+        sched = tmp_path / "sched.json"
+        sched.write_text('{"slices": [{"job": 0, "start": "0", "end": 0.1}]}')
+        code = main(
+            ["render", "gantt", "--instance", str(inst), "--schedule", str(sched),
+             "--out", str(tmp_path / "plot.svg")]
+        )
+        assert code == 1
+        assert "refusing inexact value 0.1" in capsys.readouterr().err
 
     def test_profile_simulated_on_the_fly(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

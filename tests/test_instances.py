@@ -79,6 +79,17 @@ class TestGenBasic:
             report = is_equality_instance(inst)
             assert report.passed, (y, v, z, report.violations[:3])
 
+    def test_ramp_release_opens_with_a_delta_piece(self):
+        # Density 3.75 per ramp release: one piece of exactly delta, which
+        # fills the step to the next release, then three equal pieces of
+        # the remaining 2.75 delta; ceil(3.75) = 4 pieces, as before.
+        y, v, z, delta = Fraction(3, 5), Fraction(2, 5), Fraction(1, 2), Fraction(1, 10)
+        inst = gen_basic(ScenarioParams(y=y, v=v, z=z, delta=delta))
+        for x in (Fraction(2, 5), Fraction(1, 2)):
+            pieces = [j for j in inst.jobs if j.release == x]
+            assert [j.processing for j in pieces] == [delta] + [delta * Fraction(11, 12)] * 3
+            assert all(j.ratio == 1 / (1 - x) for j in pieces)
+
     def test_small_work_totals(self):
         # total small length = v + (1+z)(y-v)/(1-y) + z, up to grid rounding
         y, v, z = Fraction(3, 5), Fraction(2, 5), Fraction(1, 2)
@@ -261,6 +272,17 @@ class TestFileIO:
         assert back.tie_script == inst.tie_script
         sched = simulate(inst)
         assert slices_from_dicts(json.loads(json.dumps(slices_to_dicts(sched)))) == sched.slices
+
+    @pytest.mark.parametrize(
+        "end, message", [(0.1, "refusing inexact value 0.1"), ("abc", "not a rational numeral")]
+    )
+    def test_slice_times_parse_like_instance_values(self, end, message):
+        # The instance reader's parser: a float is refused, not read as the
+        # binary fraction nearest to it.
+        with pytest.raises(ValueError, match=message):
+            slices_from_dicts([{"job": 0, "start": "0", "end": end}])
+        with pytest.raises(ValueError, match=message):
+            instance_from_dict({"jobs": [{"id": 0, "r": "0", "p": end, "w": "1"}]})
 
     def test_to_dict_round_trip(self):
         inst = gen_random(Random(3), 4)

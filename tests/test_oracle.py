@@ -1,5 +1,5 @@
-"""Optimality oracles: permutation brute force, time-indexed DP,
-structure-aware fast path, and the two-long-job closed form."""
+"""Optimality oracles: permutation brute force, time-indexed DP, the
+certified ratio-ordered list, and the two-long-job closed form."""
 
 import math
 from fractions import Fraction
@@ -283,28 +283,115 @@ class TestTimeIndexedDP:
 
 
 def _relisted(inst):
-    """The same jobs listed in reverse with reversed ids, tags kept."""
+    """The same jobs listed in reverse with reversed ids, no script or tags."""
     n = len(inst.jobs)
     return Instance(
-        tuple(Job(n - 1 - j.id, j.release, j.processing, j.weight) for j in reversed(inst.jobs)),
-        tags=dict(inst.tags),
+        tuple(Job(n - 1 - j.id, j.release, j.processing, j.weight) for j in reversed(inst.jobs))
     )
 
 
+def _splits_a_job(schedule):
+    """Whether some job's slices leave a gap between them."""
+    last_end = {}
+    for s in sorted(schedule.slices, key=lambda s: s.start):
+        if last_end.get(s.job, s.start) != s.start:
+            return True
+        last_end[s.job] = s.end
+    return False
+
+
 def _assert_fraction_key_order(inst):
-    """structured_optimal runs the list of the Fraction key
-    (-ratio, processing, release, id)."""
-    old = sorted(inst.jobs, key=lambda j: (-j.ratio, j.processing, j.release, j.id))
-    expected = priority_schedule(inst, [j.id for j in old])
+    """structured_optimal runs the list of the Fraction key (-ratio,
+    overruns the next release, -processing, release, id) and returns its
+    schedule exactly when that schedule splits no job."""
+    times = sorted({j.release for j in inst.jobs})
+    following = dict(zip(times, times[1:]))
+    order = sorted(
+        inst.jobs,
+        key=lambda j: (
+            -j.ratio,
+            j.release + j.processing > following.get(j.release, math.inf),
+            -j.processing,
+            j.release,
+            j.id,
+        ),
+    )
+    expected = priority_schedule(inst, [j.id for j in order])
+    if _splits_a_job(expected):
+        with pytest.raises(ValueError, match="splits a job"):
+            structured_optimal(inst)
+        return
     result = structured_optimal(inst)
     assert result.schedule == expected
     assert result.objective == objective(expected, inst)
 
 
+def _coarse_families():
+    """Coarse basic instances of at most 16 jobs on grids of 1/2 to 1/10,
+    and nested ones of at most 14 jobs."""
+    for d in range(2, 11):
+        for i in range(1, d):
+            for j in range(0, i + 1, 2):
+                y, v, z = Fraction(i, d), Fraction(j, d), Fraction(i % 2, 2)
+                inst = gen_basic(ScenarioParams(y=y, v=v, z=z, delta=Fraction(1, d)))
+                if len(inst.jobs) <= 16:
+                    yield inst
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    for d in (3, 4, 5):
+        outer_y = Fraction(d - 1, d)
+        for r in range(1, d):
+            outer = ScenarioParams(y=outer_y, v=Fraction(r, d), delta=Fraction(1, d))
+            for p_s in (half, Fraction(3)):
+                for yi, vi in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
+                    inner = ScenarioParams(y=yi * third, v=vi * third, z=half, delta=third)
+                    nested = NestedParams(outer=outer, r_s=outer.v, p_s=p_s, inner=inner)
+                    try:
+                        inst = gen_nested(nested)
+                    except ValueError:  # the inner segment ends before the outer releases
+                        continue
+                    if len(inst.jobs) <= 14:
+                        yield inst
+
+
 class TestStructuredOptimal:
-    def test_requires_generated_instance(self):
-        with pytest.raises(ValueError):
-            structured_optimal(Instance((Job(0, 0, 1, 1),)))
+    def test_certifies_an_untagged_instance(self):
+        inst = Instance(gen_random(Random(8), 6).jobs)
+        assert not inst.tags
+        result = structured_optimal(inst)
+        assert result.objective == Fraction(135, 4) == optimal_bruteforce(inst).objective
+        assert objective(result.schedule, inst) == result.objective
+
+    def test_refuses_a_schedule_that_splits_a_job(self):
+        # The later, higher-ratio job preempts the first one mid-run.
+        inst = Instance((Job(0, 0, 2, 1), Job(1, 1, 1, 1)), tags={"family": "basic"})
+        with pytest.raises(
+            ValueError,
+            match="the ratio-ordered schedule splits a job, so it is not certified optimal",
+        ):
+            structured_optimal(inst)
+
+    def test_coarse_families_are_certified_optima(self):
+        count = 0
+        for inst in _coarse_families():
+            best = optimal_objective(inst)
+            for listed in (inst, _relisted(inst)):
+                assert structured_optimal(listed).objective == best, listed.jobs
+            count += 1
+        assert count > 100
+
+    def test_certified_random_draws_are_optimal(self):
+        rng = Random(15)
+        certified = 0
+        for _ in range(300):
+            inst = gen_random(rng, rng.randint(2, 8))
+            _assert_fraction_key_order(inst)
+            try:
+                value = structured_optimal(inst).objective
+            except ValueError:
+                continue
+            certified += 1
+            assert value == optimal_objective(inst), inst.jobs
+        assert certified >= 50
 
     def test_coarse_basic_equals_bruteforce(self):
         params = ScenarioParams(y=Fraction(2, 5), v=Fraction(2, 5), delta=Fraction(1, 5))
@@ -357,8 +444,7 @@ class TestStructuredOptimal:
                 Job(6, 0, 2, 2 * big + 1),
                 Job(7, 2, 1, Fraction(1, big)),
                 Job(8, 0, 1, 0),
-            ),
-            tags={"family": "basic"},
+            )
         )
         _assert_fraction_key_order(_relisted(inst) if relist else inst)
 
