@@ -3,17 +3,19 @@
 Times and weights are arbitrary-precision rationals (`fractions.Fraction`)
 end-to-end in simulation and oracle code: the constructed instances tie
 Smith ratios *exactly* at every release, and floats would silently break
-those ties.  The event engine's rank puts a ratio's correctly rounded float
-in front of its exact pair, but never decides an order or a tie on the
-float alone.  Otherwise floating point is reserved for the analysis
-module, which works with closed forms and quadrature under stated
-tolerances.
+those ties.  A schedule keeps its runs as ints on one time grid, so its
+objective and feasibility check are integer sums with few Fraction steps.
+The event engine's rank puts a ratio's correctly rounded float in front
+of its exact pair, but never decides an order or a tie on the float
+alone.  Otherwise floating point is reserved for the analysis module,
+which works with closed forms and quadrature under stated tolerances.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -93,11 +95,12 @@ class Job:
         object.__setattr__(self, "release", to_rational(self.release))
         object.__setattr__(self, "processing", to_rational(self.processing))
         object.__setattr__(self, "weight", to_rational(self.weight))
-        if self.processing <= 0:
+        # A Fraction's denominator is positive, so its numerator carries the sign.
+        if self.processing.numerator <= 0:
             raise ValueError(f"job {self.id}: processing must be > 0")
-        if self.release < 0:
+        if self.release.numerator < 0:
             raise ValueError(f"job {self.id}: release must be >= 0")
-        if self.weight < 0:
+        if self.weight.numerator < 0:
             raise ValueError(f"job {self.id}: weight must be >= 0")
 
     @property
@@ -191,23 +194,48 @@ class Slice:
 
 
 class Schedule:
-    """Ordered, disjoint execution slices on one machine."""
+    """Ordered, disjoint execution runs ``(job id, start, end)`` on one machine.
+
+    Run times are ints in units of 1/den.  ``Schedule(slices)`` scales
+    checked slices onto the lcm of their denominators; the event engine
+    hands its runs over as they are through ``_on_grid``.  ``slices`` is
+    built on first access.  Equality and hashing compare slices: an engine
+    grid may be finer than its times need, so ``(runs, den)`` is not canonical.
+    """
 
     def __init__(self, slices: Iterable[Slice]):
-        self.slices = tuple(slices)
-        self._completions: dict[int, Fraction] = {}
-        for s in self.slices:
-            self._completions[s.job] = s.end
+        self.slices = slices = tuple(slices)
+        self._den = den = lcm(*(x.denominator for s in slices for x in (s.start, s.end)))
+        self._runs = [(s.job, _scaled(s.start, den), _scaled(s.end, den)) for s in slices]
+
+    @classmethod
+    def _on_grid(cls, runs: list[tuple[int, int, int]], den: int) -> Schedule:
+        """The schedule of runs ``(job id, start, end)`` in units of 1/den, taken as they are."""
+        schedule = cls.__new__(cls)
+        schedule._runs, schedule._den = runs, den
+        return schedule
+
+    @cached_property
+    def slices(self) -> tuple[Slice, ...]:
+        """The runs as slices, one Fraction per distinct time."""
+        times = dict.fromkeys(t for run in self._runs for t in run[1:])
+        at = {t: Fraction(t, self._den) for t in times}
+        return tuple(Slice(job, at[start], at[end]) for job, start, end in self._runs)
+
+    @cached_property
+    def _ends(self) -> dict[int, int]:
+        """Each job's end of its last run, on the grid."""
+        return {job: end for job, _, end in self._runs}
 
     def completion(self, job_id: int) -> Fraction:
         """End of the job's last slice."""
         try:
-            return self._completions[job_id]
+            return Fraction(self._ends[job_id], self._den)
         except KeyError:
             raise KeyError(f"job {job_id} never executes in this schedule") from None
 
     def completions(self) -> dict[int, Fraction]:
-        return dict(self._completions)
+        return {job: Fraction(end, self._den) for job, end in self._ends.items()}
 
     def executed(self, job_id: int, t: Fraction) -> Fraction:
         """Work done on the job strictly before time t."""
@@ -225,10 +253,10 @@ class Schedule:
 
     @property
     def makespan(self) -> Fraction:
-        return max(s.end for s in self.slices)
+        return Fraction(max(end for _, _, end in self._runs), self._den)
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return len(self._runs)
 
     def __iter__(self):
         return iter(self.slices)
@@ -246,55 +274,62 @@ class Schedule:
         release, and each job's slice lengths must sum to exactly its
         processing time.
         """
-        if not self.slices:
+        if not self._runs:
             raise ValueError("schedule has no slices")
-        # Compare on the integer grid of the lcm of every denominator; the
-        # error texts show the unscaled Fractions.
+        # Compare on the grid of lcm(den, the instance's time denominators);
+        # the error texts show the unscaled Fractions.
         den = lcm(
-            *(x.denominator for s in self.slices for x in (s.start, s.end)),
+            self._den,
             *(x.denominator for j in instance.jobs for x in (j.release, j.processing)),
         )
-
-        def scaled(x: Fraction) -> int:
-            return x.numerator * (den // x.denominator)
-
-        release = {j.id: scaled(j.release) for j in instance.jobs}
+        m = den // self._den
+        release = {j.id: _scaled(j.release, den) for j in instance.jobs}
         total = dict.fromkeys(release, 0)
         prev_end: int | None = None
-        for s in self.slices:
-            if s.job not in release:
-                raise ValueError(f"slice references unknown job {s.job}")
-            start = scaled(s.start)
+        for job, start, end in self._runs:
+            if job not in release:
+                raise ValueError(f"slice references unknown job {job}")
+            start *= m
             if prev_end is not None and start < prev_end:
-                raise ValueError(f"overlapping slices at {s.start}")
-            if start < release[s.job]:
-                raise ValueError(f"job {s.job} runs before its release")
-            prev_end = scaled(s.end)
-            total[s.job] += prev_end - start
+                raise ValueError(f"overlapping slices at {Fraction(start, den)}")
+            if start < release[job]:
+                raise ValueError(f"job {job} runs before its release")
+            prev_end = end * m
+            total[job] += prev_end - start
         for j in instance.jobs:
-            if total[j.id] != scaled(j.processing):
+            if total[j.id] != _scaled(j.processing, den):
                 raise ValueError(
                     f"job {j.id} executes {Fraction(total[j.id], den)} of {j.processing}"
                 )
 
 
+def _scaled(x: Fraction, den: int) -> int:
+    """``x`` in units of 1/den; ``den`` must be a multiple of its denominator."""
+    return x.numerator * (den // x.denominator)
+
+
 def objective(schedule: Schedule, instance: Instance) -> Fraction:
     """Total weighted completion time Σ w_j·C_j, exact."""
-    sched_jobs = set(schedule.completions())
+    ends = schedule._ends
     inst_jobs = {j.id for j in instance.jobs}
-    if sched_jobs != inst_jobs:
+    if ends.keys() != inst_jobs:
         raise ValueError(
-            f"schedule covers jobs {sorted(sched_jobs)} but instance has {sorted(inst_jobs)}"
+            f"schedule covers jobs {sorted(ends)} but instance has {sorted(inst_jobs)}"
         )
-    # Add in a balanced tree: a running total's denominator grows with every
-    # term, while pairwise partial sums stay small until the last few levels.
-    terms = [j.weight * schedule.completion(j.id) for j in instance.jobs]
+    # Weights sharing a denominator d add w.numerator·end as ints.  The few
+    # per-d Fractions add in a balanced tree, whose partial sums keep small
+    # denominators until the last levels; one division by den ends it.
+    grouped: dict[int, int] = {}
+    for j in instance.jobs:
+        w = j.weight
+        grouped[w.denominator] = grouped.get(w.denominator, 0) + w.numerator * ends[j.id]
+    terms = [Fraction(total, d) for d, total in grouped.items()]
     while len(terms) > 1:
         pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
         if len(terms) % 2:
             pairs.append(terms[-1])
         terms = pairs
-    return terms[0]
+    return terms[0] / schedule._den
 
 
 def merge_slices(raw: Sequence[Slice]) -> list[Slice]:

@@ -311,21 +311,29 @@ def instance_from_dict(payload: dict) -> Instance:
     return _without_digit_limit(_instance_from_dict, payload)
 
 
-def _rational(value) -> Fraction:
-    """``to_rational`` under a digit limit the caller has lifted."""
-    return _parse_rational(value) if isinstance(value, str) else to_rational(value)
+class _Numerals(dict):
+    """``to_rational`` for one read under a lifted digit limit; each
+    distinct numeral string is parsed once."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = _parse_rational(text)
+        return value
+
+    def __call__(self, value) -> Fraction:
+        return self[value] if isinstance(value, str) else to_rational(value)
 
 
 def _instance_from_dict(payload: dict) -> Instance:
+    rational = _Numerals()
     jobs = tuple(
-        Job(rec["id"], _rational(rec["r"]), _rational(rec["p"]), _rational(rec["w"]))
+        Job(rec["id"], rational(rec["r"]), rational(rec["p"]), rational(rec["w"]))
         for rec in payload["jobs"]
     )
     script = payload.get("tie_script")
     tie_script = (
         None
         if script is None
-        else tuple((_rational(e["t"]), int(e["choice"])) for e in script)
+        else tuple((rational(e["t"]), int(e["choice"])) for e in script)
     )
     return Instance(jobs, tie_script=tie_script, tags=payload.get("tags", {}))
 
@@ -343,12 +351,13 @@ def slices_to_dicts(slices) -> list[dict]:
 
 def slices_from_dicts(records) -> tuple[Slice, ...]:
     """Inverse of slices_to_dicts."""
-    return _without_digit_limit(
-        lambda records: tuple(
-            Slice(int(s["job"]), _rational(s["start"]), _rational(s["end"])) for s in records
-        ),
-        records,
-    )
+    def read(records):
+        rational = _Numerals()
+        return tuple(
+            Slice(int(s["job"]), rational(s["start"]), rational(s["end"])) for s in records
+        )
+
+    return _without_digit_limit(read, records)
 
 
 def write_json(payload: dict, dest: PathOrFile) -> None:

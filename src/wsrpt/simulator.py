@@ -11,8 +11,9 @@ ratio's correctly rounded float followed by its reduced pair (weight
 numerator, weight denominator times remaining work).  Rounding is monotone,
 so the float settles every order it can and never contradicts the exact
 one; two ratios with equal floats are compared by cross-multiplying the
-pairs.  Fractions are built only for the returned slices and the equality
-audit's reports.
+pairs.  A returned schedule keeps the engine's runs on that grid and
+builds Fraction slices only when they are read; otherwise Fractions
+appear only in the equality audit's reports.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .core import (
     Instance,
     Job,
     Schedule,
-    Slice,
+    _scaled,
     to_rational,
 )
 
@@ -111,8 +112,8 @@ def _scaled_times(jobs) -> tuple[list[int], list[int], int]:
     every scaled time is exact.
     """
     den_t = lcm(*(x.denominator for j in jobs for x in (j.release, j.processing)))
-    releases = [j.release.numerator * (den_t // j.release.denominator) for j in jobs]
-    procs = [j.processing.numerator * (den_t // j.processing.denominator) for j in jobs]
+    releases = [_scaled(j.release, den_t) for j in jobs]
+    procs = [_scaled(j.processing, den_t) for j in jobs]
     return releases, procs, den_t
 
 
@@ -172,8 +173,8 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
     job that ran up to ``now`` (else None), ``rem`` holds every job's
     remaining work, and ``top`` is the smallest index among the released
     jobs of minimal rank ``top_key``.  Returns the runs ``[k, start, end]``
-    on the grid, adjacent runs of a job fused; ``_schedule`` turns them
-    into slices.
+    on the grid, adjacent runs of a job fused; ``_schedule`` makes them a
+    schedule on that grid.
     """
     groups: dict[int, list[int]] = {}
     for k, r in enumerate(timeline.releases):
@@ -237,17 +238,9 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
 
 
 def _schedule(timeline: _Timeline, runs: list[list[int]]) -> Schedule:
-    """The schedule of ``_run``'s runs; one Fraction per distinct time."""
-    times: dict[int, Fraction] = {}
-
-    def at(t: int) -> Fraction:
-        f = times.get(t)
-        if f is None:
-            f = times[t] = Fraction(t, timeline.den_t)
-        return f
-
+    """The schedule of ``_run``'s runs, left on the grid of 1/den_t."""
     jobs = timeline.jobs
-    return Schedule(Slice(jobs[k].id, at(start), at(end)) for k, start, end in runs)
+    return Schedule._on_grid([(jobs[k].id, start, end) for k, start, end in runs], timeline.den_t)
 
 
 def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):

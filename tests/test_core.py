@@ -112,6 +112,28 @@ class TestJob:
         with pytest.raises(ValueError):
             Job(0, "-1", 1, 1)
 
+    @pytest.mark.parametrize(
+        "release, processing, weight, message",
+        [
+            (0, 0, 1, "job 7: processing must be > 0"),
+            (0, -1, 1, "job 7: processing must be > 0"),
+            (-1, 1, 1, "job 7: release must be >= 0"),
+            (0, 1, -1, "job 7: weight must be >= 0"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "kind", [lambda v: Fraction(v, 3), int, lambda v: f"{v}/3"], ids=["Fraction", "int", "str"]
+    )
+    def test_each_refusal_for_every_input_type(self, release, processing, weight, message, kind):
+        with pytest.raises(ValueError) as err:
+            Job(7, kind(release), kind(processing), kind(weight))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("zero", [Fraction(0), 0, "0", "0/5", "-0"])
+    def test_zero_release_and_zero_weight_accepted(self, zero):
+        j = Job(0, zero, 1, zero)
+        assert (j.release, j.weight) == (0, 0)
+
     def test_string_fields_converted_exactly(self):
         j = Job(0, "0.5", "1/3", "0.25")
         assert (j.release, j.processing, j.weight) == (

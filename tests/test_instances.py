@@ -284,6 +284,50 @@ class TestFileIO:
         with pytest.raises(ValueError, match=message):
             instance_from_dict({"jobs": [{"id": 0, "r": "0", "p": end, "w": "1"}]})
 
+    @pytest.mark.parametrize("field", ["r", "p", "w", "t"])
+    def test_a_bad_numeral_anywhere_is_refused(self, field):
+        # The read memoizes numerals; a bad or inexact one is still refused
+        # wherever it sits, even after the same field parsed cleanly.
+        for value, message in (("1/x", "not a rational numeral: '1/x'"),
+                               (0.5, "refusing inexact value 0.5")):
+            payload = {
+                "jobs": [{"id": 0, "r": "0", "p": "1", "w": "1"},
+                         {"id": 1, "r": "1", "p": "1", "w": "1"}],
+                "tie_script": [{"t": "0", "choice": 0}, {"t": "1", "choice": 1}],
+            }
+            if field == "t":
+                payload["tie_script"][1]["t"] = value
+            else:
+                payload["jobs"][1][field] = value
+            with pytest.raises(ValueError) as err:
+                instance_from_dict(payload)
+            assert str(err.value).startswith(message)
+
+    def test_each_distinct_numeral_parsed_once(self, monkeypatch):
+        import wsrpt.instances
+
+        parsed = []
+        parse = wsrpt.instances._parse_rational
+        monkeypatch.setattr(
+            wsrpt.instances, "_parse_rational", lambda text: (parsed.append(text), parse(text))[1]
+        )
+        inst = gen_basic(ScenarioParams(y=Fraction(1, 2), v=Fraction(3, 10), delta=Fraction(1, 10)))
+        payload = instance_to_dict(inst)
+        back = instance_from_dict(payload)
+        numerals = [v for rec in payload["jobs"] for v in (rec["r"], rec["p"], rec["w"])]
+        numerals += [e["t"] for e in payload["tie_script"]]
+        assert sorted(parsed) == sorted(set(numerals)) and len(parsed) < len(numerals)
+        assert back.jobs == inst.jobs and back.tie_script == inst.tie_script
+        # Equal strings give equal values: "1/10" is a processing time, a
+        # release and a script time here.
+        by_text = {}
+        for rec, job in zip(payload["jobs"], back.jobs):
+            for key, value in zip("rpw", (job.release, job.processing, job.weight)):
+                assert by_text.setdefault(rec[key], value) == value
+        for rec, (t, _) in zip(payload["tie_script"], back.tie_script):
+            assert by_text.setdefault(rec["t"], t) == t
+        assert by_text["1/10"] == Fraction(1, 10)
+
     def test_to_dict_round_trip(self):
         inst = gen_random(Random(3), 4)
         assert instance_from_dict(instance_to_dict(inst)).jobs == inst.jobs
