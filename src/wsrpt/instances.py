@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from math import ceil
 from pathlib import Path
 from random import Random
@@ -360,13 +362,103 @@ def slices_from_dicts(records) -> tuple[Slice, ...]:
     return _without_digit_limit(read, records)
 
 
+# Records per C-encoder call in a record list; bounds the text held at once.
+_CHUNK = 256
+_SCALARS = (str, int, float, type(None))
+
+
+@cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """C-backed encoder whose item separator is the indent-2 joint at ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _all_scalars(values) -> bool:
+    return all(issubclass(t, _SCALARS) for t in set(map(type, values)))
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a non-str scalar becomes its JSON text."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    encode = _encoder(0).encode
+    return encode(key if isinstance(key, str) else encode(key))
+
+
+def _write_value(write, value, depth: int, active: set) -> None:
+    """Write ``value`` as ``json.dump(indent=2)`` does at nesting ``depth``.
+
+    A container of scalars is one C-encoder call whose item separator is
+    already the indent joint; only its brackets are spliced.  A list of
+    non-empty flat dicts goes out in chunks of ``_CHUNK`` records, each one
+    C call at the fields' depth whose record boundaries are rewritten to
+    the joint one level out.  That rewrite is exact: the boundary ``}`` +
+    separator + ``{`` holds a raw newline, which no encoded string does,
+    and no encoded scalar ends in ``}``.  Any other container recurses,
+    with ``active`` holding the ids of the containers being written, for
+    ``json``'s circular-reference error.
+    """
+    if isinstance(value, (list, tuple)):
+        values, is_dict, close = value, False, "]"
+    elif isinstance(value, dict):
+        values, is_dict, close = value.values(), True, "}"
+    else:
+        write(_encoder(depth).encode(value))
+        return
+    if not value:
+        write("{}" if is_dict else "[]")
+        return
+    pad = "  " * depth
+    inner = pad + "  "
+    if _all_scalars(values):
+        text = _encoder(depth + 1).encode(value)
+        write(text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1])
+        return
+    if id(value) in active:
+        raise ValueError("Circular reference detected")
+    if (
+        not is_dict
+        and all(issubclass(t, dict) for t in set(map(type, values)))
+        and all(values)
+        and _all_scalars(chain.from_iterable(map(dict.values, values)))
+    ):
+        fields = inner + "  "
+        boundary = "},\n" + fields + "{"
+        joint = "\n" + inner + "},\n" + inner + "{\n" + fields
+        encode = _encoder(depth + 2).encode
+        write("[")
+        lead = "\n" + inner
+        for i in range(0, len(values), _CHUNK):
+            body = encode(values[i : i + _CHUNK])[2:-2].replace(boundary, joint)
+            write(lead + "{\n" + fields + body + "\n" + inner + "}")
+            lead = ",\n" + inner
+        write("\n" + pad + "]")
+        return
+    active.add(id(value))
+    write("{" if is_dict else "[")
+    lead = "\n" + inner
+    for key, item in value.items() if is_dict else enumerate(value):
+        write(lead + _key(key) + ": " if is_dict else lead)
+        _write_value(write, item, depth + 1, active)
+        lead = ",\n" + inner
+    write("\n" + pad + close)
+    active.discard(id(value))
+
+
 def write_json(payload: dict, dest: PathOrFile) -> None:
-    """Write ``payload`` as indented JSON plus a final newline."""
+    """Write ``payload`` as indented JSON plus a final newline.
+
+    The bytes are those of ``json.dump(payload, dest, indent=2)``, but the
+    text is streamed in chunks through the C encoder, which ``json.dump``
+    never reaches when it indents.
+    """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8") as f:
             write_json(payload, f)
     else:
-        json.dump(payload, dest, indent=2)
+        _write_value(dest.write, payload, 0, set())
         dest.write("\n")
 
 

@@ -17,6 +17,7 @@ from wsrpt.adversary import (
     transcript_to_dict,
     write_transcript,
 )
+from wsrpt.instances import instance_from_dict, slices_from_dicts
 from wsrpt.oracle import optimal_bruteforce
 from wsrpt.simulator import Policy, TieRule
 
@@ -176,3 +177,6 @@ class TestTranscriptIO:
         assert loaded["ratio"] == pytest.approx(float(t.ratio), abs=1e-12)
         assert Fraction(loaded["online_objective"]) == t.online_objective
         assert len(loaded["instance"]["jobs"]) == len(t.instance.jobs)
+        # Record lists nested at depth 2 (jobs, tie script) and 1 (slices).
+        assert instance_from_dict(loaded["instance"]) == t.instance
+        assert slices_from_dicts(loaded["schedule"]) == t.schedule.slices

@@ -9,10 +9,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsrpt.analysis import basic_ratio_closed
 from wsrpt.core import Instance, Job, objective
 from wsrpt.instances import (
+    _CHUNK,
     NestedParams,
     RANDOM_KINDS,
     ScenarioParams,
@@ -25,6 +28,7 @@ from wsrpt.instances import (
     slices_from_dicts,
     slices_to_dicts,
     write_instance,
+    write_json,
 )
 from wsrpt.simulator import Policy, TieRule, is_equality_instance, simulate
 
@@ -331,3 +335,117 @@ class TestFileIO:
     def test_to_dict_round_trip(self):
         inst = gen_random(Random(3), 4)
         assert instance_from_dict(instance_to_dict(inst)).jobs == inst.jobs
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# Strings that hold the record boundary the writer rewrites, or parts of it.
+_STRINGS = st.one_of(
+    st.sampled_from(["},\n      {", "}", "\n", "\"},", ""]),
+    st.text(alphabet='ab{}[],: "\\\n\té☃\U0001f600', max_size=6),
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+_SCALARS = st.one_of(
+    _STRINGS, st.integers(), st.booleans(), st.none(),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+)
+_FLAT = st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=3)
+
+
+@st.composite
+def _record_lists(draw):
+    """A record list around one chunk boundary, maybe with one odd record."""
+    pool = draw(st.lists(_FLAT, min_size=1, max_size=3))
+    n = draw(st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1]))
+    records = (pool * n)[:n]
+    odd = draw(st.sampled_from([None, {}, {"a": {"b": [1]}}]))
+    if odd is not None:
+        records[draw(st.integers(0, n - 1))] = odd
+    return records
+
+
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(inner, max_size=3).map(_List),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=3).map(_Dict),
+        st.lists(_FLAT, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _assert_written_as_json_dump(payload):
+    buf = io.StringIO()
+    write_json(payload, buf)
+    # Compared as lists of lines: pytest explains a list mismatch by its
+    # first differing index, where a diff of two long strings takes minutes.
+    want = json.dumps(payload, indent=2) + "\n"
+    assert buf.getvalue().splitlines(True) == want.splitlines(True)
+
+
+class TestWriteJson:
+    """``write_json`` writes the bytes of ``json.dump(indent=2)``."""
+
+    @given(_PAYLOADS)
+    @settings(max_examples=50, deadline=None)
+    def test_bytes_match_json_dump(self, payload):
+        _assert_written_as_json_dump(payload)
+
+    @given(_record_lists(), st.integers(0, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_record_lists_around_a_chunk_boundary(self, records, depth):
+        # Depth 1 as an instance file's jobs, depth 2 as a transcript's.
+        payload = records
+        for key in ("jobs", "instance")[:depth]:
+            payload = {key: payload}
+        _assert_written_as_json_dump(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a": [1, object()]},
+            {"jobs": [{"id": 0, "r": Fraction(1, 2)}] * 3},
+            [[{"a": 1}], {"b": {"c": Fraction(1)}}],
+            {"k": {(1, 2): 3}},
+            {"k": {(1, 2): [3]}},
+        ],
+    )
+    def test_unserializable_values_raise_as_json_dump(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError) as got:
+            write_json(payload, io.StringIO())
+        assert str(got.value) == str(expected.value)
+
+    def test_record_lists_are_streamed_in_chunks(self):
+        # A long record list is never held as one string.
+        records = [{"job": k, "start": "0", "end": str(k)} for k in range(3 * _CHUNK)]
+        writes = []
+
+        class Sink:
+            write = writes.append
+
+        write_json({"schedule": records}, Sink())
+        text = "".join(writes)
+        want = json.dumps({"schedule": records}, indent=2) + "\n"
+        assert text.splitlines(True) == want.splitlines(True)
+        assert max(map(len, writes)) < len(text) / 2
+
+    def test_circular_reference_is_a_value_error(self):
+        looped = []
+        looped.append(looped)
+        nested = {"a": [{"b": 1}]}
+        nested["a"].append(nested)
+        for payload in (looped, nested, [1, [2, looped]]):
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                write_json(payload, io.StringIO())
