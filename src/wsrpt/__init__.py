@@ -13,7 +13,6 @@ from .core import (
     Slice,
     objective,
     rational_str,
-    smith_ratio,
     to_rational,
 )
 from .simulator import Policy, TieRule, simulate, is_equality_instance, split_job
@@ -37,13 +36,9 @@ from .instances import (
 from .analysis import (
     ScenarioMetrics,
     basic_ratio_closed,
-    equalization_bounds,
-    f_curve,
-    group_ratio,
     lb_c1,
     lb_curves,
     nested_ratio,
-    nesting_condition,
     optimize_basic,
     optimize_lb,
     optimize_nested,
@@ -72,18 +67,14 @@ __all__ = [
     "basic_ratio_closed",
     "choose_l",
     "closed_pair_optimal",
-    "equalization_bounds",
-    "f_curve",
     "fuzz",
     "gen_basic",
     "gen_nested",
     "gen_random",
-    "group_ratio",
     "is_equality_instance",
     "lb_c1",
     "lb_curves",
     "nested_ratio",
-    "nesting_condition",
     "objective",
     "optimal_bruteforce",
     "optimal_dp_timeindexed",
@@ -98,7 +89,6 @@ __all__ = [
     "render_gantt",
     "render_profile",
     "simulate",
-    "smith_ratio",
     "split_job",
     "structured_optimal",
     "table1",

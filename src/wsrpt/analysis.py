@@ -40,42 +40,6 @@ class ScenarioMetrics:
         return self.W / self.L
 
 
-@dataclass(frozen=True)
-class FParams:
-    """Denominator coefficients of the curve -(1-x)·ln(1-x)/(k·x + c)."""
-
-    k: float
-    c: float
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be positive")
-        if not self.k + self.c > 0:
-            raise ValueError("k + c must be positive")
-
-
-def f_curve(x: float, params: FParams) -> float:
-    """-(1-x)·ln(1-x)/(k·x + c); one interior maximum on [0, 1).
-
-    With k = 0 the maximum sits at 1 - 1/e; positive k pulls it left,
-    negative k pushes it right.
-    """
-    if not 0 <= x < 1:
-        raise ValueError("x must lie in [0, 1)")
-    return -(1 - x) * math.log1p(-x) / (params.k * x + params.c)
-
-
-def group_ratio(x: float, denominator: float) -> float:
-    """Contribution ratio 1 - ln(1-x)·(1-x)/denominator of a release group.
-
-    At the worst-case fixed point the denominator is 1 + (y-v)/(1-y) and
-    the value coincides with -ln(1-v).
-    """
-    if not 0 <= x < 1:
-        raise ValueError("x must lie in [0, 1)")
-    return 1 - math.log1p(-x) * (1 - x) / denominator
-
-
 def _metrics_closed(y: float, v: float, z: float) -> tuple[float, float, float, float]:
     """(C, C_star, W, L) of the general family by antiderivatives.
 
@@ -224,17 +188,6 @@ def optimize_nested(r_s: float = 0.5307) -> tuple[float, float]:
     """(p_s*, ratio*) maximizing the combined ratio at fixed r_s."""
     inner = worst_basic_metrics()
     return _argmax(lambda p: nested_ratio(r_s, p, inner), 0.5, 500.0, 1e-6)
-
-
-def nesting_condition(r_s: float, w_over_l: float, extra_weight: float = 0.0) -> float:
-    """Ceiling a nested segment must beat to improve on the host's ratio.
-
-    Equals 1 + f_curve(r_s, FParams(k = w_over_l - (1+extra_weight),
-    c = 1+extra_weight)); stays below the tight ratio for every r_s once
-    w_over_l exceeds 2.08.
-    """
-    params = FParams(k=w_over_l - (1 + extra_weight), c=1 + extra_weight)
-    return 1 + f_curve(r_s, params)
 
 
 # --- reference sweep -------------------------------------------------------
@@ -421,21 +374,3 @@ def optimize_lb() -> tuple[float, float]:
     the max-min sits at their crossing.
     """
     return lb_crossing(1.0)
-
-
-def equalization_bounds(p1: float = 1.0, p2: float = 2.3364) -> tuple[float, float]:
-    """Guaranteed ratios against a policy equalizing both remainders.
-
-    The time the ratios meet splits at (p1+p2)/2; each case is evaluated
-    at its extremal second-job remainder (p2^2/(p1+p2), resp. p2/2) with
-    the burst volume set to that remainder.
-    """
-    early_den = (
-        p1 * p1
-        + 2 * p1 * p2
-        + 2 * p2 * p2
-        + p2 * p2 * (p2 / 2 - p1) / (p1 + p2)
-    )
-    early = 1 + p1 * p2 / early_den
-    late = 1 + p1 * p2 / (2.25 * p2 * p2 + 1.5 * p1 * p2 + p1 * p1)
-    return early, late

@@ -28,10 +28,13 @@ def to_rational(value: Rational) -> Fraction:
 
     Accepts Fractions, ints, and strings in decimal ("0.8157") or
     "num/den" ("5307/10000") form.  Binary floats are rejected: their
-    exact values are almost never what the caller meant.
+    exact values are almost never what the caller meant.  So are bools,
+    which ``int`` would otherwise let through as 0 and 1.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"refusing boolean value {value!r}; pass a number")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -66,6 +69,13 @@ def _rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _job_id(value, what: str) -> int:
+    """``value``, refused unless it is an int; a bool or numeral is not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, not {value!r}")
+    return value
+
+
 def _without_digit_limit(convert, value):
     """``convert(value)`` with CPython's int/str digit limit lifted, then restored.
 
@@ -92,6 +102,7 @@ class Job:
     weight: Fraction
 
     def __post_init__(self):
+        _job_id(self.id, "job id")
         object.__setattr__(self, "release", to_rational(self.release))
         object.__setattr__(self, "processing", to_rational(self.processing))
         object.__setattr__(self, "weight", to_rational(self.weight))
@@ -107,20 +118,6 @@ class Job:
     def ratio(self) -> Fraction:
         """Static weight-over-processing ratio w/p (never updated)."""
         return self.weight / self.processing
-
-
-def smith_ratio(job: Job, remaining: Fraction) -> Fraction:
-    """Weight over *remaining* processing time, exact.
-
-    The dynamic priority of a partially executed job; equals ``job.ratio``
-    when the job has not run yet.
-    """
-    remaining = to_rational(remaining)
-    if remaining <= 0:
-        raise ValueError(f"job {job.id}: remaining must be > 0, got {remaining}")
-    if remaining > job.processing:
-        raise ValueError(f"job {job.id}: remaining {remaining} exceeds processing")
-    return job.weight / remaining
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,8 @@ class Instance:
             raise ValueError("job ids must be unique")
         if self.tie_script is not None:
             script = tuple(
-                (to_rational(t), int(choice)) for t, choice in self.tie_script
+                (to_rational(t), _job_id(choice, "tie-script choice"))
+                for t, choice in self.tie_script
             )
             object.__setattr__(self, "tie_script", script)
 
@@ -154,24 +152,6 @@ class Instance:
             if j.id == job_id:
                 return j
         raise KeyError(f"no job with id {job_id}")
-
-    @property
-    def min_release(self) -> Fraction:
-        return min(j.release for j in self.jobs)
-
-
-def normalize_releases(instance: Instance) -> Instance:
-    """Shift all releases so the earliest becomes 0."""
-    shift = instance.min_release
-    if shift == 0:
-        return instance
-    jobs = tuple(
-        Job(j.id, j.release - shift, j.processing, j.weight) for j in instance.jobs
-    )
-    script = None
-    if instance.tie_script is not None:
-        script = tuple((t - shift, c) for t, c in instance.tie_script)
-    return Instance(jobs, tie_script=script, tags=dict(instance.tags))
 
 
 @dataclass(frozen=True)
@@ -183,6 +163,7 @@ class Slice:
     end: Fraction
 
     def __post_init__(self):
+        _job_id(self.job, "slice job")
         object.__setattr__(self, "start", to_rational(self.start))
         object.__setattr__(self, "end", to_rational(self.end))
         if self.start >= self.end:
@@ -246,10 +227,6 @@ class Schedule:
                 continue
             done += min(s.end, t) - s.start
         return done
-
-    def remaining(self, job: Job, t: Fraction) -> Fraction:
-        """Remaining processing time p_j(t)."""
-        return job.processing - self.executed(job.id, t)
 
     @property
     def makespan(self) -> Fraction:

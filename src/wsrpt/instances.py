@@ -335,7 +335,7 @@ def _instance_from_dict(payload: dict) -> Instance:
     tie_script = (
         None
         if script is None
-        else tuple((rational(e["t"]), int(e["choice"])) for e in script)
+        else tuple((rational(e["t"]), e["choice"]) for e in script)
     )
     return Instance(jobs, tie_script=tie_script, tags=payload.get("tags", {}))
 
@@ -356,7 +356,7 @@ def slices_from_dicts(records) -> tuple[Slice, ...]:
     def read(records):
         rational = _Numerals()
         return tuple(
-            Slice(int(s["job"]), rational(s["start"]), rational(s["end"])) for s in records
+            Slice(s["job"], rational(s["start"]), rational(s["end"])) for s in records
         )
 
     return _without_digit_limit(read, records)

@@ -210,6 +210,4 @@ __all__ = [
     "closed_pair_optimal",
     "pair_objectives",
     "optimal_objective",
-    "objective",
-    "BudgetExceeded",
 ]

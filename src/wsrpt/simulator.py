@@ -64,17 +64,6 @@ class BudgetExceeded(RuntimeError):
     """Raised when a memoized search outgrows the limit rule of ``_event_search``."""
 
 
-def policy_key(policy: Policy, job: Job, remaining: Fraction) -> Fraction:
-    """Priority key (larger runs) of a job with the given remaining work."""
-    if policy is Policy.WSRPT:
-        return job.weight / remaining
-    if policy is Policy.WSPT_PREEMPTIVE:
-        return job.weight / job.processing
-    if policy is Policy.SRPT:
-        return Fraction(1) / remaining
-    raise ValueError(f"unknown policy {policy!r}")
-
-
 class _Ratio(tuple):
     """A nonnegative ratio as its reduced (numerator, denominator) pair.
 
@@ -246,10 +235,10 @@ def _schedule(timeline: _Timeline, runs: list[list[int]]) -> Schedule:
 def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
 
-    ``policy_key`` on the integer grid.  WSRPT ranks by ``_ratio_key`` of
-    w/rem (the common factor den_t left out), WSPT by the same key at full
-    processing time and SRPT by ``rem`` itself.  ``script`` is the tie
-    script SCRIPTED follows; its entries off the grid match no event.
+    WSRPT ranks by ``_ratio_key`` of w/rem on the integer grid (the common
+    factor den_t left out), WSPT by the same key at full processing time
+    and SRPT by ``rem`` itself.  ``script`` is the tie script SCRIPTED
+    follows; its entries off the grid match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
     jobs, den_t = timeline.jobs, timeline.den_t
@@ -470,84 +459,6 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
 
     _run(timeline, key, audited)
     return EqualityReport(passed=not violations, violations=violations)
-
-
-@dataclass
-class Segment:
-    """A nested interval of a WSRPT schedule with no partial execution."""
-
-    start: Fraction
-    end: Fraction
-    members: tuple[int, ...]
-    depth: int = 0
-    children: list["Segment"] = field(default_factory=list)
-
-
-def segments(schedule: Schedule, instance: Instance) -> list[Segment]:
-    """Decompose a WSRPT schedule into its nested segment forest.
-
-    A segment opens at a release where some job starts exactly at its
-    submission time, together with its co-released equal-ratio jobs; it
-    closes at the first later slice of a job with a smaller static ratio or
-    with an equal ratio outside the opening set, else at the makespan.
-    """
-    jobs = {j.id: j for j in instance.jobs}
-    first_start: dict[int, Fraction] = {}
-    span: dict[int, tuple[Fraction, Fraction]] = {}
-    for s in schedule.slices:
-        first_start.setdefault(s.job, s.start)
-        lo, hi = span.get(s.job, (s.start, s.end))
-        span[s.job] = (min(lo, s.start), max(hi, s.end))
-
-    by_release: dict[Fraction, list[Job]] = {}
-    for j in instance.jobs:
-        by_release.setdefault(j.release, []).append(j)
-
-    openings: dict[Fraction, set[int]] = {}
-    for j in instance.jobs:
-        if first_start.get(j.id) == j.release:
-            openings.setdefault(j.release, set()).update(
-                other.id
-                for other in by_release[j.release]
-                if other.ratio == j.ratio
-            )
-
-    makespan = schedule.makespan
-    raw: list[Segment] = []
-    for t in sorted(openings):
-        opening = openings[t]
-        seg_ratio = jobs[next(iter(opening))].ratio
-        end = makespan
-        for s in schedule.slices:
-            if s.start <= t:
-                continue
-            r = jobs[s.job].ratio
-            if r < seg_ratio or (r == seg_ratio and s.job not in opening):
-                end = s.start
-                break
-        members = tuple(
-            sorted(
-                jid
-                for jid, (lo, hi) in span.items()
-                if t <= lo and hi <= end
-            )
-        )
-        raw.append(Segment(t, end, members))
-
-    # Build the forest: sort by (start asc, end desc) and nest by containment.
-    raw.sort(key=lambda seg: (seg.start, -seg.end))
-    roots: list[Segment] = []
-    stack: list[Segment] = []
-    for seg in raw:
-        while stack and not (stack[-1].start <= seg.start and seg.end <= stack[-1].end):
-            stack.pop()
-        if stack:
-            seg.depth = stack[-1].depth + 1
-            stack[-1].children.append(seg)
-        else:
-            roots.append(seg)
-        stack.append(seg)
-    return roots
 
 
 def split_job(instance: Instance, job_id: int, q: int) -> Instance:

@@ -7,17 +7,12 @@ import pytest
 
 from wsrpt.analysis import (
     REFERENCE_ROWS,
-    FParams,
     _closed_ratio,
     basic_ratio_closed,
-    equalization_bounds,
-    f_curve,
-    group_ratio,
     lb_c1,
     lb_crossing,
     lb_curves,
     nested_ratio,
-    nesting_condition,
     optimize_basic,
     optimize_lb,
     optimize_nested,
@@ -33,44 +28,6 @@ WORST_Y = 0.8157388615898968
 WORST_V = 0.7065014281805206
 TIGHT_RATIO = 1.2258825036727754
 PREVIOUS_RATIO = 1.2258825036727696
-
-
-class TestCurves:
-    def test_f_curve_peak_position(self):
-        # k = 0: maximum of -(1-x)ln(1-x) sits exactly at 1 - 1/e
-        xs = [i / 2000 for i in range(2000)]
-        base = FParams(k=0.0, c=1.0)
-        peak = max(xs, key=lambda x: f_curve(x, base))
-        assert peak == pytest.approx(1 - 1 / math.e, abs=1e-3)
-        # positive k drags the peak left, negative k pushes it right
-        left = max(xs, key=lambda x: f_curve(x, FParams(k=1.0, c=1.0)))
-        right = max(xs, key=lambda x: f_curve(x, FParams(k=-0.5, c=1.0)))
-        assert left < peak < right
-
-    def test_f_curve_concave(self):
-        params = FParams(k=0.5, c=1.0)
-        xs = [i / 1000 for i in range(1000)]
-        vals = [f_curve(x, params) for x in xs]
-        seconds = [vals[i - 1] - 2 * vals[i] + vals[i + 1] for i in range(1, 999)]
-        assert all(s <= 1e-12 for s in seconds)
-
-    def test_f_curve_domain(self):
-        with pytest.raises(ValueError):
-            f_curve(1.0, FParams(k=0.0, c=1.0))
-        with pytest.raises(ValueError):
-            FParams(k=0.0, c=0.0)
-        with pytest.raises(ValueError):
-            FParams(k=-2.0, c=1.0)
-
-    def test_group_ratio_endpoints(self):
-        assert group_ratio(0.0, 1.0) == 1.0
-        # at the fixed point the group ratio equals -ln(1-v); the optimum is
-        # located to ~1e-7, so the identity holds to a comparable residual
-        denom = 1 + (WORST_Y - WORST_V) / (1 - WORST_Y)
-        assert group_ratio(WORST_V, denom) == pytest.approx(
-            -math.log1p(-WORST_V), abs=1e-5
-        )
-        assert group_ratio(0.7066, 1.5920) == pytest.approx(1.2259, abs=1e-3)
 
 
 class TestClosedForm:
@@ -228,11 +185,6 @@ class TestNested:
         assert nested_ratio(0.5307, 36, inner) > inner.ratio
         assert nested_ratio(0.5307, 30, inner) < inner.ratio
 
-    def test_condition_stays_below_tight_ratio(self):
-        ceiling = max(nesting_condition(r / 1000, 2.08) for r in range(1, 1000))
-        assert ceiling == pytest.approx(1.2256810, abs=1e-6)
-        assert ceiling < TIGHT_RATIO
-
     def test_parameter_validation(self):
         inner = worst_basic_metrics()
         with pytest.raises(ValueError):
@@ -273,10 +225,3 @@ class TestLowerBound:
         # the guaranteed minimum is maximized at the crossing
         floor = [min(a, b) for a, b in zip(curves.finish_j1_first, curves.finish_j2_first)]
         assert max(floor) <= curves.crossing_value + 1e-6
-
-    def test_equalization_bounds(self):
-        lo, hi = equalization_bounds()
-        assert lo == pytest.approx(1.1385311, abs=1e-6)
-        assert hi == pytest.approx(1.1391806, abs=1e-6)
-        assert hi == pytest.approx(1.1392, abs=1e-4)
-        assert lo > 1.1038  # equalizing never beats the two-branch floor

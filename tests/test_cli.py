@@ -419,6 +419,41 @@ class TestExitCodes:
         assert code == 1
         assert "not among the tied leaders" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "instance, schedule, argv, message",
+        [
+            # bool is an int subclass: read as numerals these were r = 0, p = 1
+            ('{"jobs": [{"id": 0, "r": false, "p": true, "w": "1"}]}', None,
+             ["simulate", "--exact"], "refusing boolean value False; pass a number"),
+            # int() truncated the choice to job 0
+            ('{"jobs": [{"id": 0, "r": "0", "p": "1", "w": "1"},'
+             ' {"id": 1, "r": "0", "p": "1", "w": "1"}],'
+             ' "tie_script": [{"t": "0", "choice": 0.7}]}', None,
+             ["simulate", "--tie", "scripted"], "tie-script choice must be an int, not 0.7"),
+            # int() read the slice as job 1
+            ('{"jobs": [{"id": 0, "r": "0", "p": "1", "w": "1"},'
+             ' {"id": 1, "r": "1", "p": "1", "w": "1"}]}',
+             '{"slices": [{"job": 0, "start": "0", "end": "1"},'
+             ' {"job": 1.9, "start": "1", "end": "2"}]}',
+             ["render", "gantt"], "slice job must be an int, not 1.9"),
+            # mixed id types ended in a TypeError from the timeline's sort
+            ('{"jobs": [{"id": "0", "r": "0", "p": "1", "w": "1"},'
+             ' {"id": 1.5, "r": "0", "p": "1", "w": "1"}]}', None,
+             ["simulate"], "job id must be an int, not '0'"),
+        ],
+        ids=["bool-numerals", "float-choice", "float-slice-job", "mixed-ids"],
+    )
+    def test_malformed_input_is_refused(self, tmp_path, capsys, instance, schedule, argv, message):
+        (tmp_path / "inst.json").write_text(instance)
+        files = ["--instance", str(tmp_path / "inst.json")]
+        if schedule is not None:
+            (tmp_path / "sched.json").write_text(schedule)
+            files += ["--schedule", str(tmp_path / "sched.json")]
+        code = main([*argv, *files, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_assertion_failure_is_2(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("envelope breached")

@@ -13,10 +13,8 @@ from wsrpt.core import (
     Schedule,
     Slice,
     merge_slices,
-    normalize_releases,
     objective,
     rational_str,
-    smith_ratio,
     to_rational,
 )
 from wsrpt.simulator import simulate
@@ -41,6 +39,12 @@ class TestToRational:
     def test_float_rejected(self):
         with pytest.raises(ValueError):
             to_rational(0.1)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, flag):
+        # bool is an int subclass; read as a numeral it would be 1 or 0.
+        with pytest.raises(ValueError, match=f"refusing boolean value {flag}"):
+            to_rational(flag)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +138,12 @@ class TestJob:
         j = Job(0, zero, 1, zero)
         assert (j.release, j.weight) == (0, 0)
 
+    @pytest.mark.parametrize("job_id", [1.5, 1.0, True, "0", None])
+    def test_non_int_id_rejected(self, job_id):
+        message = f"job id must be an int, not {job_id!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Job(job_id, 0, 1, 1)
+
     def test_string_fields_converted_exactly(self):
         j = Job(0, "0.5", "1/3", "0.25")
         assert (j.release, j.processing, j.weight) == (
@@ -141,27 +151,6 @@ class TestJob:
             Fraction(1, 3),
             Fraction(1, 4),
         )
-
-
-class TestSmithRatio:
-    def test_fresh_job(self):
-        assert smith_ratio(Job(0, 0, 1, 1), Fraction(1)) == 1
-
-    def test_long_job_partway(self):
-        # weight 1, remaining 1 - 0.5307
-        r = smith_ratio(Job(0, 0, 1, 1), Fraction(4693, 10000))
-        assert r == Fraction(10000, 4693)
-        assert abs(float(r) - 2.1308) < 2e-4
-
-    def test_equality_weight_formula(self):
-        # w = delta/(1-r) and remaining = delta tie at 1/(1-r)
-        delta, rel = Fraction(1, 100), Fraction(3, 10)
-        j = Job(0, rel, delta, delta / (1 - rel))
-        assert smith_ratio(j, delta) == 1 / (1 - rel)
-
-    def test_exhausted_job_rejected(self):
-        with pytest.raises(ValueError):
-            smith_ratio(Job(0, 0, 1, 1), Fraction(0))
 
 
 class TestInstance:
@@ -173,26 +162,18 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(())
 
+    @pytest.mark.parametrize("choice", [0.7, 1.0, True, "1"])
+    def test_non_int_tie_choice_rejected(self, choice):
+        jobs = (Job(0, 0, 1, 1), Job(1, 0, 1, 1))
+        message = f"tie-script choice must be an int, not {choice!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Instance(jobs, tie_script=((0, choice),))
+
     def test_job_lookup(self):
         inst = Instance((Job(0, 0, 1, 1), Job(5, 1, 2, 1)))
         assert inst.job(5).release == 1
         with pytest.raises(KeyError):
             inst.job(3)
-
-
-class TestNormalizeReleases:
-    def test_identity_when_zero_present(self):
-        inst = Instance((Job(0, 0, 1, 1), Job(1, 2, 1, 1)))
-        assert normalize_releases(inst) is inst
-
-    def test_uniform_shift(self):
-        inst = Instance((Job(0, 2, 1, 1), Job(1, 3, 1, 1)))
-        shifted = normalize_releases(inst)
-        assert [j.release for j in shifted.jobs] == [0, 1]
-
-    def test_single_late_release(self):
-        inst = Instance((Job(0, Fraction(1, 2), 1, 1),))
-        assert normalize_releases(inst).jobs[0].release == 0
 
 
 class TestSchedule:
@@ -223,7 +204,12 @@ class TestSchedule:
         assert sched.completion(1) == 2
         assert sched.completion(0) == 3
         assert sched.executed(0, Fraction(2)) == 1
-        assert sched.remaining(inst.job(0), Fraction(2)) == 1
+
+    @pytest.mark.parametrize("job", [1.9, 1.0, True])
+    def test_non_int_slice_job_rejected(self, job):
+        message = f"slice job must be an int, not {job!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Slice(job, 0, 1)
 
     @pytest.mark.parametrize(
         "slices, message",

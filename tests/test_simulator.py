@@ -1,5 +1,5 @@
 """Policy simulation: spec'd schedules, tie rules, equality instances,
-segments, and the splitting transformation."""
+and the splitting transformation."""
 
 import heapq
 import math
@@ -21,8 +21,6 @@ from wsrpt.simulator import (
     _exhaustive_worst,
     _ratio_key,
     is_equality_instance,
-    policy_key,
-    segments,
     simulate,
     split_job,
 )
@@ -34,6 +32,18 @@ FIXED_TIES = (
     TieRule.PREFER_NEW_LONGEST,
     TieRule.PREFER_NEW_SHORTEST,
 )
+
+
+def policy_key(policy: Policy, job: Job, remaining: Fraction) -> Fraction:
+    """Fraction-level priority key (larger runs) of a job with the given
+    remaining work: the reference for the engine's integer ranks."""
+    if policy is Policy.WSRPT:
+        return job.weight / remaining
+    if policy is Policy.WSPT_PREEMPTIVE:
+        return job.weight / job.processing
+    if policy is Policy.SRPT:
+        return Fraction(1) / remaining
+    raise ValueError(f"unknown policy {policy!r}")
 
 
 def _two_long_jobs():
@@ -566,41 +576,6 @@ class TestEqualityInstance:
             y=Fraction(1, 2), v=Fraction(3, 10), delta=Fraction(1, 20)
         )
         assert is_equality_instance(gen_basic(params)).passed
-
-
-class TestSegments:
-    def test_single_job_single_segment(self):
-        inst = Instance((Job(0, 0, 1, 1),))
-        forest = segments(simulate(inst), inst)
-        assert len(forest) == 1
-        assert (forest[0].start, forest[0].end) == (0, 1)
-        assert forest[0].members == (0,)
-
-    def test_basic_family_one_segment(self):
-        params = ScenarioParams(y=Fraction(1, 2), v=Fraction(1, 2), delta=Fraction(1, 10))
-        inst = gen_basic(params)
-        sched = simulate(inst, tie=TieRule.SCRIPTED)
-        forest = segments(sched, inst)
-        assert len(forest) == 1
-        assert forest[0].members == tuple(j.id for j in inst.jobs)
-        assert forest[0].depth == 0
-        assert forest[0].end == sched.makespan
-
-    def test_nested_family_two_segments(self):
-        from wsrpt.instances import NestedParams, gen_nested
-
-        outer = ScenarioParams(y=Fraction(1, 2), v=Fraction(1, 2), delta=Fraction(1, 10))
-        inner = ScenarioParams(y=Fraction(2, 5), v=Fraction(2, 5), delta=Fraction(1, 10))
-        inst = gen_nested(
-            NestedParams(outer=outer, r_s=Fraction(3, 10), p_s=Fraction(5), inner=inner)
-        )
-        sched = simulate(inst, tie=TieRule.SCRIPTED)
-        forest = segments(sched, inst)
-        assert len(forest) == 1
-        assert len(forest[0].children) == 1
-        child = forest[0].children[0]
-        assert child.depth == 1
-        assert forest[0].start < child.start < child.end <= forest[0].end
 
 
 class TestSplitJob:
