@@ -21,7 +21,6 @@ from .core import (
     Job,
     Schedule,
     Slice,
-    merge_slices,
     objective,
     rational_str,
     to_rational,
@@ -180,7 +179,13 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
     cycle = p1 / 50
     shares = {0: cycle * p1 / (p1 + p2), 1: cycle * p2 / (p1 + p2)}
     rem = {j.id: j.processing for j in instance.jobs}
-    raw: list[Slice] = []
+    runs: list[list] = []  # [job, start, end], adjacent runs of a job fused
+
+    def run(jid: int, start: Fraction, end: Fraction) -> None:
+        if runs and runs[-1][0] == jid and runs[-1][2] == start:
+            runs[-1][2] = end
+        else:
+            runs.append([jid, start, end])
     now = Fraction(0)
     running = None
     while rem[0] > 0 or rem[1] > 0:
@@ -195,7 +200,7 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
                 d = min(d, t_switch - now)
             if d <= 0:
                 continue
-            raw.append(Slice(jid, now, now + d))
+            run(jid, now, now + d)
             rem[jid] -= d
             now += d
             running = jid
@@ -210,9 +215,9 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
     )
     for j in alive:
         start = max(now, j.release)
-        raw.append(Slice(j.id, start, start + rem[j.id]))
         now = start + rem[j.id]
-    return Schedule(merge_slices(raw))
+        run(j.id, start, now)
+    return Schedule(Slice(*r) for r in runs)
 
 
 def play(
@@ -281,9 +286,8 @@ def play(
     state = replace(state, block_length=block_length)
 
     jobs = [Job(0, 0, p1, p1), Job(1, 0, p2, p2)]
-    jobs.extend(
-        Job(2 + i, t_r, delta, rho * delta) for i in range(pieces)
-    )
+    weight = rho * delta
+    jobs.extend(Job(2 + i, t_r, delta, weight) for i in range(pieces))
     instance = Instance(
         tuple(jobs),
         tags={
@@ -331,7 +335,7 @@ def transcript_to_dict(transcript: AdversaryTranscript) -> dict:
         "ratio": float(transcript.ratio),
         "ratio_exact": rational_str(transcript.ratio),
         "instance": instance_to_dict(transcript.instance),
-        "schedule": slices_to_dicts(transcript.schedule.slices),
+        "schedule": slices_to_dicts(transcript.schedule),
     }
 
 

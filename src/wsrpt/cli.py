@@ -19,12 +19,13 @@ from pathlib import Path
 
 from . import analysis
 from .adversary import EXTRA_POLICIES, play, write_transcript
-from .core import Instance, Schedule, objective, rational_str, to_rational
+from .core import Schedule, objective, rational_str, to_rational
 from .fuzz import fuzz
 from .instances import (
     NestedParams,
     RANDOM_KINDS,
     ScenarioParams,
+    _field,
     gen_basic,
     gen_nested,
     gen_random,
@@ -134,9 +135,9 @@ def _show(value, exact: bool) -> str:
         return "inf"
 
 
-def _write_schedule(schedule: Schedule, instance: Instance, path) -> None:
-    """JSON slice list, or CSV (job,start,end) when the path says so."""
-    slices = slices_to_dicts(schedule.slices)
+def _write_schedule(schedule: Schedule, value: Fraction, path) -> None:
+    """JSON of objective ``value`` and slices, or CSV (job,start,end) by the path."""
+    slices = slices_to_dicts(schedule)
     if str(path).endswith(".csv"):
         with open(path, "w", encoding="utf-8", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=["job", "start", "end"])
@@ -144,7 +145,7 @@ def _write_schedule(schedule: Schedule, instance: Instance, path) -> None:
             writer.writerows(slices)
     else:
         payload = {
-            "objective": rational_str(objective(schedule, instance)),
+            "objective": rational_str(value),
             "slices": slices,
         }
         write_json(payload, path)
@@ -158,7 +159,7 @@ def _cmd_simulate(args) -> int:
     print(f"objective {_show(value, args.exact)}")
     out = _out_path(args)
     if out is not None:
-        _write_schedule(schedule, instance, out)
+        _write_schedule(schedule, value, out)
         print(f"wrote {out}")
     return 0
 
@@ -174,7 +175,7 @@ def _cmd_optimal(args) -> int:
     print(f"{result.method} objective {_show(result.objective, args.exact)}")
     out = _out_path(args)
     if out is not None:
-        _write_schedule(result.schedule, instance, out)
+        _write_schedule(result.schedule, result.objective, out)
         print(f"wrote {out}")
     return 0
 
@@ -308,7 +309,7 @@ def _cmd_render(args) -> int:
     instance = read_instance(args.instance)
     if args.schedule is not None:
         with open(args.schedule, encoding="utf-8") as f:
-            schedule = Schedule(slices_from_dicts(json.load(f)["slices"]))
+            schedule = Schedule(slices_from_dicts(_field(json.load(f), "slices", "schedule")))
         schedule.validate(instance)
     else:
         schedule = simulate(instance, policy=Policy(args.policy), tie=TieRule(args.tie))

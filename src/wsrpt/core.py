@@ -14,13 +14,30 @@ which works with closed forms and quadrature under stated tolerances.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 Rational = Union[Fraction, int, str]
+
+
+@contextmanager
+def _without_digit_limit():
+    """CPython's int/str digit limit (4,300) lifted for a block or, as
+    ``@_without_digit_limit()``, a call: exact objectives over thousands of
+    jobs outgrow it.  Helpers called inside one leave the limit alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def to_rational(value: Rational) -> Fraction:
@@ -38,7 +55,8 @@ def to_rational(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return _without_digit_limit(_parse_rational, value)
+        with _without_digit_limit():
+            return _parse_rational(value)
     raise ValueError(f"refusing inexact value {value!r}; pass a string or Fraction")
 
 
@@ -58,9 +76,10 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational numeral: {text!r}") from exc
 
 
+@_without_digit_limit()
 def rational_str(value: Fraction) -> str:
     """Render a Fraction as "num/den" (or plain "num" for integers)."""
-    return _without_digit_limit(_rational_str, value)
+    return _rational_str(value)
 
 
 def _rational_str(value: Fraction) -> str:
@@ -74,22 +93,6 @@ def _job_id(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an int, not {value!r}")
     return value
-
-
-def _without_digit_limit(convert, value):
-    """``convert(value)`` with CPython's int/str digit limit lifted, then restored.
-
-    The exact objective of a schedule over thousands of jobs can have more
-    digits than the default limit of 4,300.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return convert(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)
@@ -196,12 +199,17 @@ class Schedule:
         schedule._runs, schedule._den = runs, den
         return schedule
 
+    def _timed(self, convert) -> list[tuple]:
+        """The runs as ``(job, convert(start), convert(end))``, with ``convert``
+        applied once per distinct time, to its Fraction."""
+        times = dict.fromkeys(t for run in self._runs for t in run[1:])
+        at = {t: convert(Fraction(t, self._den)) for t in times}
+        return [(job, at[start], at[end]) for job, start, end in self._runs]
+
     @cached_property
     def slices(self) -> tuple[Slice, ...]:
         """The runs as slices, one Fraction per distinct time."""
-        times = dict.fromkeys(t for run in self._runs for t in run[1:])
-        at = {t: Fraction(t, self._den) for t in times}
-        return tuple(Slice(job, at[start], at[end]) for job, start, end in self._runs)
+        return tuple(Slice(*run) for run in self._timed(to_rational))
 
     @cached_property
     def _ends(self) -> dict[int, int]:
@@ -221,12 +229,13 @@ class Schedule:
     def executed(self, job_id: int, t: Fraction) -> Fraction:
         """Work done on the job strictly before time t."""
         t = to_rational(t)
-        done = Fraction(0)
-        for s in self.slices:
-            if s.job != job_id or s.start >= t:
-                continue
-            done += min(s.end, t) - s.start
-        return done
+        # On the grid t is n/d: compare and sum in units of 1/(den·d).
+        n, d = t.numerator * self._den, t.denominator
+        done = 0
+        for job, start, end in self._runs:
+            if job == job_id and start * d < n:
+                done += min(end * d, n) - start * d
+        return Fraction(done, self._den * d)
 
     @property
     def makespan(self) -> Fraction:
@@ -308,13 +317,3 @@ def objective(schedule: Schedule, instance: Instance) -> Fraction:
         terms = pairs
     return terms[0] / schedule._den
 
-
-def merge_slices(raw: Sequence[Slice]) -> list[Slice]:
-    """Fuse adjacent slices of the same job into maximal runs."""
-    merged: list[Slice] = []
-    for s in raw:
-        if merged and merged[-1].job == s.job and merged[-1].end == s.start:
-            merged[-1] = Slice(s.job, merged[-1].start, s.end)
-        else:
-            merged.append(s)
-    return merged

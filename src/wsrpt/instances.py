@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import ceil
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import IO, Union
@@ -23,6 +24,7 @@ from typing import IO, Union
 from .core import (
     Instance,
     Job,
+    Schedule,
     Slice,
     _parse_rational,
     _rational_str,
@@ -282,12 +284,9 @@ def gen_random(rng: Random, n: int, kind: str = "general") -> Instance:
 PathOrFile = Union[str, Path, IO[str]]
 
 
+@_without_digit_limit()
 def instance_to_dict(instance: Instance) -> dict:
     """JSON-ready form with rationals rendered as exact num/den strings."""
-    return _without_digit_limit(_instance_to_dict, instance)
-
-
-def _instance_to_dict(instance: Instance) -> dict:
     payload = {
         "jobs": [
             {
@@ -308,11 +307,6 @@ def _instance_to_dict(instance: Instance) -> dict:
     return payload
 
 
-def instance_from_dict(payload: dict) -> Instance:
-    """Inverse of instance_to_dict."""
-    return _without_digit_limit(_instance_from_dict, payload)
-
-
 class _Numerals(dict):
     """``to_rational`` for one read under a lifted digit limit; each
     distinct numeral string is parsed once."""
@@ -325,41 +319,70 @@ class _Numerals(dict):
         return self[value] if isinstance(value, str) else to_rational(value)
 
 
-def _instance_from_dict(payload: dict) -> Instance:
+def _field(record, name: str, what: str):
+    """``record[name]``; a ValueError naming ``what`` unless ``record`` is a
+    JSON object that holds ``name``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if name not in record:
+        raise ValueError(f"{what} lacks field {name!r}")
+    return record[name]
+
+
+def _records(records, what: str, names: tuple[str, ...]):
+    """Yield each record's values under ``names``, for a JSON list of objects.
+
+    A list that is not one, or a record that is no object or lacks a
+    field, is a ValueError naming the ``what`` record at fault.
+    """
+    if not isinstance(records, list):
+        raise ValueError(f"{what} records are not a JSON list")
+    values = itemgetter(*names)
+    for i, record in enumerate(records):
+        try:
+            yield values(record)
+        except (KeyError, TypeError):
+            for name in names:
+                _field(record, name, f"{what} record {i}")
+            raise
+
+
+@_without_digit_limit()
+def instance_from_dict(payload: dict) -> Instance:
+    """Inverse of instance_to_dict."""
     rational = _Numerals()
     jobs = tuple(
-        Job(rec["id"], rational(rec["r"]), rational(rec["p"]), rational(rec["w"]))
-        for rec in payload["jobs"]
+        Job(i, rational(r), rational(p), rational(w))
+        for i, r, p, w in _records(
+            _field(payload, "jobs", "instance"), "job", ("id", "r", "p", "w")
+        )
     )
     script = payload.get("tie_script")
     tie_script = (
         None
         if script is None
-        else tuple((rational(e["t"]), e["choice"]) for e in script)
+        else tuple((rational(t), c) for t, c in _records(script, "tie-script", ("t", "choice")))
     )
     return Instance(jobs, tie_script=tie_script, tags=payload.get("tags", {}))
 
 
-def slices_to_dicts(slices) -> list[dict]:
-    """JSON-ready slice list: ``{"job", "start", "end"}`` with exact times."""
-    return _without_digit_limit(
-        lambda slices: [
-            {"job": s.job, "start": _rational_str(s.start), "end": _rational_str(s.end)}
-            for s in slices
-        ],
-        slices,
-    )
+@_without_digit_limit()
+def slices_to_dicts(schedule: Schedule) -> list[dict]:
+    """JSON-ready slice list ``{"job", "start", "end"}``, each distinct run time rendered once."""
+    return [
+        {"job": job, "start": start, "end": end}
+        for job, start, end in schedule._timed(_rational_str)
+    ]
 
 
+@_without_digit_limit()
 def slices_from_dicts(records) -> tuple[Slice, ...]:
     """Inverse of slices_to_dicts."""
-    def read(records):
-        rational = _Numerals()
-        return tuple(
-            Slice(s["job"], rational(s["start"]), rational(s["end"])) for s in records
-        )
-
-    return _without_digit_limit(read, records)
+    rational = _Numerals()
+    return tuple(
+        Slice(job, rational(start), rational(end))
+        for job, start, end in _records(records, "slice", ("job", "start", "end"))
+    )
 
 
 # Records per C-encoder call in a record list; bounds the text held at once.

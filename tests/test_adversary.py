@@ -72,6 +72,14 @@ class TestPlay:
         assert a.ratio == b.ratio
         assert a.schedule.slices == b.schedule.slices
 
+    @pytest.mark.parametrize("delta, p2", [("1e-2", "2.3364"), ("1/7", "2.3364"), ("1e-2", "1.5")])
+    def test_equalizer_runs_are_fused(self, delta, p2):
+        # The rotation and the nonpreemptive tail fuse as they go: no two
+        # consecutive runs belong to one job.
+        runs = play("equalizer", delta=delta, p2=p2).schedule._runs
+        assert len(runs) > 2
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             play(Policy.WSRPT, p1=2, p2=1)

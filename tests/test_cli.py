@@ -16,6 +16,9 @@ from wsrpt.simulator import MAX_SEARCH_DEPTH
 from conftest import interrupts
 
 
+ONE_JOB = '{"jobs": [{"id": 0, "r": "0", "p": "1", "w": "1"}]}'
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -440,8 +443,24 @@ class TestExitCodes:
             ('{"jobs": [{"id": "0", "r": "0", "p": "1", "w": "1"},'
              ' {"id": 1.5, "r": "0", "p": "1", "w": "1"}]}', None,
              ["simulate"], "job id must be an int, not '0'"),
+            # structurally wrong documents ended in a TypeError traceback
+            ('{"jobs":[1]}', None, ["simulate"], "job record 0 is not a JSON object"),
+            ("[]", None, ["simulate"], "instance is not a JSON object"),
+            ('{"jobs":{"a":1}}', None, ["simulate"], "job records are not a JSON list"),
+            (ONE_JOB, '{"slices":[1]}', ["render", "gantt"], "slice record 0 is not a JSON object"),
+            (ONE_JOB, "[]", ["render", "gantt"], "schedule is not a JSON object"),
+            # a missing field was reported as the bare key
+            ('{"jobs": [{"id": 0, "r": "0", "p": "1"}]}', None,
+             ["simulate"], "job record 0 lacks field 'w'"),
+            (ONE_JOB[:-1] + ', "tie_script": [{"t": "0"}]}', None,
+             ["simulate", "--tie", "scripted"], "tie-script record 0 lacks field 'choice'"),
+            (ONE_JOB, '{"slices": [{"job": 0, "start": "0"}]}',
+             ["render", "gantt"], "slice record 0 lacks field 'end'"),
         ],
-        ids=["bool-numerals", "float-choice", "float-slice-job", "mixed-ids"],
+        ids=["bool-numerals", "float-choice", "float-slice-job", "mixed-ids",
+             "job-not-object", "instance-a-list", "jobs-not-list",
+             "slice-not-object", "schedule-a-list",
+             "job-lacks-w", "tie-lacks-choice", "slice-lacks-end"],
     )
     def test_malformed_input_is_refused(self, tmp_path, capsys, instance, schedule, argv, message):
         (tmp_path / "inst.json").write_text(instance)

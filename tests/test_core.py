@@ -12,7 +12,6 @@ from wsrpt.core import (
     Job,
     Schedule,
     Slice,
-    merge_slices,
     objective,
     rational_str,
     to_rational,
@@ -68,6 +67,21 @@ class TestToRational:
         assert len(text) > 10_000
         assert to_rational(text) == x
         assert limit() == before
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_only_strings_lift_the_digit_limit(self, monkeypatch):
+        # Every Job converts three values; Fractions and ints pass through
+        # without touching the limit, and each string or rendering lifts it once.
+        calls = []
+        lift = sys.set_int_max_str_digits
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lambda n: (calls.append(n), lift(n)))
+        Job(0, Fraction(1, 3), 2, Fraction(5))
+        assert to_rational(7) == 7 and calls == []
+        assert to_rational("1/3") == Fraction(1, 3)
+        assert rational_str(Fraction(1, 3)) == "1/3"
+        assert calls == [0, sys.get_int_max_str_digits()] * 2
 
 
     @given(st.text(alphabet="0123456789/-+_.e \u0663", max_size=12))
@@ -309,20 +323,6 @@ def reference_validate(schedule, instance):
         if total[jid] != job.processing:
             return f"job {jid} executes {total[jid]} of {job.processing}"
     return None
-
-
-def test_merge_slices_joins_adjacent_same_job():
-    merged = merge_slices(
-        [
-            Slice(0, Fraction(0), Fraction(1)),
-            Slice(0, Fraction(1), Fraction(2)),
-            Slice(1, Fraction(2), Fraction(3)),
-        ]
-    )
-    assert merged == [
-        Slice(0, Fraction(0), Fraction(2)),
-        Slice(1, Fraction(2), Fraction(3)),
-    ]
 
 
 @given(small_instances())

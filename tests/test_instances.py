@@ -245,7 +245,7 @@ class TestFileIO:
         )
 
     def test_missing_field_errors(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^job record 0 lacks field 'w'$"):
             instance_from_dict({"jobs": [{"id": 0, "r": "0", "p": "1"}]})
 
     @pytest.mark.skipif(
@@ -264,7 +264,7 @@ class TestFileIO:
         assert calls == [0, before]
         assert instance_from_dict(payload).jobs == inst.jobs
         assert calls == [0, before] * 2
-        assert slices_to_dicts(sched.slices)[0] == {"job": 0, "start": "0", "end": "1"}
+        assert slices_to_dicts(sched)[0] == {"job": 0, "start": "0", "end": "1"}
         assert calls == [0, before] * 3
         assert sys.get_int_max_str_digits() == before
 

@@ -4,17 +4,20 @@ rebuilt through the public ``Schedule`` constructor.
 The event engine hands its runs over on its own grid, whose unit 1/den_t
 can be finer than the slice times need; ``Schedule(slices)`` scales the
 checked slices onto the lcm of their denominators.  Both routes must score,
-compare and validate alike.
+compare and validate alike, and the writer and ``executed``, which read the
+runs, must agree with the same work done on the slices.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from wsrpt.adversary import play
 from wsrpt.analysis import optimize_nested
-from wsrpt.core import Instance, Job, Schedule, Slice, objective
+from wsrpt.core import Instance, Job, Schedule, Slice, _rational_str, objective
 from wsrpt.instances import (
     RANDOM_KINDS,
     NestedParams,
@@ -22,6 +25,9 @@ from wsrpt.instances import (
     gen_basic,
     gen_nested,
     gen_random,
+    slices_from_dicts,
+    slices_to_dicts,
+    write_json,
 )
 from wsrpt.oracle import (
     optimal_bruteforce,
@@ -33,6 +39,7 @@ from wsrpt.simulator import Policy, TieRule, simulate
 
 WORST_Y = Fraction(8157, 10000)
 WORST_V = Fraction(7066, 10000)
+FIXED_TIES = (TieRule.PREFER_RUNNING, TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST)
 
 
 def _mixed(rng: Random, n: int) -> Instance:
@@ -172,3 +179,84 @@ def test_public_constructor_keeps_slice_checks():
     assert schedule.makespan == 2 and schedule.completion(3) == Fraction(1, 2)
     with pytest.raises(KeyError, match="job 2 never executes"):
         schedule.completion(2)
+
+
+def _slice_route(schedule: Schedule) -> list[dict]:
+    """The writer's former route: one ``Slice`` per run, each time rendered apart."""
+    return [
+        {"job": s.job, "start": _rational_str(s.start), "end": _rational_str(s.end)}
+        for s in schedule.slices
+    ]
+
+
+def _every_producer():
+    """(name, schedule) from each route that makes a schedule."""
+    for instance in _draws():
+        for policy in Policy:
+            for tie in FIXED_TIES:
+                yield f"{policy.value}/{tie.value}", simulate(instance, policy=policy, tie=tie)
+        yield "exhaustive", simulate(instance, tie=TieRule.EXHAUSTIVE_WORST)
+        yield "subset-dp", optimal_bruteforce(instance).schedule
+        yield "time-indexed-dp", optimal_dp_timeindexed(instance).schedule
+        yield "priority", priority_schedule(instance, sorted(j.id for j in instance.jobs))
+        try:
+            yield "structured", structured_optimal(instance).schedule
+        except ValueError:
+            pass
+    basic = gen_basic(ScenarioParams(y=WORST_Y, v=WORST_V, delta=Fraction(1, 100)))
+    yield "scripted", simulate(basic, tie=TieRule.SCRIPTED)
+    yield "structured", structured_optimal(basic).schedule
+    for policy in ("j2-first", "equalizer"):
+        yield policy, play(policy, delta="1e-2").schedule
+
+
+def test_writer_matches_the_slice_route_on_every_producer(tmp_path):
+    names, finer = set(), 0
+    for name, schedule in _every_producer():
+        names.add(name)
+        finer += schedule._den != Schedule(schedule.slices)._den
+        records = slices_to_dicts(schedule)
+        assert json.dumps(records) == json.dumps(_slice_route(schedule)), name
+        # The same schedule read back from its file: built from checked
+        # slices onto the lcm of their denominators.
+        path = tmp_path / "schedule.json"
+        write_json({"slices": records}, path)
+        read = Schedule(slices_from_dicts(json.loads(path.read_text())["slices"]))
+        assert read == schedule
+        assert json.dumps(slices_to_dicts(read)) == json.dumps(_slice_route(read)), name
+    assert {"exhaustive", "subset-dp", "time-indexed-dp", "priority", "structured",
+            "scripted", "j2-first", "equalizer"} <= names
+    assert len(names) == len(FIXED_TIES) * len(Policy) + 8
+    # Some engine grids are finer than their times need.
+    assert finer > 0
+
+
+def test_the_writer_builds_no_slices(monkeypatch):
+    instance = gen_basic(ScenarioParams(y=WORST_Y, v=WORST_V, delta=Fraction(1, 100)))
+    built = []
+    check = Slice.__post_init__
+    monkeypatch.setattr(Slice, "__post_init__", lambda s: (built.append(s), check(s)))
+    online = simulate(instance, tie=TieRule.SCRIPTED)
+    records = slices_to_dicts(online)
+    assert len(records) == len(online) and records[0]["start"] == "0"
+    assert built == []
+    assert "slices" not in vars(online)
+
+
+def _executed_reference(schedule: Schedule, job: int, t: Fraction) -> Fraction:
+    return sum(
+        (min(s.end, t) - s.start for s in schedule.slices if s.job == job and s.start < t),
+        Fraction(0),
+    )
+
+
+def test_executed_matches_the_fraction_reference():
+    for instance in _draws():
+        for schedule in _engine_schedules(instance):
+            bounds = sorted({x for s in schedule.slices for x in (s.start, s.end)})
+            mids = [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+            off = [x + Fraction(1, 997) for x in bounds] + [Fraction(-1), Fraction(1, 10**9)]
+            for t in bounds + mids + off:
+                for j in instance.jobs:
+                    assert schedule.executed(j.id, t) == _executed_reference(schedule, j.id, t)
+            assert schedule.executed(-1, schedule.makespan) == 0

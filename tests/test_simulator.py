@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsrpt.simulator
-from wsrpt.core import Instance, Job, Schedule, Slice, merge_slices, objective
+from wsrpt.core import Instance, Job, Schedule, Slice, objective
 from wsrpt.instances import ScenarioParams, gen_basic
 from wsrpt.oracle import optimal_dp_timeindexed, optimal_objective, priority_schedule
 from wsrpt.simulator import (
@@ -127,12 +127,15 @@ def reference_slices(instance, key, tie=TieRule.PREFER_RUNNING, script=()):
         end = now + rem[chosen]
         if i < len(times) and times[i] < end:
             end = times[i]
-        slices.append(Slice(chosen, now, end))
+        if slices and slices[-1].job == chosen and slices[-1].end == now:
+            slices[-1] = Slice(chosen, slices[-1].start, end)  # fuse, as the engine does
+        else:
+            slices.append(Slice(chosen, now, end))
         rem[chosen] -= end - now
         now, running = end, (chosen if rem[chosen] else None)
         if running is not None:
             heapq.heappush(heap, (-key(jobs[chosen], rem[chosen]), chosen))
-    return tuple(merge_slices(slices))
+    return tuple(slices)
 
 
 def _policy_key(policy):
