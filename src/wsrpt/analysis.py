@@ -4,10 +4,12 @@ Everything here is 64-bit float numerics with explicit tolerances — exact
 arithmetic lives in the simulator and oracles.  Two independent evaluation
 routes are kept deliberately separate so they can check each other:
 ``profile_metrics`` integrates the schedule structure by adaptive
-quadrature, while ``basic_ratio_closed`` and the optimizers evaluate one
-general closed form built from antiderivatives.  Every continuum maximum
-goes through one deterministic bounded Brent search (``_argmax``), nested
-for two parameters, and the lower-bound crossing is one Brent root.
+Gauss–Legendre quadrature (``quad``), while ``basic_ratio_closed`` and the
+optimizers evaluate one general closed form built from antiderivatives.
+Every continuum maximum goes through one deterministic bounded Brent search
+(``_argmax``), nested for two parameters, and the lower-bound crossing is
+one bisection.  All three tools are plain Python; the package imports no
+numeric library.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
-
 from .oracle import pair_objectives
-
-_QUAD_OPTS = {"epsabs": 1e-7, "limit": 200}
 
 
 @dataclass(frozen=True)
@@ -83,14 +80,145 @@ def basic_ratio_closed(y: float, v: float) -> ScenarioMetrics:
     return ScenarioMetrics(C, C_star, C / C_star, W, L)
 
 
+# --- numerics: quadrature, maximizer ---------------------------------------
+
+_QUAD_TOL = 1e-7  # absolute error of one integral, shared among its panels
+_QUAD_PANELS = 200
+
+
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the n-point Gauss–Legendre rule on [-1, 1]:
+    each node is a root of P_n found by Newton's iteration from Tricomi's
+    cosine guess."""
+    rule = []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            step = p1 / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+_GAUSS10 = _gauss_legendre(10)
+
+
+def _gauss(f: Callable[[float], float], a: float, b: float) -> float:
+    c, h = (a + b) / 2, (b - a) / 2
+    return h * sum(w * f(c + h * x) for x, w in _GAUSS10)
+
+
+def quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """∫ f over [a, b] (0 when b <= a) by adaptive Gauss–Legendre bisection.
+
+    A panel's 10-point value is accepted through its two halves once their
+    sum agrees with it within the panel's width share of 1e-7; otherwise
+    both halves are refined.  ``profile_metrics``' integrands have a pole at
+    x = 1 just past the interval, which a fixed composite rule misses near
+    y = 1.  More than 200 panels is a ValueError, never a silent estimate.
+    ``profile_metrics`` looks this name up at call time, so a wrapper set on
+    the module (a call counter, say) sees every integral.
+    """
+    if b <= a:
+        return 0.0
+    total, panels = 0.0, 1
+    pending = [(a, b, _gauss(f, a, b))]
+    while pending:
+        lo, hi, whole = pending.pop()
+        mid = (lo + hi) / 2
+        left, right = _gauss(f, lo, mid), _gauss(f, mid, hi)
+        if abs(left + right - whole) <= _QUAD_TOL * (hi - lo) / (b - a):
+            total += left + right
+            continue
+        panels += 1
+        if panels > _QUAD_PANELS:
+            raise ValueError(
+                f"quadrature on [{a}, {b}] needs more than {_QUAD_PANELS} panels"
+            )
+        pending += ((lo, mid, left), (mid, hi, right))
+    return total
+
+
+def _argmax(
+    f: Callable[[float], float], lo: float, hi: float, xatol: float
+) -> tuple[float, float]:
+    """(x, f(x)) maximizing f over (lo, hi) by Brent's bounded search.
+
+    The package's one maximizer: a unimodal f is enough, and a
+    two-parameter maximum nests it, the inner search inside the outer's f.
+    f is evaluated only inside (lo, hi), never at a bound.
+    It is Brent's ``fmin`` (Brent 1973; Forsythe, Malcolm and Moler 1977)
+    on -f, step for step as scipy's bounded ``minimize_scalar`` runs it:
+    golden-section steps, parabolic steps when they land well inside,
+    tolerance sqrt(2.2e-16)·|x| + xatol/3 and at most 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # x: best point so far; w: second best; v: the previous w
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = -f(x)
+    step = e = 0.0
+    for _ in range(499):
+        m = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = abs(e) > tol1
+        if parabolic:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, step
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x)
+            if parabolic:
+                step = p / q
+                u = x + step
+                if u - a < tol2 or b - u < tol2:
+                    step = -tol1 if m < x else tol1
+        if not parabolic:
+            e = a - x if x >= m else b - x
+            step = golden * e
+        u = x + (-1.0 if step < 0 else 1.0) * max(abs(step), tol1)
+        fu = -f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, -fx
+
+
 def profile_metrics(y: float, v: float | None = None, z: float = 0.0) -> ScenarioMetrics:
-    """Metrics of the continuous profile by adaptive quadrature.
+    """Metrics of the continuous profile by adaptive quadrature (``quad``).
 
     The integrands follow the schedule structure directly: completions at
     release on (0, y], the lump executing right after the long job (policy)
     or right after y (optimum), ramp leftovers finishing at m(1-x) resp.
     (m-1)(1-x), and the unit-density prefix finishing in descending release
-    order.  Cross-checked against the closed forms to 1e-6.
+    order.  Cross-checked against the closed forms to 1e-6 over a grid of
+    (y, v) and to 1e-9 at v = y up to y = 0.9999.
     """
     if v is None:
         v = y
@@ -104,42 +232,23 @@ def profile_metrics(y: float, v: float | None = None, z: float = 0.0) -> Scenari
     m = (1 + z) / (1 - y)
     L = 1 + v + m * (y - v) + z
 
-    def integral(f: Callable[[float], float], a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        return quad(f, a, b, **_QUAD_OPTS)[0]
-
-    lump_policy = integral(lambda u: (1 + u) / (1 - y), 0, z)
-    ramp_policy = integral(lambda x: (m / (1 - x)) * (m * (1 - x)), v, y)
-    prefix_policy = integral(lambda x: (L - x) / (1 - x), 0, v)
+    lump_policy = quad(lambda u: (1 + u) / (1 - y), 0, z)
+    ramp_policy = quad(lambda x: (m / (1 - x)) * (m * (1 - x)), v, y)
+    prefix_policy = quad(lambda x: (L - x) / (1 - x), 0, v)
     C = 1 + lump_policy + ramp_policy + prefix_policy
 
-    at_release = integral(lambda x: x / (1 - x), 0, y)
-    lump_opt = integral(lambda u: (y + u) / (1 - y), 0, z)
-    ramp_opt = integral(lambda x: ((m - 1) / (1 - x)) * ((m - 1) * (1 - x)), v, y)
+    at_release = quad(lambda x: x / (1 - x), 0, y)
+    lump_opt = quad(lambda u: (y + u) / (1 - y), 0, z)
+    ramp_opt = quad(lambda x: ((m - 1) / (1 - x)) * ((m - 1) * (1 - x)), v, y)
     C_star = at_release + lump_opt + ramp_opt + L
 
     W = (
         1
         + z / (1 - y)
-        + integral(lambda x: m / (1 - x), v, y)
-        + integral(lambda x: 1 / (1 - x), 0, v)
+        + quad(lambda x: m / (1 - x), v, y)
+        + quad(lambda x: 1 / (1 - x), 0, v)
     )
     return ScenarioMetrics(C, C_star, C / C_star, W, L)
-
-
-def _argmax(
-    f: Callable[[float], float], lo: float, hi: float, xatol: float
-) -> tuple[float, float]:
-    """(x, f(x)) maximizing f over (lo, hi) by bounded Brent search.
-
-    The package's one maximizer: a unimodal f is enough, and a
-    two-parameter maximum nests it, the inner search inside the outer's f.
-    """
-    res = minimize_scalar(
-        lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": xatol}
-    )
-    return float(res.x), -float(res.fun)
 
 
 @lru_cache(maxsize=1)
@@ -346,15 +455,21 @@ class LbCurves:
 
 
 def lb_crossing(p1: float = 1.0, lo: float = 1.05, hi: float = 6.0) -> tuple[float, float]:
-    """Brent root (to 1e-12) of the gap between the two curves: the p2
-    where they meet."""
+    """The p2 where the two curves meet: bisection of their gap, which
+    [lo, hi] must bracket, to a width of 1e-12."""
 
     def gap(p2: float) -> float:
         return _lb_curve(p1, p2, j1_first=True) - lb_c1(p1, p2)
 
     if gap(lo) > 0 or gap(hi) < 0:
         raise ValueError("curves do not bracket a crossing on [lo, hi]")
-    p2 = brentq(gap, lo, hi, xtol=1e-12)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    p2 = 0.5 * (lo + hi)
     return p2, lb_c1(p1, p2)
 
 

@@ -363,7 +363,10 @@ def instance_from_dict(payload: dict) -> Instance:
         if script is None
         else tuple((rational(t), c) for t, c in _records(script, "tie-script", ("t", "choice")))
     )
-    return Instance(jobs, tie_script=tie_script, tags=payload.get("tags", {}))
+    tags = payload.get("tags", {})
+    if not (isinstance(tags, dict) and _all_scalars(tags.values())):
+        raise ValueError("instance tags are not a JSON object of scalars")
+    return Instance(jobs, tie_script=tie_script, tags=tags)
 
 
 @_without_digit_limit()

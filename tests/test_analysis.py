@@ -7,7 +7,9 @@ import pytest
 
 from wsrpt.analysis import (
     REFERENCE_ROWS,
+    _argmax,
     _closed_ratio,
+    _metrics_closed,
     basic_ratio_closed,
     lb_c1,
     lb_crossing,
@@ -17,6 +19,7 @@ from wsrpt.analysis import (
     optimize_lb,
     optimize_nested,
     profile_metrics,
+    quad,
     table1,
     worst_basic_metrics,
 )
@@ -82,6 +85,39 @@ class TestProfileMetrics:
             profile_metrics(0.5, 0.6)
         with pytest.raises(ValueError):
             profile_metrics(0.5, -0.1)
+
+
+class TestNumerics:
+    @pytest.mark.parametrize("z", [0.0, 2.0])
+    @pytest.mark.parametrize("y", [0.9, 0.99, 0.999, 0.9999])
+    def test_quadrature_matches_closed_form_near_the_pole(self, y, z):
+        # the integrands have a pole at x = 1, just past y: a fixed
+        # composite rule misses the closed form by 0.49 at y = 0.9999
+        m = profile_metrics(y, y, z)
+        for got, want in zip((m.C, m.C_star, m.W, m.L), _metrics_closed(y, y, z)):
+            assert got == pytest.approx(want, abs=1e-9)
+
+    def test_quadrature_of_a_smooth_integrand(self):
+        assert quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-13)
+        assert quad(math.sin, 1.0, 1.0) == 0.0
+
+    def test_quadrature_refuses_past_its_panel_limit(self):
+        # 1/sqrt(x) is integrable, but no panel at 0 meets its share of
+        # the tolerance, so the refinement runs into the limit
+        with pytest.raises(ValueError, match="more than 200 panels"):
+            quad(lambda x: x**-0.5, 0.0, 1.0)
+
+    def test_argmax_interior(self):
+        x, fx = _argmax(math.sin, 0.0, 3.0, 1e-6)
+        assert abs(x - math.pi / 2) <= 1e-6
+        assert fx == math.sin(x)
+
+    @pytest.mark.parametrize("sign, bound", [(1, 2.0), (-1, 0.0)])
+    def test_argmax_on_a_bound(self, sign, bound):
+        x, fx = _argmax(lambda t: sign * t, 0.0, 2.0, 1e-6)
+        assert 0.0 < x < 2.0
+        assert abs(x - bound) <= 1e-6
+        assert fx == sign * x
 
 
 class TestOptimizeBasic:

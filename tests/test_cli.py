@@ -456,11 +456,16 @@ class TestExitCodes:
              ["simulate", "--tie", "scripted"], "tie-script record 0 lacks field 'choice'"),
             (ONE_JOB, '{"slices": [{"job": 0, "start": "0"}]}',
              ["render", "gantt"], "slice record 0 lacks field 'end'"),
+            # these tags read and simulated, then failed to write back
+            *((ONE_JOB[:-1] + f', "tags": {tags}}}', None, ["simulate"],
+               "instance tags are not a JSON object of scalars")
+              for tags in ("5", "[1, 2]", '"ab"', "null")),
         ],
         ids=["bool-numerals", "float-choice", "float-slice-job", "mixed-ids",
              "job-not-object", "instance-a-list", "jobs-not-list",
              "slice-not-object", "schedule-a-list",
-             "job-lacks-w", "tie-lacks-choice", "slice-lacks-end"],
+             "job-lacks-w", "tie-lacks-choice", "slice-lacks-end",
+             "tags-int", "tags-list", "tags-str", "tags-null"],
     )
     def test_malformed_input_is_refused(self, tmp_path, capsys, instance, schedule, argv, message):
         (tmp_path / "inst.json").write_text(instance)

@@ -248,6 +248,22 @@ class TestFileIO:
         with pytest.raises(ValueError, match="^job record 0 lacks field 'w'$"):
             instance_from_dict({"jobs": [{"id": 0, "r": "0", "p": "1"}]})
 
+    @pytest.mark.parametrize(
+        "tags", [5, [1, 2], "ab", None, {"family": ["basic"]}],
+        ids=["int", "list", "str", "null", "nested-value"],
+    )
+    def test_tags_must_be_an_object_of_scalars(self, tags):
+        # each of these read and simulated, then failed to write back
+        text = json.dumps({"jobs": [{"id": 0, "r": "0", "p": "1", "w": "1"}], "tags": tags})
+        with pytest.raises(ValueError, match="^instance tags are not a JSON object of scalars$"):
+            read_instance(io.StringIO(text))
+
+    def test_scalar_tags_round_trip(self):
+        tags = {"family": "random", "n": 3, "x": 0.5, "snapped": True, "none": None}
+        buf = io.StringIO()
+        write_instance(Instance((Job(0, 0, 1, 1),), tags=tags), buf)
+        assert dict(read_instance(io.StringIO(buf.getvalue())).tags) == tags
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
     )
