@@ -38,6 +38,9 @@ BRANCH_TERMINAL = "terminal"  # first job's ratio leads at p1: strike at p2
 #: Named policies beyond the simulator's enum.
 EXTRA_POLICIES = ("j2-first", "equalizer")
 
+#: Most pieces a burst may be cut into; the default δ = p1/1000 makes 2,300 to 3,200.
+MAX_BURST_PIECES = 10**6
+
 PolicyLike = Union[Policy, str]
 
 
@@ -238,7 +241,9 @@ def play(
     A completed job counts as infinite ratio.  The burst is
     discretized into pieces of length ``delta`` (default p1/1000) whose
     weights realize the branch ratio exactly; the transcript's optimal side
-    is the exact discrete pair closed form.
+    is the exact discrete pair closed form.  A delta that would cut the
+    burst into more than MAX_BURST_PIECES pieces is refused before any
+    burst job is built.
     """
     p1 = to_rational(p1)
     p2 = to_rational(p2)
@@ -280,6 +285,11 @@ def play(
         l2=burst_length(float(p1), float(p2), float(p2 / p1)),
     )
     length = choose_l(state)
+    if length >= (MAX_BURST_PIECES + Fraction(1, 2)) * delta:  # would round past the cap
+        raise ValueError(
+            f"delta {rational_str(delta)} cuts the burst of length {length:.6g} "
+            f"into more than {MAX_BURST_PIECES} pieces"
+        )
 
     pieces = max(1, round(length / float(delta)))
     block_length = pieces * delta

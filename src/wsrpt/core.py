@@ -13,6 +13,7 @@ which works with closed forms and quadrature under stated tolerances.
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -60,20 +61,34 @@ def to_rational(value: Rational) -> Fraction:
     raise ValueError(f"refusing inexact value {value!r}; pass a string or Fraction")
 
 
+#: Largest decimal exponent magnitude a numeral may carry: CPython's
+#: default int/str digit limit.  The lifted limit admits the digits a
+#: document holds, but ``1e100000000`` would build 10**100000000.
+MAX_EXPONENT = 4300
+
+#: A numeral's trailing decimal exponent: every one ``Fraction`` reads, and more.
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _parse_rational(text: str) -> Fraction:
     """The string branch of ``to_rational``, under a digit limit lifted by the caller.
 
     A plain ASCII "[-]digits[/digits]" numeral, the form ``rational_str``
-    writes, is read with ``int``; anything else goes to ``Fraction(text)``.
+    writes, is read with ``int``; anything else goes to ``Fraction(text)``,
+    once its exponent's digits are counted against MAX_EXPONENT.
     """
     try:
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        return Fraction(text)
+        exponent = _EXPONENT.search(text)
+        magnitude = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(magnitude) <= len(str(MAX_EXPONENT)) and int(magnitude or 0) <= MAX_EXPONENT:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational numeral: {text!r}") from exc
+    raise ValueError(f"numeral {text!r} has a decimal exponent beyond +-{MAX_EXPONENT}")
 
 
 @_without_digit_limit()

@@ -12,8 +12,9 @@ numerator, weight denominator times remaining work).  Rounding is monotone,
 so the float settles every order it can and never contradicts the exact
 one; two ratios with equal floats are compared by cross-multiplying the
 pairs.  A returned schedule keeps the engine's runs on that grid and
-builds Fraction slices only when they are read; otherwise Fractions
-appear only in the equality audit's reports.
+builds Fraction slices only when they are read.  The equality audit
+scans the runs of that same engine call at each release instant, and
+otherwise Fractions appear only in its reports.
 """
 
 from __future__ import annotations
@@ -165,10 +166,7 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
     on the grid, adjacent runs of a job fused; ``_schedule`` makes them a
     schedule on that grid.
     """
-    groups: dict[int, list[int]] = {}
-    for k, r in enumerate(timeline.releases):
-        groups.setdefault(r, []).append(k)
-    releases = sorted(groups.items())
+    releases = _release_groups(timeline.releases)
     rem = list(timeline.procs)
     unfinished = len(rem)
 
@@ -224,6 +222,14 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
             unfinished -= 1
             running = None
     return runs
+
+
+def _release_groups(releases: list[int]) -> list[tuple[int, list[int]]]:
+    """``(time, indices)`` per release instant in time order, indices ascending."""
+    groups: dict[int, list[int]] = {}
+    for k, r in enumerate(releases):
+        groups.setdefault(r, []).append(k)
+    return sorted(groups.items())
 
 
 def _schedule(timeline: _Timeline, runs: list[list[int]]) -> Schedule:
@@ -407,10 +413,13 @@ def _exhaustive_worst(instance: Instance, policy: Policy):
 
 @dataclass
 class EqualityReport:
-    """Outcome of the equality-instance check."""
+    """Outcome of the equality-instance check: its ``(time, text)`` violations."""
 
-    passed: bool
     violations: list[tuple[Fraction, str]] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.passed
@@ -419,46 +428,37 @@ class EqualityReport:
 def is_equality_instance(instance: Instance) -> EqualityReport:
     """Check that every release ties the running job's current Smith ratio.
 
-    Simulates WSRPT under the instance's own tie script (PREFER_RUNNING
-    when it has none) and verifies exactly, at every release instant, that
-    all newly submitted jobs share one Smith ratio and that it equals the
-    interrupted job's current ratio when one is running.
+    Simulates WSRPT as ``simulate`` does, under the instance's tie script
+    (PREFER_RUNNING without one), and scans its runs once: at each release
+    instant t the new jobs must share one exact Smith ratio, and so must the
+    job whose run covers t⁻ (start < t <= end) at its remaining work, if any.
     """
     timeline = _timeline(instance)
     jobs, den_t = timeline.jobs, timeline.den_t
     tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
     key, choose = _policy(timeline, Policy.WSRPT, tie, instance.tie_script)
+    runs = _run(timeline, key, choose)
+    rem = list(timeline.procs)  # each job's work left at the start of runs[i]
     violations: list[tuple[Fraction, str]] = []
-
-    def ids(indices: list[int]) -> list[int]:
-        return [jobs[k].id for k in indices]
-
-    def unscaled(rank: tuple[float, _Ratio]) -> Fraction:
-        num, den = rank[1]
-        return Fraction(num * den_t, den)
-
-    def audited(now, new, running, rem, top_key, top) -> int:
-        # Every release group is decided at its own instant; ``running`` is
-        # the job it interrupts, or None after a completion or idle time.
-        # A new job's rank is its static ratio, since it has not run yet.
-        ratios = {key(k, rem[k]) for k in new}
+    i = 0
+    for t, new in _release_groups(timeline.releases):
+        while runs[i][2] < t:  # in range: a job released at t runs after t
+            k, start, end = runs[i]
+            rem[k] -= end - start
+            i += 1
+        k, start, _ = runs[i]
+        left = rem[k] - (t - start)
+        ids = [jobs[j].id for j in new]
+        ratios = {key(j, timeline.procs[j]) for j in new}
         if len(ratios) > 1:
+            violations.append((Fraction(t, den_t), f"co-released jobs {ids} have distinct ratios"))
+        elif start < t and left and key(k, left) not in ratios:
             violations.append(
-                (Fraction(now, den_t), f"co-released jobs {ids(new)} have distinct ratios")
+                (Fraction(t, den_t),
+                 f"jobs {ids} (ratio {jobs[new[0]].ratio}) vs running job "
+                 f"{jobs[k].id} (ratio {jobs[k].weight * den_t / left})")
             )
-        elif ratios and running is not None:
-            (released,) = ratios
-            current = key(running, rem[running])
-            if current != released:
-                violations.append(
-                    (Fraction(now, den_t),
-                     f"jobs {ids(new)} (ratio {unscaled(released)}) vs running job "
-                     f"{jobs[running].id} (ratio {unscaled(current)})")
-                )
-        return choose(now, new, running, rem, top_key, top)
-
-    _run(timeline, key, audited)
-    return EqualityReport(passed=not violations, violations=violations)
+    return EqualityReport(violations)
 
 
 def split_job(instance: Instance, job_id: int, q: int) -> Instance:

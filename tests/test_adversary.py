@@ -3,6 +3,7 @@ certified ratio against every policy it is played against."""
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from wsrpt.adversary import (
     transcript_to_dict,
     write_transcript,
 )
+from wsrpt.core import Job, rational_str, to_rational
 from wsrpt.instances import instance_from_dict, slices_from_dicts
 from wsrpt.oracle import optimal_bruteforce
 from wsrpt.simulator import Policy, TieRule
@@ -87,6 +89,26 @@ class TestPlay:
             play(Policy.WSRPT, delta=0)
         with pytest.raises(ValueError):
             play(Policy.WSRPT, delta=2, p1=1, p2=2)
+
+    @pytest.mark.parametrize("delta", ["1e-400", "1e-30"])
+    def test_too_fine_a_burst_is_refused(self, delta, monkeypatch):
+        # float(1e-400) is 0.0 and 1e-30 asks for about 10**30 burst jobs;
+        # both are refused before any burst job is built.
+        built = []
+        monkeypatch.setattr("wsrpt.adversary.Job", lambda *job: built.append(job) or Job(*job))
+        head = re.escape(f"delta {rational_str(to_rational(delta))} cuts the burst of length ")
+        with pytest.raises(ValueError, match=f"^{head}2.74387 into more than 1000000 pieces$"):
+            play(Policy.WSRPT, delta=delta)
+        assert len(built) == 2  # the probe's two long jobs
+
+    def test_burst_at_the_piece_cap_is_played(self, monkeypatch):
+        # j2-first's burst is 317.2 pieces of 1e-2: it rounds to 317, which
+        # a cap of 317 admits and a cap of 316 refuses.
+        monkeypatch.setattr("wsrpt.adversary.MAX_BURST_PIECES", 317)
+        assert len(play("j2-first", delta="1e-2").instance.jobs) == 2 + 317
+        monkeypatch.setattr("wsrpt.adversary.MAX_BURST_PIECES", 316)
+        with pytest.raises(ValueError, match="into more than 316 pieces$"):
+            play("j2-first", delta="1e-2")
 
     def test_probe_prefix_recorded(self):
         # the realized schedule replays the probe prefix: the checkpoint

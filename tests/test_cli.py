@@ -2,6 +2,7 @@
 resolution, default output locations, and exit-code discipline."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -460,12 +461,15 @@ class TestExitCodes:
             *((ONE_JOB[:-1] + f', "tags": {tags}}}', None, ["simulate"],
                "instance tags are not a JSON object of scalars")
               for tags in ("5", "[1, 2]", '"ab"', "null")),
+            # Fraction built 10**100000000 for this numeral, for minutes
+            ('{"jobs":[{"id":0,"r":"0","p":"1e100000000","w":"1"}]}', None,
+             ["simulate"], "numeral '1e100000000' has a decimal exponent beyond +-4300"),
         ],
         ids=["bool-numerals", "float-choice", "float-slice-job", "mixed-ids",
              "job-not-object", "instance-a-list", "jobs-not-list",
              "slice-not-object", "schedule-a-list",
              "job-lacks-w", "tie-lacks-choice", "slice-lacks-end",
-             "tags-int", "tags-list", "tags-str", "tags-null"],
+             "tags-int", "tags-list", "tags-str", "tags-null", "huge-exponent"],
     )
     def test_malformed_input_is_refused(self, tmp_path, capsys, instance, schedule, argv, message):
         (tmp_path / "inst.json").write_text(instance)
@@ -473,10 +477,23 @@ class TestExitCodes:
         if schedule is not None:
             (tmp_path / "sched.json").write_text(schedule)
             files += ["--schedule", str(tmp_path / "sched.json")]
+        start = time.perf_counter()
         code = main([*argv, *files, "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1
         assert code == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("delta", ["1e-400", "1e-30"])
+    def test_too_fine_a_burst_is_refused(self, tmp_path, capsys, delta):
+        # 1e-400 divided by zero as a float; 1e-30 built jobs without end.
+        code = main(["adversary", "--delta", delta, "--out", str(tmp_path / "t.json")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: delta {rational_str(to_rational(delta))} cuts the burst")
+        assert err.endswith(" into more than 1000000 pieces\n") and err.count("\n") == 1
+        assert not (tmp_path / "t.json").exists()
 
     def test_assertion_failure_is_2(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

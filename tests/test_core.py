@@ -2,6 +2,7 @@
 
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,11 +85,21 @@ class TestToRational:
         assert calls == [0, sys.get_int_max_str_digits()] * 2
 
 
+    @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1e100000000", " 2.5E+99_999"])
+    def test_exponents_past_the_digit_limit_refused(self, text):
+        # Fraction(text) would build 10**|e|: minutes and hundreds of MB at
+        # e = 10**8.
+        start = time.perf_counter()
+        message = f"numeral {text!r} has a decimal exponent beyond +-4300"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            to_rational(text)
+        assert time.perf_counter() - start < 1
+
     @given(st.text(alphabet="0123456789/-+_.e \u0663", max_size=12))
     @settings(max_examples=500)
     def test_strings_read_as_fraction_reads_them(self, text):
-        # An exponent of four or more digits would make Fraction build a
-        # huge power; shorter ones cover the same grammar.
+        # An exponent of four or more digits can pass the digit limit: the
+        # tests on either side cover those; shorter ones, the same grammar.
         assume(not re.search(r"e[-+]?[\d_]{4}", text))
         try:
             expected = Fraction(text)
@@ -107,6 +118,12 @@ class TestToRational:
             ("\u0663/4", Fraction(3, 4)),
             (" 5/7 ", Fraction(5, 7)),
             ("1_000", Fraction(1000)),
+            ("1e400", 10**400),
+            ("1e-400", Fraction(1, 10**400)),
+            # exponents up to the digit limit; leading zeros count no digits
+            pytest.param("-2.5E+4300", -25 * 10**4299, id="exponent-4300"),
+            pytest.param("1e-04300 ", Fraction(1, 10**4300), id="exponent-minus-4300"),
+            pytest.param("1e" + "0" * 100_000 + "5", 10**5, id="exponent-zero-padded"),
         ],
     )
     def test_plain_and_fallback_numerals(self, text, value):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsrpt.analysis import basic_ratio_closed
-from wsrpt.core import Instance, Job, objective
+from wsrpt.core import Instance, Job, Schedule, objective, to_rational
 from wsrpt.instances import (
     _CHUNK,
     NestedParams,
@@ -465,3 +465,83 @@ class TestWriteJson:
         for payload in (looped, nested, [1, [2, looped]]):
             with pytest.raises(ValueError, match="^Circular reference detected$"):
                 write_json(payload, io.StringIO())
+
+
+@st.composite
+def _numeral(draw, positive=False):
+    """A value the reader accepts for a rational >= 0 (> 0 if ``positive``)
+    in one of its forms: "num/den" (unreduced), a decimal, an exponent,
+    padded digits, or a JSON int."""
+    num = draw(st.integers(min_value=int(positive), max_value=10**6))
+    den = draw(st.integers(min_value=1, max_value=10**4))
+    k = draw(st.integers(min_value=0, max_value=5))
+    return draw(st.sampled_from([
+        f"{num}/{den}", str(num), num, f"{num}e-{k}", f"{num / 10**k:.{k}f}",
+        f" 00{num}/{den} ", f"{num}E+{k}",
+    ]))
+
+
+@st.composite
+def _instance_documents(draw):
+    """An instance document the reader accepts: ids distinct and shuffled,
+    maybe a tie script and scalar tags."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    ids = draw(st.permutations(range(2 * n)))[:n]
+    doc = {"jobs": [
+        {"id": i, "r": draw(_numeral()), "p": draw(_numeral(positive=True)), "w": draw(_numeral())}
+        for i in ids
+    ]}
+    if draw(st.booleans()):
+        doc["tie_script"] = draw(st.lists(
+            st.fixed_dictionaries({"t": _numeral(), "choice": st.sampled_from(ids)}), max_size=4
+        ))
+    if draw(st.booleans()):
+        # NaN is left out: it equals nothing, itself included.
+        doc["tags"] = draw(st.dictionaries(_STRINGS, st.one_of(
+            _STRINGS, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False)
+        ), max_size=4))
+    return doc
+
+
+@st.composite
+def _slice_documents(draw):
+    """A slice list the reader accepts: each slice starts before it ends."""
+    records = []
+    for job in draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6)):
+        start = draw(_numeral())
+        end = to_rational(start) + draw(st.fractions(min_value=Fraction(1, 1000), max_value=5))
+        records.append({"job": job, "start": start, "end": str(end)})
+    return records
+
+
+def _written(write, value) -> str:
+    buf = io.StringIO()
+    write(value, buf)
+    return buf.getvalue()
+
+
+def _write_slices(slices, dest):
+    write_json({"slices": slices_to_dicts(Schedule(slices))}, dest)
+
+
+class TestRoundTrip:
+    """Every document the reader accepts reads back equal after a write,
+    and a second write gives the first write's bytes."""
+
+    @given(_instance_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_instances(self, doc):
+        inst = read_instance(io.StringIO(json.dumps(doc)))
+        first = _written(write_instance, inst)
+        back = read_instance(io.StringIO(first))
+        assert back == inst
+        assert _written(write_instance, back) == first
+
+    @given(_slice_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_slice_lists(self, records):
+        slices = slices_from_dicts(json.loads(json.dumps(records)))
+        first = _written(_write_slices, slices)
+        back = slices_from_dicts(json.loads(first)["slices"])
+        assert back == slices
+        assert _written(_write_slices, back) == first

@@ -3,6 +3,8 @@ and the splitting transformation."""
 
 import heapq
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -136,6 +138,32 @@ def reference_slices(instance, key, tie=TieRule.PREFER_RUNNING, script=()):
         if running is not None:
             heapq.heappush(heap, (-key(jobs[chosen], rem[chosen]), chosen))
     return tuple(slices)
+
+
+def _shuffled_ids(instance):
+    """The same jobs under distinct ids drawn from 0..3n-1 in shuffled order."""
+    n = len(instance.jobs)
+    return st.permutations(range(3 * n)).map(
+        lambda ids: Instance(tuple(replace(j, id=i) for j, i in zip(instance.jobs, ids)))
+    )
+
+
+@st.composite
+def _perturbed_families(draw):
+    """A coarse basic-family instance with its tie script, and one job's
+    weight scaled by 101/100 or 99/100 unless the draw leaves it exact."""
+    y, v, z = draw(st.sampled_from(
+        [(Fraction(1, 2), Fraction(3, 10), 0), (Fraction(4, 5), Fraction(7, 10), 0),
+         (Fraction(3, 5), Fraction(3, 5), Fraction(1, 2))]
+    ))
+    delta = draw(st.sampled_from([Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)]))
+    instance = gen_basic(ScenarioParams(y=y, v=v, z=z, delta=delta))
+    jobs = list(instance.jobs)
+    k = draw(st.integers(min_value=0, max_value=len(jobs)))
+    if k < len(jobs):
+        factor = draw(st.sampled_from([Fraction(101, 100), Fraction(99, 100)]))
+        jobs[k] = replace(jobs[k], weight=jobs[k].weight * factor)
+    return Instance(tuple(jobs), tie_script=instance.tie_script)
 
 
 def _policy_key(policy):
@@ -554,25 +582,40 @@ class TestEqualityInstance:
             (Fraction(5, 2), "jobs [2] (ratio 1) vs running job 1 (ratio 10)")
         ]
 
-    @given(small_instances())
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        small_instances(), small_instances().flatmap(_shuffled_ids), _perturbed_families()
+    ))
+    @settings(max_examples=120, deadline=None)
     def test_flags_exactly_the_definition(self, instance):
-        # small_instances carry no tie script, so the audit runs
-        # PREFER_RUNNING, the default of simulate.
-        sched = simulate(instance)
+        # The audit runs WSRPT as simulate does: under the tie script when
+        # there is one, else PREFER_RUNNING.  A scripted choice the
+        # perturbation took out of the lead fails both the same way.
+        tie = TieRule.PREFER_RUNNING if instance.tie_script is None else TieRule.SCRIPTED
+        try:
+            sched = simulate(instance, tie=tie)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                is_equality_instance(instance)
+            return
         expected = []
         for t in sorted({j.release for j in instance.jobs}):
-            ratios = {j.ratio for j in instance.jobs if j.release == t}
+            new = sorted(j.id for j in instance.jobs if j.release == t)
+            ratios = {instance.job(i).ratio for i in new}
             before = [s for s in sched.slices if s.start < t <= s.end]
             rem = remaining_at(instance, sched, t)
             if len(ratios) > 1:
-                expected.append(t)
+                expected.append((t, f"co-released jobs {new} have distinct ratios"))
             elif before and rem[before[0].job] > 0:
                 run = instance.job(before[0].job)
-                if run.weight / rem[run.id] != next(iter(ratios)):
-                    expected.append(t)
+                (ratio,) = ratios
+                current = run.weight / rem[run.id]
+                if current != ratio:
+                    expected.append(
+                        (t, f"jobs {new} (ratio {ratio}) vs running job {run.id} (ratio {current})")
+                    )
         report = is_equality_instance(instance)
-        assert [t for t, _ in report.violations] == expected
+        assert report.violations == expected
+        assert report.passed == bool(report) == (not report.violations)
 
     def test_generated_family_passes(self):
         params = ScenarioParams(
