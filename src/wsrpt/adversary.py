@@ -26,7 +26,7 @@ from .core import (
     to_rational,
 )
 from .analysis import _argmax, burst_length
-from .instances import instance_to_dict, slices_to_dicts, write_json
+from .instances import MAX_BURST_PIECES, instance_to_dict, slices_to_dicts, write_json
 from .oracle import closed_pair_optimal, pair_objectives, priority_schedule
 from .simulator import Policy, TieRule, simulate
 
@@ -37,9 +37,6 @@ BRANCH_TERMINAL = "terminal"  # first job's ratio leads at p1: strike at p2
 
 #: Named policies beyond the simulator's enum.
 EXTRA_POLICIES = ("j2-first", "equalizer")
-
-#: Most pieces a burst may be cut into; the default δ = p1/1000 makes 2,300 to 3,200.
-MAX_BURST_PIECES = 10**6
 
 PolicyLike = Union[Policy, str]
 

@@ -67,25 +67,33 @@ def to_rational(value: Rational) -> Fraction:
 MAX_EXPONENT = 4300
 
 #: A numeral's trailing decimal exponent: every one ``Fraction`` reads, and more.
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"e[-+]?(\d+)\s*\Z", re.IGNORECASE)
+
+#: An underscore that does not sit between two digits.
+_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
 
 def _parse_rational(text: str) -> Fraction:
     """The string branch of ``to_rational``, under a digit limit lifted by the caller.
 
-    A plain ASCII "[-]digits[/digits]" numeral, the form ``rational_str``
-    writes, is read with ``int``; anything else goes to ``Fraction(text)``,
-    once its exponent's digits are counted against MAX_EXPONENT.
+    Underscores follow Python 3.11's numeral grammar on every version: one
+    between two digits reads as nothing, any other is refused.  A plain
+    ASCII "[-]digits[/digits]" numeral, the form ``rational_str`` writes, is
+    read with ``int``; anything else goes to ``Fraction``, once its
+    exponent's digits are counted against MAX_EXPONENT.
     """
     try:
-        num, slash, den = text.partition("/")
+        numeral = text.replace("_", "")
+        if numeral != text and _STRAY_UNDERSCORE.search(text):
+            raise ValueError("underscore not between two digits")
+        num, slash, den = numeral.partition("/")
         digits = num[1:] if num[:1] == "-" else num
-        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        if numeral.isascii() and digits.isdigit() and (den.isdigit() or not slash):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        exponent = _EXPONENT.search(text)
-        magnitude = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        exponent = _EXPONENT.search(numeral)
+        magnitude = exponent[1].lstrip("0") if exponent else ""
         if len(magnitude) <= len(str(MAX_EXPONENT)) and int(magnitude or 0) <= MAX_EXPONENT:
-            return Fraction(text)
+            return Fraction(numeral)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational numeral: {text!r}") from exc
     raise ValueError(f"numeral {text!r} has a decimal exponent beyond +-{MAX_EXPONENT}")

@@ -35,6 +35,10 @@ from .core import (
 
 _ONE = Fraction(1)
 
+#: Most small pieces a family or an ``adversary`` burst may be cut into; the
+#: default burst δ = p1/1000 makes 2,300 to 3,200, the basic family at δ = 1e-5 136,120.
+MAX_BURST_PIECES = 10**6
+
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -106,24 +110,32 @@ def _small_pieces(
     equal pieces no longer than delta of the rest; the lump at y is z split
     into equal pieces no longer than delta.
     Weights use the release point, so each piece's ratio is exactly
-    1/(1 - release) — the running long job's current ratio.
+    1/(1 - release) — the running long job's current ratio.  A delta that
+    would cut the family into more than MAX_BURST_PIECES pieces is refused
+    before any piece is built.
     """
-    pieces: list[tuple[Fraction, Fraction, Fraction]] = []
     y = m_steps * delta
+    density = (_ONE + z) / (_ONE - y)
+    k = ceil(density - 1)  # ramp pieces besides the step-filling one
+    kb = ceil(z / delta)  # lump pieces
+    count = n_steps + (m_steps - n_steps) * (1 + k) + kb
+    if count > MAX_BURST_PIECES:
+        raise ValueError(
+            f"delta {rational_str(delta)} cuts the family into {count} small pieces, "
+            f"more than {MAX_BURST_PIECES}"
+        )
+    pieces: list[tuple[Fraction, Fraction, Fraction]] = []
     for i in range(n_steps):
         x = i * delta
         pieces.append((x, delta, delta / (_ONE - x)))
     if m_steps > n_steps:
-        density = (_ONE + z) / (_ONE - y)
-        k = ceil(density - 1)
         piece_p = delta * (density - 1) / k
         for i in range(n_steps, m_steps):
             x = i * delta
             pieces.append((x, delta, delta / (_ONE - x)))
             w = piece_p / (_ONE - x)
             pieces.extend((x, piece_p, w) for _ in range(k))
-    if z > 0:
-        kb = ceil(z / delta)
+    if kb:
         piece_p = z / kb
         w = piece_p / (_ONE - y)
         pieces.extend((y, piece_p, w) for _ in range(kb))

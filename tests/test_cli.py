@@ -495,6 +495,18 @@ class TestExitCodes:
         assert err.endswith(" into more than 1000000 pieces\n") and err.count("\n") == 1
         assert not (tmp_path / "t.json").exists()
 
+    def test_too_fine_a_family_is_refused(self, tmp_path, capsys):
+        # about 10**30 small pieces were built without bound
+        start = time.perf_counter()
+        code = main(["gen", "basic", "--delta", "1e-30", "--out", str(tmp_path / "g.json")])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: delta 1/1{'0' * 30} cuts the family into ")
+        assert err.endswith(" small pieces, more than 1000000\n") and err.count("\n") == 1
+        assert not (tmp_path / "g.json").exists()
+
     def test_assertion_failure_is_2(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("envelope breached")

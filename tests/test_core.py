@@ -100,9 +100,18 @@ class TestToRational:
     def test_strings_read_as_fraction_reads_them(self, text):
         # An exponent of four or more digits can pass the digit limit: the
         # tests on either side cover those; shorter ones, the same grammar.
+        # Underscores follow Python 3.11's grammar on every version: one
+        # between two digits reads as nothing, any other is refused.
         assume(not re.search(r"e[-+]?[\d_]{4}", text))
+        between_digits = all(
+            0 < i < len(text) - 1 and text[i - 1].isdecimal() and text[i + 1].isdecimal()
+            for i, c in enumerate(text)
+            if c == "_"
+        )
         try:
-            expected = Fraction(text)
+            if not between_digits:
+                raise ValueError(f"stray underscore in {text!r}")
+            expected = Fraction(text.replace("_", ""))
         except (ValueError, ZeroDivisionError):
             with pytest.raises(ValueError, match="not a rational numeral"):
                 to_rational(text)
@@ -118,6 +127,8 @@ class TestToRational:
             ("\u0663/4", Fraction(3, 4)),
             (" 5/7 ", Fraction(5, 7)),
             ("1_000", Fraction(1000)),
+            ("1_0/2_0", Fraction(1, 2)),
+            ("-1_2.5_0e1_0", Fraction(-125 * 10**9)),
             ("1e400", 10**400),
             ("1e-400", Fraction(1, 10**400)),
             # exponents up to the digit limit; leading zeros count no digits
@@ -129,7 +140,10 @@ class TestToRational:
     def test_plain_and_fallback_numerals(self, text, value):
         assert to_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["1/0", "-5/0", "--1", "1/-2", "1/", "/2", "", "-"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1/0", "-5/0", "--1", "1/-2", "1/", "/2", "", "-", "_1", "1__0", "1_", "1_/2", "1e_5"],
+    )
     def test_malformed_numerals_rejected(self, text):
         with pytest.raises(ValueError, match="not a rational numeral"):
             to_rational(text)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -131,6 +132,30 @@ class TestGenBasic:
         assert inst.tags["snapped"] is True
         inst2 = gen_basic(ScenarioParams(y=Fraction(1, 2), v=Fraction(1, 4), delta=Fraction(1, 4)))
         assert inst2.tags["snapped"] is False
+
+    def test_too_fine_a_delta_is_refused_before_building(self):
+        # 1e-30 built without bound: 10**26 times the 13,612 small jobs at 1e-4.
+        start = time.perf_counter()
+        head = rf"^delta 1/10{{30}} cuts the family into {13612 * 10**26} small pieces"
+        with pytest.raises(ValueError, match=f"{head}, more than 1000000$"):
+            gen_basic(ScenarioParams(Fraction("0.8157"), Fraction("0.7066"), delta=Fraction("1e-30")))
+        fine = ScenarioParams(y=Fraction(1, 2), v=Fraction(1, 2), delta=Fraction("1e-30"))
+        coarse = replace(fine, delta=Fraction(1, 20))
+        for outer, inner in ((fine, coarse), (coarse, fine)):
+            with pytest.raises(ValueError, match="cuts the family into"):
+                gen_nested(NestedParams(outer, Fraction(3, 10), Fraction(50), inner))
+        assert time.perf_counter() - start < 1
+
+    def test_family_at_the_piece_cap_is_built(self, monkeypatch):
+        # Floor, ramp and lump pieces all count: a cap of exactly the
+        # family's small jobs admits it, one fewer refuses it.
+        params = ScenarioParams(Fraction(3, 5), Fraction(2, 5), Fraction(1, 2), Fraction(1, 50))
+        pieces = len(gen_basic(params).jobs) - 1
+        monkeypatch.setattr("wsrpt.instances.MAX_BURST_PIECES", pieces)
+        assert len(gen_basic(params).jobs) == pieces + 1
+        monkeypatch.setattr("wsrpt.instances.MAX_BURST_PIECES", pieces - 1)
+        with pytest.raises(ValueError, match=f" {pieces} small pieces, more than {pieces - 1}$"):
+            gen_basic(params)
 
 
 class TestGenNested:

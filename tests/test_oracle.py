@@ -94,7 +94,56 @@ def sweep_makespans(releases, procs, n):
     return m
 
 
+def reference_subset_dp(releases, procs, weights, n):
+    """Reference subset DP: each subset in mask order, each of its jobs in
+    index order, keeping the first strict minimum as its last completion."""
+    size = 1 << n
+    m = _backend.subset_makespans(releases, procs, n)
+    f = [0] * size
+    last = [0] * size
+    for s in range(1, size):
+        ms = m[s]
+        best = -1
+        best_j = -1
+        t = s
+        while t:
+            j = (t & -t).bit_length() - 1
+            t &= t - 1
+            cand = weights[j] * ms + f[s & ~(1 << j)]
+            if best < 0 or cand < best:
+                best = cand
+                best_j = j
+        f[s] = best
+        last[s] = best_j
+    order = []
+    s = size - 1
+    while s:
+        j = last[s]
+        order.append(j)
+        s &= ~(1 << j)
+    order.reverse()
+    return f[size - 1], tuple(order)
+
+
 class TestBruteforce:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_subset_dp_matches_the_reference(self, data):
+        # Narrow ranges make ties common, so the order's tie rule is tested;
+        # weights times 10**60 keep every candidate far past machine words.
+        # Small leaves put folds and block edges inside n <= 10.
+        n = data.draw(st.integers(0, 10))
+        releases = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        procs = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        scale = data.draw(st.sampled_from([1, 10**60]))
+        weights = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        weights = [w * scale for w in weights]
+        expected = reference_subset_dp(releases, procs, weights, n)
+        with pytest.MonkeyPatch.context() as patch:
+            for leaf in (1, 2, 7):
+                patch.setattr(_backend, "_LEAF", leaf)
+                assert _backend.subset_dp(releases, procs, weights, n) == expected
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_makespans_match_the_subset_sweep(self, data):
