@@ -76,8 +76,10 @@ _STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 def _parse_rational(text: str) -> Fraction:
     """The string branch of ``to_rational``, under a digit limit lifted by the caller.
 
-    Underscores follow Python 3.11's numeral grammar on every version: one
-    between two digits reads as nothing, any other is refused.  A plain
+    Underscores and the slash follow Python 3.11's numeral grammar on every
+    version: an underscore between two digits reads as nothing, any other
+    is refused, and so is whitespace on either side of the slash (3.12's
+    ``Fraction`` reads "1 / 2").  A plain
     ASCII "[-]digits[/digits]" numeral, the form ``rational_str`` writes, is
     read with ``int``; anything else goes to ``Fraction``, once its
     exponent's digits are counted against MAX_EXPONENT.
@@ -90,6 +92,8 @@ def _parse_rational(text: str) -> Fraction:
         digits = num[1:] if num[:1] == "-" else num
         if numeral.isascii() and digits.isdigit() and (den.isdigit() or not slash):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if slash and (num[-1:].isspace() or den[:1].isspace()):
+            raise ValueError("whitespace beside the slash")
         exponent = _EXPONENT.search(numeral)
         magnitude = exponent[1].lstrip("0") if exponent else ""
         if len(magnitude) <= len(str(MAX_EXPONENT)) and int(magnitude or 0) <= MAX_EXPONENT:

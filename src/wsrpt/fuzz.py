@@ -1,9 +1,10 @@
 """Randomized envelope check: worst simulated-over-optimal ratio never
 exceeds the analytic competitive ratio.
 
-Every trial draws a small random instance, simulates the policy under its
-worst tie-breaking, divides by the brute-force optimum (both exact
-rationals), and checks the quotient against the 1.2259 envelope.  The two
+Every trial draws a small random instance, finds the policy's objective
+under its worst tie-breaking, divides by the brute-force optimum (both exact
+integers on one scaling of the instance), and checks the quotient against
+the 1.2259 envelope.  The two
 structured classes — unit weights and common release — must come out at
 exactly 1.
 """
@@ -15,10 +16,16 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from .core import Instance, objective, rational_str
+from . import _backend
+from .core import Instance, rational_str
 from .instances import RANDOM_KINDS, gen_random, write_instance
-from .oracle import MAX_BRUTEFORCE_JOBS, optimal_objective
-from .simulator import BudgetExceeded, Policy, TieRule, simulate
+from .oracle import MAX_BRUTEFORCE_JOBS, _check_subset_cap
+from .simulator import BudgetExceeded, Policy, _scaled_weights, _timeline, _worst_search
+
+# Not called here: perfbench/spans.py patches these names in this module (ROADMAP item 1).
+from .core import objective  # noqa: F401
+from .oracle import optimal_objective  # noqa: F401
+from .simulator import simulate  # noqa: F401
 
 #: Analytic competitive ratio; no ratio may exceed it (plus float slack).
 ENVELOPE = Fraction(12259, 10000)
@@ -64,17 +71,22 @@ class FuzzReport:
 def evaluate_instance(instance: Instance) -> Fraction | None:
     """Worst-tie simulated objective over the brute-force optimum.
 
-    Returns None when either side blows its search budget; such trials are
-    counted but not scored.
+    Both sides run on one integer scaling of the instance: the exhaustive
+    tie search and the subset DP return their objectives in the same units,
+    so the ratio is their quotient.  Returns None when the search blows its
+    budget; such trials are counted but not scored.  Past the subset DP's
+    job cap, the DP's ValueError follows the search.
     """
+    timeline = _timeline(instance)
+    weights, _ = _scaled_weights(timeline.jobs)
     try:
-        schedule = simulate(
-            instance, policy=Policy.WSRPT, tie=TieRule.EXHAUSTIVE_WORST
-        )
-        best = optimal_objective(instance)
+        worst, _ = _worst_search(timeline, weights, Policy.WSRPT)
     except BudgetExceeded:
         return None
-    return Fraction(objective(schedule, instance), best)
+    n = len(weights)
+    _check_subset_cap(n)
+    best, _ = _backend.subset_dp(timeline.releases, timeline.procs, weights, n)
+    return Fraction(worst, best)
 
 
 def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport:
@@ -105,6 +117,7 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
     worst: dict[str, tuple[Fraction, Instance] | None] = {
         kind: None for kind in RANDOM_KINDS
     }
+    cap = ENVELOPE + ENVELOPE_SLACK
     for i in range(trials):
         kind = RANDOM_KINDS[i % len(RANDOM_KINDS)]
         n = rng.randint(2, n_max)
@@ -114,7 +127,7 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
         if ratio is None:
             skipped[kind] += 1
             continue
-        if ratio > ENVELOPE + ENVELOPE_SLACK:
+        if ratio > cap:
             raise EnvelopeBreach(instance, ratio)
         if kind in ("unit-weight", "zero-release") and ratio != 1:
             raise AssertionError(

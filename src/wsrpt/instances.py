@@ -274,6 +274,10 @@ def gen_nested(params: NestedParams) -> Instance:
 RANDOM_KINDS = ("general", "unit-weight", "zero-release")
 
 
+#: k/2 for k = 0..6: every value ``gen_random`` draws, built once.
+_HALVES = tuple(Fraction(k, 2) for k in range(7))
+
+
 def gen_random(rng: Random, n: int, kind: str = "general") -> Instance:
     """n jobs with half-integer data: p, w in {1/2..3}, r in {0..3}.
 
@@ -286,9 +290,9 @@ def gen_random(rng: Random, n: int, kind: str = "general") -> Instance:
         raise ValueError("n must be positive")
     jobs = []
     for i in range(n):
-        release = Fraction(0) if kind == "zero-release" else Fraction(rng.randint(0, 6), 2)
-        processing = Fraction(rng.randint(1, 6), 2)
-        weight = Fraction(1) if kind == "unit-weight" else Fraction(rng.randint(1, 6), 2)
+        release = _HALVES[0] if kind == "zero-release" else _HALVES[rng.randint(0, 6)]
+        processing = _HALVES[rng.randint(1, 6)]
+        weight = _HALVES[2] if kind == "unit-weight" else _HALVES[rng.randint(1, 6)]
         jobs.append(Job(i, release, processing, weight))
     return Instance(tuple(jobs), tags={"family": "random", "kind": kind})
 

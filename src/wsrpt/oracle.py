@@ -25,6 +25,7 @@ from .core import (
 from .simulator import (
     BudgetExceeded,
     _event_search,
+    _path_schedule,
     _ratio_key,
     _run,
     _scaled_times,
@@ -80,14 +81,17 @@ def optimal_bruteforce(instance: Instance, max_n: int = MAX_BRUTEFORCE_JOBS) -> 
     return OptimalResult(priority_schedule(instance, order), obj, "brute-force")
 
 
+def _check_subset_cap(n: int, max_n: int = MAX_BRUTEFORCE_JOBS) -> None:
+    """Refuse a subset DP over more than ``min(max_n, MAX_BRUTEFORCE_JOBS)`` jobs."""
+    cap = min(max_n, MAX_BRUTEFORCE_JOBS)
+    if n > cap:
+        raise ValueError(f"instance has {n} jobs; exact search is capped at {cap}")
+
+
 def _subset_optimum(instance: Instance, max_n: int) -> tuple[Fraction, tuple[int, ...]]:
     """Subset-DP optimum: (objective, completion order of job ids)."""
     n = len(instance.jobs)
-    if n > min(max_n, MAX_BRUTEFORCE_JOBS):
-        raise ValueError(
-            f"instance has {n} jobs; exact search is capped at "
-            f"{min(max_n, MAX_BRUTEFORCE_JOBS)}"
-        )
+    _check_subset_cap(n, max_n)
     releases, procs, den_t = _scaled_times(instance.jobs)
     weights, den_w = _scaled_weights(instance.jobs)
     cost, order_idx = _backend.subset_dp(releases, procs, weights, n)
@@ -114,8 +118,11 @@ def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
             classes.setdefault((weights[k], rem[k]), k)
         return classes.values()
 
-    obj, schedule = _event_search(_timeline(instance), one_per_class, -1, "time-indexed DP")
-    return OptimalResult(schedule, obj, "dp-timeindexed")
+    timeline = _timeline(instance)
+    weights, den_w = _scaled_weights(timeline.jobs)
+    value, path = _event_search(timeline, weights, one_per_class, -1, "time-indexed DP")
+    obj = Fraction(value, timeline.den_t * den_w)
+    return OptimalResult(_path_schedule(timeline, path), obj, "dp-timeindexed")
 
 
 def structured_optimal(instance: Instance) -> OptimalResult:

@@ -308,26 +308,28 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
 _PATH_END = (0, None, None)
 
 
-def _event_search(timeline: _Timeline, leaders, sign: int, what: str):
-    """The one memoized search: ``(objective, schedule)`` of its best path.
+def _event_search(timeline: _Timeline, weights: list[int], leaders, sign: int, what: str):
+    """The one memoized search: ``(objective, path)`` of its best path.
 
-    Runs on the integer grid of ``timeline``, weights scaled to ints too.
-    A state is (time, remaining work of each job index): a run's future
-    depends on nothing else, so each state's best continuation is computed
-    once.  A move runs one available job until it completes or the next
-    release; with no job available, time jumps to the next release, a move
-    that leaves no slice.  ``leaders(available, rem, weights)`` picks, in
-    preference order, the jobs a move may run.  A completion at ``end``
-    gains ``sign * w * end``, so the search finds the worst objective for
-    ``sign`` = 1 and the best for -1; only a strictly higher value replaces
-    the incumbent, so among equal moves the first one wins.
+    Runs on the integer grid of ``timeline``, with ``weights`` the jobs'
+    weights scaled to ints by the caller, so the objective is an int in
+    units of 1/(den_t * weight scale).  A state is (time, remaining work of
+    each job index): a run's future depends on nothing else, so each
+    state's best continuation is computed once.  A move runs one available
+    job until it completes or the next release; with no job available, time
+    jumps to the next release, a move that leaves no slice.
+    ``leaders(available, rem, weights)`` picks, in preference order, the
+    jobs a move may run.  A completion at ``end`` gains ``sign * w * end``,
+    so the search finds the worst objective for ``sign`` = 1 and the best
+    for -1; only a strictly higher value replaces the incumbent, so among
+    equal moves the first one wins.
 
     A memo entry is ``(value, step, continuation)``: it links to the entry
-    of the rest of the path instead of copying it, and the path's steps are
-    fused into runs, as ``_run`` fuses them, off those links at the end.
-    Each job's completion takes a move of its own, so more jobs than
-    MAX_SEARCH_DEPTH are refused up front; more than CELLS // n distinct
-    states or a path of more than MAX_SEARCH_DEPTH moves raise
+    of the rest of the path instead of copying it.  ``path`` is the start
+    state's entry; ``_path_schedule`` fuses its steps into runs, as ``_run``
+    fuses them.  Each job's completion takes a move of its own, so more jobs
+    than MAX_SEARCH_DEPTH are refused up front; more than CELLS // n
+    distinct states or a path of more than MAX_SEARCH_DEPTH moves raise
     BudgetExceeded naming ``what``.
     """
     n = len(timeline.jobs)
@@ -338,7 +340,6 @@ def _event_search(timeline: _Timeline, leaders, sign: int, what: str):
         )
     budget = CELLS // n
     releases = timeline.releases
-    weights, den_w = _scaled_weights(timeline.jobs)
     times = sorted(set(releases))
     memo: dict = {}
 
@@ -369,28 +370,30 @@ def _event_search(timeline: _Timeline, leaders, sign: int, what: str):
         memo[now, rem] = entry
         return entry
 
-    entry = solve(times[0], tuple(timeline.procs), 0)
-    value, runs = entry[0], []
-    while entry is not _PATH_END:
-        if entry[1] is not None:
-            k, start, end = entry[1]
+    path = solve(times[0], tuple(timeline.procs), 0)
+    return sign * path[0], path
+
+
+def _path_schedule(timeline: _Timeline, path: tuple) -> Schedule:
+    """The schedule of an ``_event_search`` path, its steps fused into runs."""
+    runs: list[list[int]] = []
+    while path is not _PATH_END:
+        if path[1] is not None:
+            k, start, end = path[1]
             if runs and runs[-1][0] == k and runs[-1][2] == start:
                 runs[-1][2] = end
             else:
                 runs.append([k, start, end])
-        entry = entry[2]
-    return Fraction(sign * value, timeline.den_t * den_w), _schedule(timeline, runs)
+        path = path[2]
+    return _schedule(timeline, runs)
 
 
-def _exhaustive_worst(instance: Instance, policy: Policy):
-    """Explore every tie branch; return (objective, schedule) of the worst run.
+def _worst_search(timeline: _Timeline, weights: list[int], policy: Policy):
+    """``_event_search`` over every tie branch: ``(objective, path)`` of the worst run.
 
     Each move runs one of the policy's tied leaders, tried in ascending id
     order, so among equally bad choices the smallest id wins.
     """
-    if not isinstance(policy, Policy):
-        raise ValueError(f"unknown policy {policy!r}")
-    timeline = _timeline(instance)
     procs = timeline.procs
     srpt = policy is Policy.SRPT
     static = policy is Policy.WSPT_PREEMPTIVE
@@ -408,7 +411,17 @@ def _exhaustive_worst(instance: Instance, policy: Policy):
                 top.append(k)
         return top
 
-    return _event_search(timeline, leaders, 1, "exhaustive tie search")
+    return _event_search(timeline, weights, leaders, 1, "exhaustive tie search")
+
+
+def _exhaustive_worst(instance: Instance, policy: Policy):
+    """Explore every tie branch; return (objective, schedule) of the worst run."""
+    if not isinstance(policy, Policy):
+        raise ValueError(f"unknown policy {policy!r}")
+    timeline = _timeline(instance)
+    weights, den_w = _scaled_weights(timeline.jobs)
+    value, path = _worst_search(timeline, weights, policy)
+    return Fraction(value, timeline.den_t * den_w), _path_schedule(timeline, path)
 
 
 @dataclass

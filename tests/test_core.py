@@ -100,8 +100,9 @@ class TestToRational:
     def test_strings_read_as_fraction_reads_them(self, text):
         # An exponent of four or more digits can pass the digit limit: the
         # tests on either side cover those; shorter ones, the same grammar.
-        # Underscores follow Python 3.11's grammar on every version: one
-        # between two digits reads as nothing, any other is refused.
+        # Underscores and the slash follow Python 3.11's grammar on every
+        # version: an underscore between two digits reads as nothing, any
+        # other is refused, and so is whitespace beside the slash.
         assume(not re.search(r"e[-+]?[\d_]{4}", text))
         between_digits = all(
             0 < i < len(text) - 1 and text[i - 1].isdecimal() and text[i + 1].isdecimal()
@@ -111,6 +112,8 @@ class TestToRational:
         try:
             if not between_digits:
                 raise ValueError(f"stray underscore in {text!r}")
+            if re.search(r"\s/|/\s", text):
+                raise ValueError(f"whitespace beside the slash in {text!r}")
             expected = Fraction(text.replace("_", ""))
         except (ValueError, ZeroDivisionError):
             with pytest.raises(ValueError, match="not a rational numeral"):
@@ -142,7 +145,10 @@ class TestToRational:
 
     @pytest.mark.parametrize(
         "text",
-        ["1/0", "-5/0", "--1", "1/-2", "1/", "/2", "", "-", "_1", "1__0", "1_", "1_/2", "1e_5"],
+        [
+            "1/0", "-5/0", "--1", "1/-2", "1/", "/2", "", "-", "_1", "1__0", "1_", "1_/2", "1e_5",
+            "1 / 2", "1 /2", "1/ 2", "1\t/2", " 1 /2 ",
+        ],
     )
     def test_malformed_numerals_rejected(self, text):
         with pytest.raises(ValueError, match="not a rational numeral"):

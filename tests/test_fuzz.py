@@ -2,12 +2,17 @@
 
 import importlib
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from wsrpt import _backend, simulator
 from wsrpt.cli import main
-from wsrpt.fuzz import EnvelopeBreach, fuzz
-from wsrpt.instances import read_instance
+from wsrpt.core import Instance, Job, objective
+from wsrpt.fuzz import EnvelopeBreach, evaluate_instance, fuzz
+from wsrpt.instances import RANDOM_KINDS, ScenarioParams, gen_basic, gen_random, read_instance
+from wsrpt.oracle import optimal_objective
+from wsrpt.simulator import TieRule, simulate
 
 # The package exports the function under the module's name.
 fuzz_module = importlib.import_module("wsrpt.fuzz")
@@ -113,3 +118,70 @@ class TestGates:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"assertion failed: {message}")
         assert list(tmp_path.iterdir()) == []
+
+
+def reference_ratio(instance):
+    """The trial ratio through the public schedule, objective and optimum."""
+    worst = simulate(instance, tie=TieRule.EXHAUSTIVE_WORST)
+    return Fraction(objective(worst, instance), optimal_objective(instance))
+
+
+HAND_MADE = {
+    # Scored in list order instead of id order, its ratio 284/281 reads 1.
+    "ids-out-of-list-order": Instance((
+        Job(5, "1/2", "5/2", "5/2"), Job(1, "1/2", 1, 1), Job(3, 3, "5/2", "3/2"),
+        Job(0, 3, 2, "5/2"), Job(2, "3/2", 3, 3),
+    )),
+    "zero-weights": Instance((Job(0, 0, 2, 0), Job(1, 1, 1, 1), Job(2, 1, 3, 0), Job(3, 0, 1, 2))),
+    "all-weights-zero-but-one": Instance((Job(4, 0, 1, 0), Job(2, 0, 1, 0), Job(0, 3, 2, 1))),
+    "thirds-sevenths-elevenths": Instance(
+        (Job(2, "1/3", "5/7", "2/9"), Job(0, 0, "3/2", "1/5"), Job(1, "2/3", "1/11", "7/3"))
+    ),
+    "huge-and-tiny": Instance((Job(1, 0, "1e30", "1e-20"), Job(0, "1/1000", 1, "3e-21"))),
+    # Every release ties the running job: the search branches at each one.
+    "equality-basic-9": gen_basic(ScenarioParams(Fraction(3, 5), Fraction(3, 10), delta=Fraction(1, 7))),
+}
+
+
+class TestEvaluateInstance:
+    """``evaluate_instance`` scores on one integer scaling; these pin it to
+    the worst-tie schedule's objective over the subset-DP optimum."""
+
+    def test_seeded_draws_match_the_reference(self):
+        rng = Random(24)
+        for n in range(1, 10):
+            for kind in RANDOM_KINDS:
+                for _ in range(25 if n < 8 else 8):
+                    instance = gen_random(rng, n, kind)
+                    assert evaluate_instance(instance) == reference_ratio(instance)
+                    if kind == "general":  # the same jobs, ids reversed
+                        jobs = (Job(n - 1 - j.id, j.release, j.processing, j.weight) for j in instance.jobs)
+                        reversed_ids = Instance(tuple(jobs))
+                        assert evaluate_instance(reversed_ids) == reference_ratio(reversed_ids)
+
+    @pytest.mark.parametrize("instance", HAND_MADE.values(), ids=HAND_MADE.keys())
+    def test_hand_made_instances_match_the_reference(self, instance):
+        assert evaluate_instance(instance) == reference_ratio(instance)
+
+    def test_subset_dp_is_looked_up_at_call_time(self, monkeypatch):
+        # The benchmark's tracer wraps _backend.subset_dp and reads n as its
+        # fourth positional argument.
+        calls = []
+        dp = _backend.subset_dp
+        monkeypatch.setattr(_backend, "subset_dp", lambda *args: (calls.append(args), dp(*args))[1])
+        instance = HAND_MADE["ids-out-of-list-order"]
+        assert evaluate_instance(instance) == reference_ratio(instance)
+        assert [len(args) for args in calls] == [4, 4]
+        assert calls[0][3] == len(instance.jobs)
+
+    def test_search_over_budget_is_not_scored(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CELLS", 4)
+        assert evaluate_instance(gen_random(Random(3), 6)) is None
+
+    def test_past_the_job_cap_the_subset_dp_refuses_after_the_search(self, monkeypatch):
+        # Distinct ratios and one release: the search walks one path.
+        instance = Instance(tuple(Job(k, 0, 1, k + 1) for k in range(17)))
+        with pytest.raises(ValueError, match="^instance has 17 jobs; exact search is capped at 16$"):
+            evaluate_instance(instance)
+        monkeypatch.setattr(simulator, "MAX_SEARCH_DEPTH", 16)
+        assert evaluate_instance(instance) is None

@@ -216,7 +216,31 @@ class TestGenNested:
             gen_basic(inner)
 
 
+def reference_gen_random(rng: Random, n: int, kind: str) -> Instance:
+    """The generator's body with a new Fraction per draw, kept to pin its draws."""
+    jobs = []
+    for i in range(n):
+        release = Fraction(0) if kind == "zero-release" else Fraction(rng.randint(0, 6), 2)
+        processing = Fraction(rng.randint(1, 6), 2)
+        weight = Fraction(1) if kind == "unit-weight" else Fraction(rng.randint(1, 6), 2)
+        jobs.append(Job(i, release, processing, weight))
+    return Instance(tuple(jobs), tags={"family": "random", "kind": kind})
+
+
 class TestGenRandom:
+    @pytest.mark.parametrize("kind", RANDOM_KINDS)
+    def test_draws_match_the_reference(self, kind):
+        # Same jobs, same tags and the same RNG state after the call, so a
+        # seeded fuzz run draws the same trials and certificates.
+        for seed in range(40):
+            for n in range(1, 17):
+                ours, ref = Random(seed * 100 + n), Random(seed * 100 + n)
+                inst = gen_random(ours, n, kind)
+                expected = reference_gen_random(ref, n, kind)
+                assert inst.jobs == expected.jobs
+                assert inst.tags == expected.tags
+                assert ours.getstate() == ref.getstate()
+
     def test_deterministic(self):
         a = gen_random(Random(42), 6)
         b = gen_random(Random(42), 6)
