@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -396,12 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reads its flags with, built on first use.
+
+    Parsing leaves a parser as it was, so one serves the whole process;
+    nothing may change its defaults.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.config is not None:
-            # Config entries become parser defaults, so explicit flags win.
+            # Config entries become the defaults of a parser of this call's
+            # own, so explicit flags win and no later call sees them.
+            parser = build_parser()
             parser.commands[args.command].set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return args.func(args)

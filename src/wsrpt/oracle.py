@@ -24,6 +24,7 @@ from .core import (
 )
 from .simulator import (
     BudgetExceeded,
+    _choose_top,
     _event_search,
     _path_schedule,
     _ratio_key,
@@ -66,7 +67,7 @@ def priority_schedule(instance: Instance, order) -> Schedule:
     timeline = _timeline(instance)
     pos = {jid: k for k, jid in enumerate(order)}
     rank = [pos[j.id] for j in timeline.jobs]
-    runs = _run(timeline, lambda k, _: rank[k], lambda now, new, running, rem, top_key, top: top)
+    runs = _run(timeline, lambda k, _: rank[k], _choose_top)
     return _schedule(timeline, runs)
 
 
@@ -140,13 +141,14 @@ def structured_optimal(instance: Instance) -> OptimalResult:
     # (-ratio, overruns the next release, -processing, release, index) on the
     # integer grid: jobs are indices in id order, and _ratio_key ranks w/p.
     ranked = sorted(
-        (*_ratio_key(j.weight, p), r + p > following.get(r, inf), -p, r, k)
+        (*_ratio_key(j.weight.numerator, j.weight.denominator, p),
+         r + p > following.get(r, inf), -p, r, k)
         for k, (j, p, r) in enumerate(zip(timeline.jobs, timeline.procs, timeline.releases))
     )
     rank = [0] * len(ranked)
     for pos, entry in enumerate(ranked):
         rank[entry[-1]] = pos
-    runs = _run(timeline, lambda k, _: rank[k], lambda now, new, running, rem, top_key, top: top)
+    runs = _run(timeline, lambda k, _: rank[k], _choose_top)
     if len(runs) != len(rank):
         raise ValueError("the ratio-ordered schedule splits a job, so it is not certified optimal")
     schedule = _schedule(timeline, runs)

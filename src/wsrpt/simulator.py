@@ -11,10 +11,13 @@ ratio's correctly rounded float followed by its reduced pair (weight
 numerator, weight denominator times remaining work).  Rounding is monotone,
 so the float settles every order it can and never contradicts the exact
 one; two ratios with equal floats are compared by cross-multiplying the
-pairs.  A returned schedule keeps the engine's runs on that grid and
-builds Fraction slices only when they are read.  The equality audit
-scans the runs of that same engine call at each release instant, and
-otherwise Fractions appear only in its reports.
+pairs.  The loop ranks a job once at its release and once after each run
+that leaves it unfinished, and the tie rule compares those cached ranks;
+a chosen job at the top of the loop's heap is updated in place, so an
+event costs one heap operation.  A returned schedule keeps the engine's
+runs on that grid and builds Fraction slices only when they are read.
+The equality audit scans the runs of that same engine call at each
+release instant, and otherwise Fractions appear only in its reports.
 """
 
 from __future__ import annotations
@@ -78,16 +81,18 @@ class _Ratio(tuple):
         return self[0] * other[1] > other[0] * self[1]
 
 
-def _ratio_key(weight: Fraction, work: int) -> tuple[float, _Ratio]:
-    """Rank of the ratio weight/work (smaller runs first): ``(-f, pair)``.
+def _ratio_key(num: int, den: int, work: int) -> tuple[float, _Ratio]:
+    """Rank of the ratio (num/den)/work (smaller runs first): ``(-f, pair)``.
 
-    ``pair`` is the ratio as a reduced ``_Ratio`` and ``f`` its correctly
-    rounded float, or inf past the float range.  Rounding is monotone, so
-    ``f`` never orders two ratios against their exact order; equal floats
-    fall through to the pair, and equal ratios give equal keys.
+    ``num/den`` is a weight as its reduced integer pair (a Fraction's
+    numerator and denominator).  ``pair`` is the ratio as a reduced
+    ``_Ratio`` and ``f`` its correctly rounded float, or inf past the float
+    range.  Rounding is monotone, so ``f`` never orders two ratios against
+    their exact order; equal floats fall through to the pair, and equal
+    ratios give equal keys.
     """
-    g = gcd(weight.numerator, work)
-    num, den = weight.numerator // g, weight.denominator * (work // g)
+    g = gcd(num, work)
+    num, den = num // g, den * (work // g)
     try:
         f = num / den
     except OverflowError:
@@ -156,29 +161,34 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
 
     Runs on the integer grid of ``timeline``: a job is its index k, and
     times and remaining work are ints in units of 1/den_t.  ``key(k, rem)``
-    ranks job k with ``rem`` work left; the smallest rank runs first.  At
-    each decision point ``choose(now, new, running, rem, top_key, top)``
-    returns the job to run until the next release or its completion:
-    ``new`` are the jobs released at ``now``, ``running`` is the unfinished
-    job that ran up to ``now`` (else None), ``rem`` holds every job's
-    remaining work, and ``top`` is the smallest index among the released
-    jobs of minimal rank ``top_key``.  Returns the runs ``[k, start, end]``
-    on the grid, adjacent runs of a job fused; ``_schedule`` makes them a
-    schedule on that grid.
+    ranks job k with ``rem`` work left; the smallest rank runs first.  Each
+    job is ranked once at its release and once after each run that leaves
+    it unfinished; ``ranks[k]`` holds job k's last rank, which is its rank
+    at ``rem[k]`` for every released unfinished job, since only the job
+    that ran has less work left.  At each decision point
+    ``choose(now, new, running, rem, ranks, top_key, top)`` returns the job
+    to run until the next release or its completion: ``new`` are the jobs
+    released at ``now``, ``running`` is the unfinished job that ran up to
+    ``now`` (else None), ``rem`` holds every job's remaining work, and
+    ``top`` is the smallest index among the released jobs of minimal rank
+    ``top_key``.  ``choose`` compares ranks through ``ranks`` and calls no
+    ``key``.  Returns the runs ``[k, start, end]`` on the grid, adjacent
+    runs of a job fused; ``_schedule`` makes them a schedule on that grid.
+
+    The released unfinished jobs sit in a min-heap of (rank, index,
+    version).  A chosen job that is the heap's top is updated in place,
+    one heap operation per event: its entry is replaced after a partial
+    run and popped on completion.  Any other chosen job gets a new entry
+    under a bumped version, and its old one is dropped when it surfaces,
+    as is the entry of a job that completed off the top.  A job whose rank
+    did not change keeps its entry as it is.
     """
     releases = _release_groups(timeline.releases)
     rem = list(timeline.procs)
     unfinished = len(rem)
-
-    # Lazy min-heap of (rank, index, version).  Only the running job's rank
-    # can change between events, so entries go stale only when we re-push
-    # that one job with a bumped version, or when their job completes.
     heap: list[tuple] = []
+    ranks: list = [None] * len(rem)
     version = [0] * len(rem)
-
-    def push(k: int) -> None:
-        version[k] += 1
-        heapq.heappush(heap, (key(k, rem[k]), k, version[k]))
 
     runs: list[list[int]] = []  # [job, start, end], adjacent runs of a job fused
     idx = 0
@@ -190,7 +200,8 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
         if idx < len(releases) and releases[idx][0] == now:
             new = releases[idx][1]
             for k in new:
-                push(k)
+                rank = ranks[k] = key(k, rem[k])
+                heapq.heappush(heap, (rank, k, 0))
             idx += 1
 
         while heap:
@@ -204,7 +215,7 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
             running = None
             continue
 
-        chosen = choose(now, new, running, rem, top_key, top)
+        chosen = choose(now, new, running, rem, ranks, top_key, top)
 
         end = now + rem[chosen]
         if idx < len(releases) and releases[idx][0] < end:
@@ -213,15 +224,29 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
             runs[-1][2] = end
         else:
             runs.append([chosen, now, end])
-        rem[chosen] -= end - now
+        left = rem[chosen] = rem[chosen] - (end - now)
         now = end
-        if rem[chosen]:
+        if left:
             running = chosen
-            push(chosen)  # refresh the executed job's rank
+            rank = key(chosen, left)
+            if rank != ranks[chosen]:
+                ranks[chosen] = rank
+                if chosen == top:
+                    heapq.heapreplace(heap, (rank, chosen, ver))
+                else:
+                    version[chosen] += 1
+                    heapq.heappush(heap, (rank, chosen, version[chosen]))
         else:
             unfinished -= 1
             running = None
+            if chosen == top:
+                heapq.heappop(heap)
     return runs
+
+
+def _choose_top(now, new, running, rem, ranks, top_key, top) -> int:
+    """``_run``'s ``choose`` for ranks that never tie: always the top job."""
+    return top
 
 
 def _release_groups(releases: list[int]) -> list[tuple[int, list[int]]]:
@@ -242,20 +267,26 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
 
     WSRPT ranks by ``_ratio_key`` of w/rem on the integer grid (the common
-    factor den_t left out), WSPT by the same key at full processing time
-    and SRPT by ``rem`` itself.  ``script`` is the tie script SCRIPTED
-    follows; its entries off the grid match no event.
+    factor den_t left out), with each weight's integer pair read once here,
+    WSPT by the same key at full processing time and SRPT by ``rem``
+    itself.  ``choose`` reads the ranks ``_run`` caches and calls no key.
+    ``script`` is the tie script SCRIPTED follows; its entries off the grid
+    match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
     jobs, den_t = timeline.jobs, timeline.den_t
 
     if policy is Policy.WSRPT:
-        weights = [j.weight for j in jobs]
+        nums = [j.weight.numerator for j in jobs]
+        dens = [j.weight.denominator for j in jobs]
 
         def key(k: int, rem: int) -> tuple[float, _Ratio]:
-            return _ratio_key(weights[k], rem)
+            return _ratio_key(nums[k], dens[k], rem)
     elif policy is Policy.WSPT_PREEMPTIVE:
-        static = [_ratio_key(j.weight, p) for j, p in zip(jobs, timeline.procs)]
+        static = [
+            _ratio_key(j.weight.numerator, j.weight.denominator, p)
+            for j, p in zip(jobs, timeline.procs)
+        ]
 
         def key(k: int, rem: int) -> tuple[float, _Ratio]:
             return static[k]
@@ -279,25 +310,25 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     prefer_new = tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST)
     longest = tie is TieRule.PREFER_NEW_LONGEST
 
-    def choose(now, new, running, rem, top_key, top) -> int:
+    def choose(now, new, running, rem, ranks, top_key, top) -> int:
         if now in script_map:
             choice, k = script_map[now]
             if k is None or not rem[k] or timeline.releases[k] > now:
                 raise ValueError(
                     f"scripted choice {choice} at t={Fraction(now, den_t)} is not available"
                 )
-            if key(k, rem[k]) != top_key:
+            if ranks[k] != top_key:
                 raise ValueError(
                     f"scripted choice {choice} at t={Fraction(now, den_t)} "
                     "is not among the tied leaders"
                 )
             return k
         if prefer_new:
-            tied_new = [k for k in new if key(k, rem[k]) == top_key]
+            tied_new = [k for k in new if ranks[k] == top_key]
             if tied_new:
                 return min(tied_new, key=lambda k: (-rem[k] if longest else rem[k], k))
             # fall through to the running-job preference
-        if running is not None and key(running, rem[running]) == top_key:
+        if running is not None and ranks[running] == top_key:
             return running
         return top
 

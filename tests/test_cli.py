@@ -353,6 +353,18 @@ class TestConfigAndEnvironment:
         run(capsys, "gen", "random", "--n", "3", "--seed", "5", "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    def test_config_defaults_do_not_reach_the_next_call(self, tmp_path, capsys):
+        # The parser is built once per process; a --config call parses with
+        # a parser of its own, so the next call gets the flags' defaults.
+        cfg = tmp_path / "wsrpt.cfg"
+        cfg.write_text("n=3\nseed=5\n")
+        a, b, c = (tmp_path / f"{name}.json" for name in "abc")
+        assert run(capsys, "gen", "random", "--config", str(cfg), "--out", str(a))[0] == 0
+        assert run(capsys, "gen", "random", "--out", str(b))[0] == 0
+        assert run(capsys, "gen", "random", "--n", "6", "--seed", "0", "--out", str(c))[0] == 0
+        assert len(read_instance(a).jobs) == 3
+        assert b.read_text() == c.read_text()
+
     def test_config_value_of_wrong_type_is_validation_failure(self, tmp_path):
         cfg = tmp_path / "wsrpt.cfg"
         cfg.write_text("trials=abc\n")

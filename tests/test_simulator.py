@@ -21,7 +21,10 @@ from wsrpt.simulator import (
     Policy,
     TieRule,
     _exhaustive_worst,
+    _policy,
     _ratio_key,
+    _run,
+    _timeline,
     is_equality_instance,
     simulate,
     split_job,
@@ -84,13 +87,15 @@ def _ids_reversed(instance):
 SCRAMBLED = st.one_of(mixed_instances(), small_instances().map(_ids_reversed))
 
 
-def reference_slices(instance, key, tie=TieRule.PREFER_RUNNING, script=()):
+def reference_slices(instance, key, tie=TieRule.PREFER_RUNNING, script=(), pick=None):
     """The event loop on Fractions: the reference the engine must match.
 
     ``key(job, remaining)`` is a priority (larger runs first).  At each
     release or completion the released jobs of maximal key are popped off
     a heap in id order, and the tie rule picks one to run until its
-    completion or the next release.
+    completion or the next release.  ``pick(now, leaders)``, if given,
+    picks instead at each instant with two or more leaders and no script
+    entry.
     """
     jobs = {j.id: j for j in instance.jobs}
     rem = {jid: j.processing for jid, j in jobs.items()}
@@ -116,6 +121,8 @@ def reference_slices(instance, key, tie=TieRule.PREFER_RUNNING, script=()):
         if now in choices:
             chosen = choices[now]
             assert chosen in leaders
+        elif pick is not None and len(leaders) > 1:
+            chosen = pick(now, leaders)
         elif tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST) and tied_new:
             sign = -1 if tie is TieRule.PREFER_NEW_LONGEST else 1
             chosen = min(tied_new, key=lambda jid: (sign * rem[jid], jid))
@@ -168,6 +175,31 @@ def _perturbed_families(draw):
 
 def _policy_key(policy):
     return lambda job, remaining: policy_key(policy, job, remaining)
+
+
+@st.composite
+def tie_heavy_instances(draw, max_jobs: int = 6):
+    """p, w in {1, 2} and releases in halves: most decisions tie."""
+    n = draw(st.integers(min_value=2, max_value=max_jobs))
+    return Instance(tuple(
+        Job(i, Fraction(draw(st.integers(min_value=0, max_value=6)), 2),
+            draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, 2))))
+        for i in range(n)
+    ))
+
+
+def drawn_script(instance, policy, rnd):
+    """``(slices, script)``: the reference run under a script drawn as it
+    runs, which at each instant with tied leaders names one of them other
+    than the smallest id."""
+    script = {}
+
+    def pick(now, leaders):
+        script[now] = rnd.choice(leaders[1:])
+        return script[now]
+
+    slices = reference_slices(instance, _policy_key(policy), pick=pick)
+    return slices, tuple(script.items())
 
 
 class TestSimulate:
@@ -319,7 +351,8 @@ class TestRatioKey:
     def test_orders_as_the_exact_ratio(self, weights, p, q, same_work):
         w, v = weights
         q = p if same_work else q
-        a, b = _ratio_key(w, p), _ratio_key(v, q)
+        a = _ratio_key(w.numerator, w.denominator, p)
+        b = _ratio_key(v.numerator, v.denominator, q)
         assert (a < b) == (w / p > v / q)
         assert (a == b) == (w / p == v / q)
 
@@ -333,7 +366,7 @@ class TestRatioKey:
         ],
     )
     def test_prefix_is_the_rounded_float(self, weight, prefix):
-        key = _ratio_key(weight, 1)
+        key = _ratio_key(weight.numerator, weight.denominator, 1)
         assert key[0] == prefix
         assert Fraction(*key[1]) == weight
 
@@ -364,6 +397,12 @@ class TestAgainstReference:
         expected = reference_slices(instance, lambda job, _: -pos[job.id])
         assert priority_schedule(instance, order).slices == expected
 
+    @given(tie_heavy_instances(), st.sampled_from(list(Policy)), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_scripted_ties_past_the_smallest_id(self, instance, policy, rnd):
+        expected, script = drawn_script(instance, policy, rnd)
+        assert simulate(instance, policy=policy, tie=TieRule.SCRIPTED, script=script).slices == expected
+
     def test_scripted_generated_family(self):
         inst = gen_basic(
             ScenarioParams(y=Fraction(8157, 10000), v=Fraction(7066, 10000), delta=Fraction(1, 1000))
@@ -372,6 +411,34 @@ class TestAgainstReference:
             inst, _policy_key(Policy.WSRPT), TieRule.SCRIPTED, inst.tie_script
         )
         assert simulate(inst, tie=TieRule.SCRIPTED).slices == expected
+
+
+class TestRankCache:
+    """``_run`` hands ``choose`` each released job's rank at its current work."""
+
+    @given(
+        st.one_of(tie_heavy_instances(), SCRAMBLED),
+        st.sampled_from(list(Policy)),
+        st.sampled_from(FIXED_TIES + (TieRule.SCRIPTED,)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_ranks_are_current(self, instance, policy, tie, rnd):
+        # Scripted draws pick tied jobs off the heap's top, so both the
+        # in-place heap update and the versioned lazy one run.
+        script = drawn_script(instance, policy, rnd)[1] if tie is TieRule.SCRIPTED else ()
+        timeline = _timeline(instance)
+        key, choose = _policy(timeline, policy, tie, script)
+
+        def checked(now, new, running, rem, ranks, top_key, top):
+            live = [k for k, r in enumerate(timeline.releases) if r <= now and rem[k]]
+            for k in live:
+                assert ranks[k] == key(k, rem[k])
+            assert top_key == min(ranks[k] for k in live)
+            assert top == min(k for k in live if ranks[k] == top_key)
+            return choose(now, new, running, rem, ranks, top_key, top)
+
+        _run(timeline, key, checked)
 
 
 class TestTieRules:
