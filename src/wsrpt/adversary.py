@@ -155,9 +155,7 @@ def _j2_first_schedule(instance: Instance) -> Schedule:
     instant, so these choices are realized exactly by a static priority
     list: job 1, then the burst in id order, then job 0.
     """
-    others = sorted(
-        (j.id for j in instance.jobs if j.id not in (0, 1)),
-    )
+    others = sorted(i for i in instance._grid.ids if i not in (0, 1))
     return priority_schedule(instance, [1, *others, 0])
 
 

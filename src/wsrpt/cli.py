@@ -203,7 +203,7 @@ def _cmd_gen(args) -> int:
             )
     out = _out_path(args, "instance.json")
     write_instance(instance, out)
-    print(f"wrote {out} ({len(instance.jobs)} jobs)")
+    print(f"wrote {out} ({len(instance._grid.ids)} jobs)")
     return 0
 
 

@@ -1,14 +1,17 @@
 """Domain types and exact numerics shared by the whole package.
 
-Times and weights are arbitrary-precision rationals (`fractions.Fraction`)
-end-to-end in simulation and oracle code: the constructed instances tie
+Times and weights are exact rationals: the constructed instances tie
 Smith ratios *exactly* at every release, and floats would silently break
-those ties.  A schedule keeps its runs as ints on one time grid, so its
-objective and feasibility check are integer sums with few Fraction steps.
-The event engine's rank puts a ratio's correctly rounded float in front
-of its exact pair, but never decides an order or a tie on the float
-alone.  Otherwise floating point is reserved for the analysis module,
-which works with closed forms and quadrature under stated tolerances.
+those ties.  An instance keeps its releases and processing times as ints
+on one time grid and each weight as its reduced integer pair, and a
+schedule keeps its runs as ints on one time grid, so the event engine,
+the oracles, the objective and the feasibility check work on ints; the
+``Fraction`` views (``Instance.jobs``, ``Schedule.slices``) are built only
+when they are read.  The event engine's rank puts a ratio's correctly
+rounded float in front of its exact pair, but never decides an order or
+a tie on the float alone.  Otherwise floating point is reserved for the
+analysis module, which works with closed forms and quadrature under
+stated tolerances.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Union
+from itertools import islice
+from math import gcd, lcm
+from operator import lt
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -57,7 +62,7 @@ def to_rational(value: Rational) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         with _without_digit_limit():
-            return _parse_rational(value)
+            return Fraction(*_parse_pair(value))
     raise ValueError(f"refusing inexact value {value!r}; pass a string or Fraction")
 
 
@@ -73,8 +78,9 @@ _EXPONENT = re.compile(r"e[-+]?(\d+)\s*\Z", re.IGNORECASE)
 _STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
 
-def _parse_rational(text: str) -> Fraction:
-    """The string branch of ``to_rational``, under a digit limit lifted by the caller.
+def _parse_pair(text: str) -> tuple[int, int]:
+    """The string branch of ``to_rational`` as the value's reduced
+    (numerator, denominator) pair, under a digit limit lifted by the caller.
 
     Underscores and the slash follow Python 3.11's numeral grammar on every
     version: an underscore between two digits reads as nothing, any other
@@ -91,13 +97,19 @@ def _parse_rational(text: str) -> Fraction:
         num, slash, den = numeral.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if numeral.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            if not slash:
+                return int(num), 1
+            d = int(den)
+            if not d:
+                raise ZeroDivisionError("zero denominator")
+            return _reduced(int(num), d)
         if slash and (num[-1:].isspace() or den[:1].isspace()):
             raise ValueError("whitespace beside the slash")
         exponent = _EXPONENT.search(numeral)
         magnitude = exponent[1].lstrip("0") if exponent else ""
         if len(magnitude) <= len(str(MAX_EXPONENT)) and int(magnitude or 0) <= MAX_EXPONENT:
-            return Fraction(numeral)
+            value = Fraction(numeral)
+            return value.numerator, value.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational numeral: {text!r}") from exc
     raise ValueError(f"numeral {text!r} has a decimal exponent beyond +-{MAX_EXPONENT}")
@@ -110,9 +122,20 @@ def rational_str(value: Fraction) -> str:
 
 
 def _rational_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _pair_str(value.numerator, value.denominator)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _pair_str(num: int, den: int) -> str:
+    """The reduced pair num/den as ``rational_str`` renders its Fraction."""
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def _job_id(value, what: str) -> int:
@@ -120,6 +143,17 @@ def _job_id(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an int, not {value!r}")
     return value
+
+
+def _check_job(job_id: int, release: int, processing: int, weight: int) -> None:
+    """A job's sign checks, on the numerators of its reduced values (a
+    denominator is positive, so the numerator carries the sign)."""
+    if processing <= 0:
+        raise ValueError(f"job {job_id}: processing must be > 0")
+    if release < 0:
+        raise ValueError(f"job {job_id}: release must be >= 0")
+    if weight < 0:
+        raise ValueError(f"job {job_id}: weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -136,13 +170,9 @@ class Job:
         object.__setattr__(self, "release", to_rational(self.release))
         object.__setattr__(self, "processing", to_rational(self.processing))
         object.__setattr__(self, "weight", to_rational(self.weight))
-        # A Fraction's denominator is positive, so its numerator carries the sign.
-        if self.processing.numerator <= 0:
-            raise ValueError(f"job {self.id}: processing must be > 0")
-        if self.release.numerator < 0:
-            raise ValueError(f"job {self.id}: release must be >= 0")
-        if self.weight.numerator < 0:
-            raise ValueError(f"job {self.id}: weight must be >= 0")
+        _check_job(
+            self.id, self.release.numerator, self.processing.numerator, self.weight.numerator
+        )
 
     @property
     def ratio(self) -> Fraction:
@@ -150,38 +180,142 @@ class Job:
         return self.weight / self.processing
 
 
-@dataclass(frozen=True)
+class _Timeline(NamedTuple):
+    """Jobs on an integer time grid: job k has id ``ids[k]``, release
+    ``releases[k]`` and processing time ``procs[k]`` in units of 1/den_t,
+    and weight ``weights[k]`` as its reduced (numerator, denominator) pair.
+
+    ``den_t`` is the lcm of the release and processing denominators.
+    """
+
+    ids: list[int]
+    releases: list[int]
+    procs: list[int]
+    den_t: int
+    weights: list[tuple[int, int]]
+
+
+def _check_ids(ids: list[int]) -> None:
+    if not ids:
+        raise ValueError("instance must contain at least one job")
+    if len(set(ids)) != len(ids):
+        raise ValueError("job ids must be unique")
+
+
+def _checked_script(script) -> tuple[tuple[Fraction, int], ...] | None:
+    """A tie script as a tuple of (time, choice), each time made exact and each choice an int."""
+    if script is None:
+        return None
+    return tuple((to_rational(t), _job_id(choice, "tie-script choice")) for t, choice in script)
+
+
 class Instance:
     """An ordered collection of jobs with unique ids.
 
     ``tie_script`` optionally names the tie winner at given event times
     (see simulator.TieScript); ``tags`` carries generator metadata such as
     snapped parameter values.
+
+    The jobs live on their integer grid, a ``_Timeline`` in instance
+    order.  ``Instance(jobs)`` takes checked jobs and puts them on the grid
+    when it is first read; the generators and the reader build the grid
+    directly through ``_on_grid``, and ``jobs`` is then built on first
+    access, one Fraction per distinct value.  Equality compares jobs, tie
+    script and tags.  Instances are immutable.
     """
 
-    jobs: tuple[Job, ...]
-    tie_script: tuple[tuple[Fraction, int], ...] | None = None
-    tags: Mapping[str, object] = field(default_factory=dict)
+    def __init__(
+        self,
+        jobs: Iterable[Job],
+        tie_script: Iterable[tuple[Rational, int]] | None = None,
+        tags: Mapping[str, object] | None = None,
+    ):
+        jobs = tuple(jobs)
+        _check_ids([j.id for j in jobs])
+        self.__dict__.update(
+            jobs=jobs, tie_script=_checked_script(tie_script), tags={} if tags is None else tags
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        if not self.jobs:
-            raise ValueError("instance must contain at least one job")
-        ids = [j.id for j in self.jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("job ids must be unique")
-        if self.tie_script is not None:
-            script = tuple(
-                (to_rational(t), _job_id(choice, "tie-script choice"))
-                for t, choice in self.tie_script
-            )
-            object.__setattr__(self, "tie_script", script)
+    @classmethod
+    def _on_grid(
+        cls,
+        grid: _Timeline,
+        tie_script: tuple[tuple[Fraction, int], ...] | None = None,
+        tags: Mapping[str, object] | None = None,
+    ) -> Instance:
+        """The instance of jobs already on ``grid``, taken as they are.
+
+        The caller vouches for every check ``Instance(jobs)`` makes and for
+        ``den_t`` being the lcm of the time denominators.
+        """
+        instance = cls.__new__(cls)
+        instance.__dict__.update(
+            _grid=grid, tie_script=tie_script, tags={} if tags is None else tags
+        )
+        return instance
+
+    @cached_property
+    def jobs(self) -> tuple[Job, ...]:
+        """The jobs as ``Job``s, built from the grid with one Fraction per distinct value."""
+        ids, releases, procs, den_t, weights = self._grid
+        times = {t: Fraction(t, den_t) for t in {*releases, *procs}}
+        ratios = {w: Fraction(*w) for w in set(weights)}
+        return tuple(
+            Job(i, times[r], times[p], ratios[w])
+            for i, r, p, w in zip(ids, releases, procs, weights)
+        )
+
+    @cached_property
+    def _grid(self) -> _Timeline:
+        """The jobs on their integer grid, in instance order."""
+        jobs = self.jobs
+        den_t = lcm(*{x.denominator for j in jobs for x in (j.release, j.processing)})
+        return _Timeline(
+            [j.id for j in jobs],
+            [_scaled(j.release, den_t) for j in jobs],
+            [_scaled(j.processing, den_t) for j in jobs],
+            den_t,
+            [(j.weight.numerator, j.weight.denominator) for j in jobs],
+        )
+
+    @cached_property
+    def _by_id(self) -> _Timeline:
+        """The grid in ascending id order: the grid itself when the ids ascend."""
+        grid = self._grid
+        ids = grid.ids
+        if all(map(lt, ids, islice(ids, 1, None))):
+            return grid
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids, releases, procs, weights = (
+            [column[k] for k in order]
+            for column in (ids, grid.releases, grid.procs, grid.weights)
+        )
+        return _Timeline(ids, releases, procs, grid.den_t, weights)
 
     def job(self, job_id: int) -> Job:
         for j in self.jobs:
             if j.id == job_id:
                 return j
         raise KeyError(f"no job with id {job_id}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.jobs, self.tie_script, self.tags) == (
+            other.jobs, other.tie_script, other.tags
+        )
+
+    def __hash__(self):
+        return hash((self.jobs, self.tie_script, self.tags))
+
+    def __repr__(self):
+        return f"Instance(jobs={self.jobs!r}, tie_script={self.tie_script!r}, tags={self.tags!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -289,14 +423,11 @@ class Schedule:
         """
         if not self._runs:
             raise ValueError("schedule has no slices")
-        # Compare on the grid of lcm(den, the instance's time denominators);
-        # the error texts show the unscaled Fractions.
-        den = lcm(
-            self._den,
-            *(x.denominator for j in instance.jobs for x in (j.release, j.processing)),
-        )
-        m = den // self._den
-        release = {j.id: _scaled(j.release, den) for j in instance.jobs}
+        # Compare on the grid of lcm(den, den_t); the error texts show Fractions.
+        ids, releases, procs, den_t, _ = instance._grid
+        den = lcm(self._den, den_t)
+        m, m_t = den // self._den, den // den_t
+        release = {i: r * m_t for i, r in zip(ids, releases)}
         total = dict.fromkeys(release, 0)
         prev_end: int | None = None
         for job, start, end in self._runs:
@@ -309,10 +440,10 @@ class Schedule:
                 raise ValueError(f"job {job} runs before its release")
             prev_end = end * m
             total[job] += prev_end - start
-        for j in instance.jobs:
-            if total[j.id] != _scaled(j.processing, den):
+        for i, p in zip(ids, procs):
+            if total[i] != p * m_t:
                 raise ValueError(
-                    f"job {j.id} executes {Fraction(total[j.id], den)} of {j.processing}"
+                    f"job {i} executes {Fraction(total[i], den)} of {Fraction(p, den_t)}"
                 )
 
 
@@ -324,18 +455,18 @@ def _scaled(x: Fraction, den: int) -> int:
 def objective(schedule: Schedule, instance: Instance) -> Fraction:
     """Total weighted completion time Σ w_j·C_j, exact."""
     ends = schedule._ends
-    inst_jobs = {j.id for j in instance.jobs}
+    grid = instance._grid
+    inst_jobs = set(grid.ids)
     if ends.keys() != inst_jobs:
         raise ValueError(
             f"schedule covers jobs {sorted(ends)} but instance has {sorted(inst_jobs)}"
         )
-    # Weights sharing a denominator d add w.numerator·end as ints.  The few
+    # Weights sharing a denominator d add numerator·end as ints.  The few
     # per-d Fractions add in a balanced tree, whose partial sums keep small
     # denominators until the last levels; one division by den ends it.
     grouped: dict[int, int] = {}
-    for j in instance.jobs:
-        w = j.weight
-        grouped[w.denominator] = grouped.get(w.denominator, 0) + w.numerator * ends[j.id]
+    for i, (num, d) in zip(grid.ids, grid.weights):
+        grouped[d] = grouped.get(d, 0) + num * ends[i]
     terms = [Fraction(total, d) for d, total in grouped.items()]
     while len(terms) > 1:
         pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]

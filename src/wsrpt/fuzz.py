@@ -78,7 +78,7 @@ def evaluate_instance(instance: Instance) -> Fraction | None:
     job cap, the DP's ValueError follows the search.
     """
     timeline = _timeline(instance)
-    weights, _ = _scaled_weights(timeline.jobs)
+    weights, _ = _scaled_weights(timeline.weights)
     try:
         worst, _ = _worst_search(timeline, weights, Policy.WSRPT)
     except BudgetExceeded:
@@ -153,8 +153,8 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
     if worst["general"] is not None:
         if out_dir is not None:
             ratio, instance = worst["general"]
-            tagged = Instance(
-                instance.jobs,
+            tagged = Instance._on_grid(
+                instance._grid,
                 tie_script=instance.tie_script,
                 tags={**instance.tags, "fuzz_ratio": rational_str(ratio)},
             )

@@ -15,19 +15,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import ceil
+from math import ceil, gcd, lcm
 from operator import itemgetter
 from pathlib import Path
 from random import Random
-from typing import IO, Union
+from typing import IO, NamedTuple, Union
 
 from .core import (
     Instance,
-    Job,
     Schedule,
     Slice,
-    _parse_rational,
+    _Timeline,
+    _check_ids,
+    _check_job,
+    _checked_script,
+    _job_id,
+    _pair_str,
+    _parse_pair,
     _rational_str,
+    _reduced,
+    _scaled,
     _without_digit_limit,
     rational_str,
     to_rational,
@@ -99,10 +106,19 @@ def _snap_steps(value: Fraction, delta: Fraction) -> int:
     return int((num + Fraction(1, 2)).__floor__())
 
 
-def _small_pieces(
-    m_steps: int, n_steps: int, z: Fraction, delta: Fraction
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """(release, processing, weight) of the family's small jobs, in order.
+class _Pieces(NamedTuple):
+    """A family's small jobs in order: releases and processing times as
+    ints in units of 1/unit, a common denominator of them all, and weights
+    as reduced pairs."""
+
+    releases: list[int]
+    procs: list[int]
+    weights: list[tuple[int, int]]
+    unit: int
+
+
+def _small_pieces(m_steps: int, n_steps: int, z: Fraction, delta: Fraction) -> _Pieces:
+    """The family's small jobs, in order.
 
     Unit-density floor pieces sit at the left endpoints 0..(n-1)·delta; the
     ramp on (v, y] carries density (1+z)/(1-y) per unit release, split into
@@ -110,9 +126,11 @@ def _small_pieces(
     equal pieces no longer than delta of the rest; the lump at y is z split
     into equal pieces no longer than delta.
     Weights use the release point, so each piece's ratio is exactly
-    1/(1 - release) — the running long job's current ratio.  A delta that
-    would cut the family into more than MAX_BURST_PIECES pieces is refused
-    before any piece is built.
+    1/(1 - release) — the running long job's current ratio.  With
+    delta = a/b, a piece of length q released at i·delta weighs
+    q·b/(b - i·a), so a delta piece weighs a/(b - i·a), a reduced pair.
+    A delta that would cut the family into more than MAX_BURST_PIECES
+    pieces is refused before any piece is built.
     """
     y = m_steps * delta
     density = (_ONE + z) / (_ONE - y)
@@ -124,27 +142,29 @@ def _small_pieces(
             f"delta {rational_str(delta)} cuts the family into {count} small pieces, "
             f"more than {MAX_BURST_PIECES}"
         )
-    pieces: list[tuple[Fraction, Fraction, Fraction]] = []
-    for i in range(n_steps):
-        x = i * delta
-        pieces.append((x, delta, delta / (_ONE - x)))
-    if m_steps > n_steps:
-        piece_p = delta * (density - 1) / k
-        for i in range(n_steps, m_steps):
-            x = i * delta
-            pieces.append((x, delta, delta / (_ONE - x)))
-            w = piece_p / (_ONE - x)
-            pieces.extend((x, piece_p, w) for _ in range(k))
+    a, b = delta.numerator, delta.denominator
+    ramp_p = delta * (density - 1) / k
+    lump_p = z / kb if kb else delta
+    unit = lcm(b, ramp_p.denominator, lump_p.denominator)
+    step = a * (unit // b)
+    releases = [i * step for i in range(n_steps)]
+    procs = [step] * n_steps
+    weights = [(a, b - i * a) for i in range(n_steps)]
+    pn, pd = ramp_p.numerator, ramp_p.denominator
+    q = _scaled(ramp_p, unit)
+    for i in range(n_steps, m_steps):
+        releases += [i * step] * (1 + k)
+        procs += [step] + [q] * k
+        weights += [(a, b - i * a)] + [_reduced(pn * b, pd * (b - i * a))] * k
     if kb:
-        piece_p = z / kb
-        w = piece_p / (_ONE - y)
-        pieces.extend((y, piece_p, w) for _ in range(kb))
-    return pieces
+        ln, ld = lump_p.numerator, lump_p.denominator
+        releases += [m_steps * step] * kb
+        procs += [_scaled(lump_p, unit)] * kb
+        weights += [_reduced(ln * b, ld * (b - m_steps * a))] * kb
+    return _Pieces(releases, procs, weights, unit)
 
 
-def _family_pieces(
-    params: ScenarioParams,
-) -> tuple[list[tuple[Fraction, Fraction, Fraction]], Fraction, Fraction]:
+def _family_pieces(params: ScenarioParams) -> tuple[_Pieces, Fraction, Fraction]:
     """(small pieces, snapped y, snapped v) of one scenario's family."""
     delta = params.delta
     m_steps = _snap_steps(params.y, delta)
@@ -158,6 +178,29 @@ def _family_pieces(
     return pieces, m_steps * delta, n_steps * delta
 
 
+def _family_instance(
+    releases: list[int],
+    procs: list[int],
+    weights: list[tuple[int, int]],
+    unit: int,
+    script: list[tuple[int, int]],
+    tags: dict,
+) -> Instance:
+    """The instance of jobs 0, 1, ... with times in units of 1/unit and
+    script entries ``(time in those units, choice)``.
+
+    The grid is divided by the gcd of ``unit`` and every time, which leaves
+    den_t the lcm of the time denominators, as ``Instance(jobs)`` has it.
+    """
+    tie_script = tuple((Fraction(t, unit), choice) for t, choice in script)
+    g = gcd(unit, *releases, *procs)
+    if g > 1:
+        releases = [r // g for r in releases]
+        procs = [p // g for p in procs]
+    grid = _Timeline(list(range(len(releases))), releases, procs, unit // g, weights)
+    return Instance._on_grid(grid, tie_script=tie_script, tags=tags)
+
+
 def gen_basic(params: ScenarioParams) -> Instance:
     """One long job plus the discretized small-job family tied to it.
 
@@ -167,14 +210,10 @@ def gen_basic(params: ScenarioParams) -> Instance:
     nearest grid multiple; ``tags["snapped"]`` records whether they moved.
     """
     pieces, y_eff, v_eff = _family_pieces(params)
+    unit = pieces.unit
 
-    jobs = [Job(0, 0, 1, 1)]
-    for rel, proc, weight in pieces:
-        jobs.append(Job(len(jobs), rel, proc, weight))
-
-    # Pieces come in release order, so the sort only confirms it.
-    release_times = sorted(dict.fromkeys([Fraction(0), *(rel for rel, _, _ in pieces)]))
-    script = tuple((t, 0) for t in release_times)
+    # Pieces come in release order, so their distinct releases are the script's times.
+    script = [(t, 0) for t in dict.fromkeys([0, *pieces.releases])]
 
     tags = {
         "family": "basic",
@@ -186,7 +225,9 @@ def gen_basic(params: ScenarioParams) -> Instance:
         "v_effective": rational_str(v_eff),
         "snapped": y_eff != params.y or v_eff != params.v,
     }
-    return Instance(tuple(jobs), tie_script=script, tags=tags)
+    return _family_instance(
+        [0, *pieces.releases], [unit, *pieces.procs], [(1, 1), *pieces.weights], unit, script, tags
+    )
 
 
 def gen_nested(params: NestedParams) -> Instance:
@@ -211,7 +252,7 @@ def gen_nested(params: NestedParams) -> Instance:
     inner = params.inner
     inner_pieces, _, _ = _family_pieces(inner)
     # The segment's work: the opener's p_s plus the scaled inner pieces.
-    inner_total = p_s * (_ONE + sum(p for _, p, _ in inner_pieces))
+    inner_total = p_s * (_ONE + Fraction(sum(inner_pieces.procs), inner_pieces.unit))
 
     # Truncating the outer family at r_s is only harmless when the inner
     # segment outlasts the dropped outer releases: r_s + p_s*L >= y(1-v)/(1-y).
@@ -223,36 +264,50 @@ def gen_nested(params: NestedParams) -> Instance:
             f"r_s + p_s*L = {float(r_eff + inner_total):.4f} < "
             f"{float(horizon):.4f} = y(1-v)/(1-y)"
         )
+    outer_pieces = _small_pieces(r_steps, r_steps, Fraction(0), delta_o)
 
-    jobs = [Job(0, 0, 1, 1)]
-    script: list[tuple[Fraction, int]] = []
-    for rel, proc, weight in _small_pieces(r_steps, r_steps, 0, delta_o):
-        jobs.append(Job(len(jobs), rel, proc, weight))
-        script.append((rel, 0))
+    # One grid for both families: the inner family's times scale by
+    # p_s = sn/sd, so one inner unit is c = sn·unit/(sd·inner unit) units.
+    sn, sd = p_s.numerator, p_s.denominator
+    unit = lcm(outer_pieces.unit, sd * inner_pieces.unit)
+    o, c = unit // outer_pieces.unit, sn * (unit // (sd * inner_pieces.unit))
+    releases = [0, *(r * o for r in outer_pieces.releases)]
+    procs = [unit, *(p * o for p in outer_pieces.procs)]
+    weights = [(1, 1), *outer_pieces.weights]
+    script = [(r, 0) for r in releases[1:]]
 
-    small_id = len(jobs)
-    jobs.append(Job(small_id, r_eff, p_s, w_s))
-    script.append((r_eff, small_id))
+    opened = _scaled(r_eff, unit)
+    wn, wd = w_s.numerator, w_s.denominator
+    small_id = len(releases)
+    releases.append(opened)
+    procs.append(_scaled(p_s, unit))
+    weights.append((wn, wd))
+    script.append((opened, small_id))
 
-    resume_ratio_ids: list[tuple[Fraction, int]] = []  # (processing, id)
-    for rel, proc, weight in inner_pieces:
-        jid = len(jobs)
-        jobs.append(Job(jid, r_eff + p_s * rel, p_s * proc, w_s * weight))
+    resume: list[tuple[int, int]] = []  # (processing, id) of the pieces released at r_s
+    inner_jobs = zip(inner_pieces.releases, inner_pieces.procs, inner_pieces.weights)
+    for rel, proc, (num, den) in inner_jobs:
         if rel == 0:
-            resume_ratio_ids.append((p_s * proc, jid))
-    for rel in sorted(dict.fromkeys(rel for rel, _, _ in inner_pieces if rel > 0)):
-        script.append((r_eff + p_s * rel, small_id))
+            resume.append((proc * c, len(releases)))
+        releases.append(opened + rel * c)
+        procs.append(proc * c)
+        weights.append(_reduced(num * wn, den * wd))
+    for rel in sorted(set(inner_pieces.releases) - {0}):
+        script.append((opened + rel * c, small_id))
 
     # Pieces released with the segment opener share the outer long job's
     # frozen ratio; they run back to back at the segment's very end, each
     # chosen by script over the long job at the preceding completion.
-    t = r_eff + inner_total - sum(p for p, _ in resume_ratio_ids)
-    for proc, jid in resume_ratio_ids:
+    t = opened + _scaled(inner_total, unit) - sum(p for p, _ in resume)
+    for proc, jid in resume:
         script.append((t, jid))
         t += proc
 
-    script_times = [s[0] for s in script]
-    assert len(set(script_times)) == len(script_times)
+    seen: set[int] = set()
+    for t, _ in script:
+        if t in seen:
+            raise ValueError(f"the tie script names time {rational_str(Fraction(t, unit))} twice")
+        seen.add(t)
 
     tags = {
         "family": "nested",
@@ -268,14 +323,14 @@ def gen_nested(params: NestedParams) -> Instance:
         "inner_length": rational_str(inner_total / p_s),
         "snapped": r_eff != params.r_s,
     }
-    return Instance(tuple(jobs), tie_script=tuple(script), tags=tags)
+    return _family_instance(releases, procs, weights, unit, script, tags)
 
 
 RANDOM_KINDS = ("general", "unit-weight", "zero-release")
 
 
-#: k/2 for k = 0..6: every value ``gen_random`` draws, built once.
-_HALVES = tuple(Fraction(k, 2) for k in range(7))
+#: k/2 for k = 0..6 as reduced pairs: every weight ``gen_random`` draws.
+_HALVES = tuple(_reduced(k, 2) for k in range(7))
 
 
 def gen_random(rng: Random, n: int, kind: str = "general") -> Instance:
@@ -288,13 +343,17 @@ def gen_random(rng: Random, n: int, kind: str = "general") -> Instance:
         raise ValueError(f"kind must be one of {RANDOM_KINDS}")
     if n < 1:
         raise ValueError("n must be positive")
-    jobs = []
-    for i in range(n):
-        release = _HALVES[0] if kind == "zero-release" else _HALVES[rng.randint(0, 6)]
-        processing = _HALVES[rng.randint(1, 6)]
-        weight = _HALVES[2] if kind == "unit-weight" else _HALVES[rng.randint(1, 6)]
-        jobs.append(Job(i, release, processing, weight))
-    return Instance(tuple(jobs), tags={"family": "random", "kind": kind})
+    # Times are drawn in halves; on whole numbers the grid is 1, not 1/2.
+    releases, procs, weights = [], [], []
+    for _ in range(n):
+        releases.append(0 if kind == "zero-release" else rng.randint(0, 6))
+        procs.append(rng.randint(1, 6))
+        weights.append(_HALVES[2] if kind == "unit-weight" else _HALVES[rng.randint(1, 6)])
+    den_t = 2
+    if not any(t & 1 for t in chain(releases, procs)):
+        releases, procs, den_t = [r >> 1 for r in releases], [p >> 1 for p in procs], 1
+    grid = _Timeline(list(range(n)), releases, procs, den_t, weights)
+    return Instance._on_grid(grid, tags={"family": "random", "kind": kind})
 
 
 PathOrFile = Union[str, Path, IO[str]]
@@ -302,16 +361,17 @@ PathOrFile = Union[str, Path, IO[str]]
 
 @_without_digit_limit()
 def instance_to_dict(instance: Instance) -> dict:
-    """JSON-ready form with rationals rendered as exact num/den strings."""
+    """JSON-ready form with rationals rendered as exact num/den strings.
+
+    Each distinct time and weight on the instance's grid is rendered once.
+    """
+    ids, releases, procs, den_t, weights = instance._grid
+    times = {t: _pair_str(*_reduced(t, den_t)) for t in {*releases, *procs}}
+    ratios = {w: _pair_str(*w) for w in set(weights)}
     payload = {
         "jobs": [
-            {
-                "id": j.id,
-                "r": _rational_str(j.release),
-                "p": _rational_str(j.processing),
-                "w": _rational_str(j.weight),
-            }
-            for j in instance.jobs
+            {"id": i, "r": times[r], "p": times[p], "w": ratios[w]}
+            for i, r, p, w in zip(ids, releases, procs, weights)
         ],
     }
     if instance.tie_script is not None:
@@ -328,11 +388,25 @@ class _Numerals(dict):
     distinct numeral string is parsed once."""
 
     def __missing__(self, text: str) -> Fraction:
-        value = self[text] = _parse_rational(text)
+        value = self[text] = Fraction(*_parse_pair(text))
         return value
 
     def __call__(self, value) -> Fraction:
         return self[value] if isinstance(value, str) else to_rational(value)
+
+
+class _Pairs(dict):
+    """``_Numerals`` as reduced (numerator, denominator) pairs."""
+
+    def __missing__(self, text: str) -> tuple[int, int]:
+        value = self[text] = _parse_pair(text)
+        return value
+
+    def __call__(self, value) -> tuple[int, int]:
+        if isinstance(value, str):
+            return self[value]
+        value = to_rational(value)
+        return value.numerator, value.denominator
 
 
 def _field(record, name: str, what: str):
@@ -365,24 +439,36 @@ def _records(records, what: str, names: tuple[str, ...]):
 
 @_without_digit_limit()
 def instance_from_dict(payload: dict) -> Instance:
-    """Inverse of instance_to_dict."""
-    rational = _Numerals()
-    jobs = tuple(
-        Job(i, rational(r), rational(p), rational(w))
-        for i, r, p, w in _records(
-            _field(payload, "jobs", "instance"), "job", ("id", "r", "p", "w")
-        )
-    )
+    """Inverse of instance_to_dict.
+
+    Each job is checked as ``Job`` checks it, in file order, and the jobs
+    are put on their grid directly: times as ints over the lcm of their
+    denominators, weights as reduced pairs.
+    """
+    pair = _Pairs()
+    ids, rs, ps, ws = [], [], [], []
+    records = _records(_field(payload, "jobs", "instance"), "job", ("id", "r", "p", "w"))
+    for i, r, p, w in records:
+        r, p, w = pair(r), pair(p), pair(w)
+        _check_job(_job_id(i, "job id"), r[0], p[0], w[0])
+        ids.append(i)
+        rs.append(r)
+        ps.append(p)
+        ws.append(w)
     script = payload.get("tie_script")
-    tie_script = (
-        None
-        if script is None
-        else tuple((rational(t), c) for t, c in _records(script, "tie-script", ("t", "choice")))
-    )
+    if script is not None:
+        entries = _records(script, "tie-script", ("t", "choice"))
+        script = [(Fraction(*pair(t)), choice) for t, choice in entries]
     tags = payload.get("tags", {})
     if not (isinstance(tags, dict) and _all_scalars(tags.values())):
         raise ValueError("instance tags are not a JSON object of scalars")
-    return Instance(jobs, tie_script=tie_script, tags=tags)
+    _check_ids(ids)
+    script = _checked_script(script)
+    dens = {d for _, d in chain(rs, ps)}
+    den_t = lcm(*dens)
+    scale = {d: den_t // d for d in dens}
+    grid = _Timeline(ids, [n * scale[d] for n, d in rs], [n * scale[d] for n, d in ps], den_t, ws)
+    return Instance._on_grid(grid, tie_script=script, tags=tags)
 
 
 @_without_digit_limit()

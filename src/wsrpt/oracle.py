@@ -29,7 +29,6 @@ from .simulator import (
     _path_schedule,
     _ratio_key,
     _run,
-    _scaled_times,
     _scaled_weights,
     _schedule,
     _timeline,
@@ -61,12 +60,11 @@ def priority_schedule(instance: Instance, order) -> Schedule:
     lists express every candidate optimum.
     """
     order = tuple(order)
-    ids = sorted(j.id for j in instance.jobs)
-    if sorted(order) != ids:
-        raise ValueError("order must be a permutation of the instance's job ids")
     timeline = _timeline(instance)
+    if sorted(order) != timeline.ids:
+        raise ValueError("order must be a permutation of the instance's job ids")
     pos = {jid: k for k, jid in enumerate(order)}
-    rank = [pos[j.id] for j in timeline.jobs]
+    rank = [pos[jid] for jid in timeline.ids]
     runs = _run(timeline, lambda k, _: rank[k], _choose_top)
     return _schedule(timeline, runs)
 
@@ -91,13 +89,12 @@ def _check_subset_cap(n: int, max_n: int = MAX_BRUTEFORCE_JOBS) -> None:
 
 def _subset_optimum(instance: Instance, max_n: int) -> tuple[Fraction, tuple[int, ...]]:
     """Subset-DP optimum: (objective, completion order of job ids)."""
-    n = len(instance.jobs)
+    ids, releases, procs, den_t, pairs = instance._grid
+    n = len(ids)
     _check_subset_cap(n, max_n)
-    releases, procs, den_t = _scaled_times(instance.jobs)
-    weights, den_w = _scaled_weights(instance.jobs)
+    weights, den_w = _scaled_weights(pairs)
     cost, order_idx = _backend.subset_dp(releases, procs, weights, n)
-    order = tuple(instance.jobs[i].id for i in order_idx)
-    return Fraction(cost, den_t * den_w), order
+    return Fraction(cost, den_t * den_w), tuple(ids[i] for i in order_idx)
 
 
 def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
@@ -120,7 +117,7 @@ def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
         return classes.values()
 
     timeline = _timeline(instance)
-    weights, den_w = _scaled_weights(timeline.jobs)
+    weights, den_w = _scaled_weights(timeline.weights)
     value, path = _event_search(timeline, weights, one_per_class, -1, "time-indexed DP")
     obj = Fraction(value, timeline.den_t * den_w)
     return OptimalResult(_path_schedule(timeline, path), obj, "dp-timeindexed")
@@ -141,9 +138,10 @@ def structured_optimal(instance: Instance) -> OptimalResult:
     # (-ratio, overruns the next release, -processing, release, index) on the
     # integer grid: jobs are indices in id order, and _ratio_key ranks w/p.
     ranked = sorted(
-        (*_ratio_key(j.weight.numerator, j.weight.denominator, p),
-         r + p > following.get(r, inf), -p, r, k)
-        for k, (j, p, r) in enumerate(zip(timeline.jobs, timeline.procs, timeline.releases))
+        (*_ratio_key(num, den, p), r + p > following.get(r, inf), -p, r, k)
+        for k, ((num, den), p, r) in enumerate(
+            zip(timeline.weights, timeline.procs, timeline.releases)
+        )
     )
     rank = [0] * len(ranked)
     for pos, entry in enumerate(ranked):

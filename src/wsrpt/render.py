@@ -78,7 +78,7 @@ def _document(width: float, height: float, body: list[str]) -> str:
 def render_gantt(schedule: Schedule, instance: Instance, path) -> str:
     """Write a Gantt chart — one lane per job, one bar per slice."""
     _check(schedule)
-    ids = sorted(j.id for j in instance.jobs)
+    ids = sorted(instance._grid.ids)
     lane = {jid: i for i, jid in enumerate(ids)}
     t_max = float(schedule.makespan)
     x0, x1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT

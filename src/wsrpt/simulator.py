@@ -5,13 +5,14 @@ the running job's priority can only improve relative to the waiting jobs
 under every supported policy, so no preemption can trigger mid-slice.
 Equality instances make *every* release a tie, which is why selection is
 exact and ties are resolved by an explicit rule or script.  The single-path
-engine selects on scaled integers: times are multiplied once by the lcm of
-the release and processing denominators, and a WSRPT or WSPT key is the
-ratio's correctly rounded float followed by its reduced pair (weight
-numerator, weight denominator times remaining work).  Rounding is monotone,
-so the float settles every order it can and never contradicts the exact
-one; two ratios with equal floats are compared by cross-multiplying the
-pairs.  The loop ranks a job once at its release and once after each run
+engine selects on the instance's own integer grid, built once per
+instance (``_timeline``): times are ints over the lcm of the release and
+processing denominators, each weight is its reduced integer pair, and a
+WSRPT or WSPT key is the ratio's correctly rounded float followed by its
+reduced pair (weight numerator, weight denominator times remaining
+work).  Rounding is monotone, so the float settles every order it can and
+never contradicts the exact one; two ratios with equal floats are
+compared by cross-multiplying the pairs.  The loop ranks a job once at its release and once after each run
 that leaves it unfinished, and the tie rule compares those cached ranks;
 a chosen job at the top of the loop's heap is updated in place, so an
 event costs one heap operation.  A returned schedule keeps the engine's
@@ -28,13 +29,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, inf, lcm
-from typing import NamedTuple
 
 from .core import (
     Instance,
     Job,
     Schedule,
-    _scaled,
+    _Timeline,
     to_rational,
 )
 
@@ -100,37 +100,15 @@ def _ratio_key(num: int, den: int, work: int) -> tuple[float, _Ratio]:
     return -f, _Ratio((num, den))
 
 
-def _scaled_times(jobs) -> tuple[list[int], list[int], int]:
-    """``(releases, procs, den_t)``: the jobs' times as ints in units of 1/den_t.
-
-    ``den_t`` is the lcm of the release and processing denominators, so
-    every scaled time is exact.
-    """
-    den_t = lcm(*(x.denominator for j in jobs for x in (j.release, j.processing)))
-    releases = [_scaled(j.release, den_t) for j in jobs]
-    procs = [_scaled(j.processing, den_t) for j in jobs]
-    return releases, procs, den_t
-
-
-def _scaled_weights(jobs) -> tuple[list[int], int]:
-    """``(weights, den_w)``: the jobs' weights as ints in units of 1/den_w."""
-    den_w = lcm(*(j.weight.denominator for j in jobs))
-    weights = [j.weight.numerator * (den_w // j.weight.denominator) for j in jobs]
-    return weights, den_w
-
-
-class _Timeline(NamedTuple):
-    """An instance on its integer time grid; job k has the k-th smallest id."""
-
-    jobs: list[Job]
-    releases: list[int]
-    procs: list[int]
-    den_t: int
+def _scaled_weights(weights: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """``(weights, den_w)``: weight pairs as ints in units of 1/den_w."""
+    den_w = lcm(*{d for _, d in weights})
+    return [num * (den_w // d) for num, d in weights], den_w
 
 
 def _timeline(instance: Instance) -> _Timeline:
-    jobs = sorted(instance.jobs, key=lambda j: j.id)
-    return _Timeline(jobs, *_scaled_times(jobs))
+    """The instance on its integer grid in ascending id order, built once per instance."""
+    return instance._by_id
 
 
 def simulate(
@@ -259,34 +237,30 @@ def _release_groups(releases: list[int]) -> list[tuple[int, list[int]]]:
 
 def _schedule(timeline: _Timeline, runs: list[list[int]]) -> Schedule:
     """The schedule of ``_run``'s runs, left on the grid of 1/den_t."""
-    jobs = timeline.jobs
-    return Schedule._on_grid([(jobs[k].id, start, end) for k, start, end in runs], timeline.den_t)
+    ids = timeline.ids
+    return Schedule._on_grid([(ids[k], start, end) for k, start, end in runs], timeline.den_t)
 
 
 def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
 
     WSRPT ranks by ``_ratio_key`` of w/rem on the integer grid (the common
-    factor den_t left out), with each weight's integer pair read once here,
-    WSPT by the same key at full processing time and SRPT by ``rem``
-    itself.  ``choose`` reads the ranks ``_run`` caches and calls no key.
+    factor den_t left out), with each weight's reduced pair read from the
+    timeline, WSPT by the same key at full processing time and SRPT by
+    ``rem`` itself.  ``choose`` reads the ranks ``_run`` caches and calls no key.
     ``script`` is the tie script SCRIPTED follows; its entries off the grid
     match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
-    jobs, den_t = timeline.jobs, timeline.den_t
+    weights, den_t = timeline.weights, timeline.den_t
 
     if policy is Policy.WSRPT:
-        nums = [j.weight.numerator for j in jobs]
-        dens = [j.weight.denominator for j in jobs]
 
         def key(k: int, rem: int) -> tuple[float, _Ratio]:
-            return _ratio_key(nums[k], dens[k], rem)
+            num, den = weights[k]
+            return _ratio_key(num, den, rem)
     elif policy is Policy.WSPT_PREEMPTIVE:
-        static = [
-            _ratio_key(j.weight.numerator, j.weight.denominator, p)
-            for j, p in zip(jobs, timeline.procs)
-        ]
+        static = [_ratio_key(num, den, p) for (num, den), p in zip(weights, timeline.procs)]
 
         def key(k: int, rem: int) -> tuple[float, _Ratio]:
             return static[k]
@@ -302,7 +276,7 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     if tie is TieRule.SCRIPTED:
         if script is None:
             raise ValueError("SCRIPTED tie rule needs a script")
-        index = {j.id: k for k, j in enumerate(jobs)}
+        index = {job_id: k for k, job_id in enumerate(timeline.ids)}
         for t, choice in script:
             t = to_rational(t)
             if den_t % t.denominator == 0:
@@ -363,7 +337,7 @@ def _event_search(timeline: _Timeline, weights: list[int], leaders, sign: int, w
     distinct states or a path of more than MAX_SEARCH_DEPTH moves raise
     BudgetExceeded naming ``what``.
     """
-    n = len(timeline.jobs)
+    n = len(timeline.ids)
     if n > MAX_SEARCH_DEPTH:
         raise BudgetExceeded(
             f"{what} needs a search depth of at least {n} (one per job); "
@@ -450,7 +424,7 @@ def _exhaustive_worst(instance: Instance, policy: Policy):
     if not isinstance(policy, Policy):
         raise ValueError(f"unknown policy {policy!r}")
     timeline = _timeline(instance)
-    weights, den_w = _scaled_weights(timeline.jobs)
+    weights, den_w = _scaled_weights(timeline.weights)
     value, path = _worst_search(timeline, weights, policy)
     return Fraction(value, timeline.den_t * den_w), _path_schedule(timeline, path)
 
@@ -478,11 +452,11 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
     job whose run covers t⁻ (start < t <= end) at its remaining work, if any.
     """
     timeline = _timeline(instance)
-    jobs, den_t = timeline.jobs, timeline.den_t
+    ids, procs, den_t = timeline.ids, timeline.procs, timeline.den_t
     tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
     key, choose = _policy(timeline, Policy.WSRPT, tie, instance.tie_script)
     runs = _run(timeline, key, choose)
-    rem = list(timeline.procs)  # each job's work left at the start of runs[i]
+    rem = list(procs)  # each job's work left at the start of runs[i]
     violations: list[tuple[Fraction, str]] = []
     i = 0
     for t, new in _release_groups(timeline.releases):
@@ -492,17 +466,25 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
             i += 1
         k, start, _ = runs[i]
         left = rem[k] - (t - start)
-        ids = [jobs[j].id for j in new]
-        ratios = {key(j, timeline.procs[j]) for j in new}
+        new_ids = [ids[j] for j in new]
+        ratios = {key(j, procs[j]) for j in new}
         if len(ratios) > 1:
-            violations.append((Fraction(t, den_t), f"co-released jobs {ids} have distinct ratios"))
+            violations.append(
+                (Fraction(t, den_t), f"co-released jobs {new_ids} have distinct ratios")
+            )
         elif start < t and left and key(k, left) not in ratios:
             violations.append(
                 (Fraction(t, den_t),
-                 f"jobs {ids} (ratio {jobs[new[0]].ratio}) vs running job "
-                 f"{jobs[k].id} (ratio {jobs[k].weight * den_t / left})")
+                 f"jobs {new_ids} (ratio {_grid_ratio(timeline, new[0], procs[new[0]])}) vs "
+                 f"running job {ids[k]} (ratio {_grid_ratio(timeline, k, left)})")
             )
     return EqualityReport(violations)
+
+
+def _grid_ratio(timeline: _Timeline, k: int, work: int) -> Fraction:
+    """Job k's weight over ``work`` units of 1/den_t, as a Fraction."""
+    num, den = timeline.weights[k]
+    return Fraction(num * timeline.den_t, den * work)
 
 
 def split_job(instance: Instance, job_id: int, q: int) -> Instance:

@@ -3,6 +3,7 @@
 import re
 import sys
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,13 @@ class TestInstance:
         message = f"tie-script choice must be an int, not {choice!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             Instance(jobs, tie_script=((0, choice),))
+
+    def test_immutable(self):
+        inst = Instance((Job(0, 0, 1, 1),))
+        with pytest.raises(FrozenInstanceError):
+            inst.jobs = ()
+        with pytest.raises(FrozenInstanceError):
+            del inst.tags
 
     def test_job_lookup(self):
         inst = Instance((Job(0, 0, 1, 1), Job(5, 1, 2, 1)))

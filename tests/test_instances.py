@@ -31,7 +31,8 @@ from wsrpt.instances import (
     write_instance,
     write_json,
 )
-from wsrpt.simulator import Policy, TieRule, is_equality_instance, simulate
+from wsrpt.oracle import structured_optimal
+from wsrpt.simulator import Policy, TieRule, _timeline, is_equality_instance, simulate
 
 
 class TestScenarioParams:
@@ -216,6 +217,199 @@ class TestGenNested:
             gen_basic(inner)
 
 
+_ONE = Fraction(1)
+
+
+def reference_small_pieces(m_steps, n_steps, z, delta):
+    """The family's (release, processing, weight) pieces built as Fractions,
+    one by one: the reference for the generators' integer grid."""
+    y = m_steps * delta
+    density = (_ONE + z) / (_ONE - y)
+    k = math.ceil(density - 1)
+    kb = math.ceil(z / delta)
+    pieces = []
+    for i in range(n_steps):
+        x = i * delta
+        pieces.append((x, delta, delta / (_ONE - x)))
+    if m_steps > n_steps:
+        piece_p = delta * (density - 1) / k
+        for i in range(n_steps, m_steps):
+            x = i * delta
+            pieces.append((x, delta, delta / (_ONE - x)))
+            pieces.extend((x, piece_p, piece_p / (_ONE - x)) for _ in range(k))
+    if kb:
+        piece_p = z / kb
+        pieces.extend((y, piece_p, piece_p / (_ONE - y)) for _ in range(kb))
+    return pieces
+
+
+def _reference_family(params):
+    m_steps = math.floor(params.y / params.delta + Fraction(1, 2))
+    n_steps = min(math.floor(params.v / params.delta + Fraction(1, 2)), m_steps)
+    pieces = reference_small_pieces(m_steps, n_steps, params.z, params.delta)
+    return pieces, m_steps * params.delta, n_steps * params.delta
+
+
+def reference_gen_basic(params: ScenarioParams) -> Instance:
+    """``gen_basic`` through ``Instance(jobs)``, with a Job per piece."""
+    pieces, y_eff, v_eff = _reference_family(params)
+    jobs = [Job(0, 0, 1, 1)]
+    for rel, proc, weight in pieces:
+        jobs.append(Job(len(jobs), rel, proc, weight))
+    times = sorted(dict.fromkeys([Fraction(0), *(rel for rel, _, _ in pieces)]))
+    tags = {
+        "family": "basic",
+        "y": str(params.y),
+        "v": str(params.v),
+        "z": str(params.z),
+        "delta": str(params.delta),
+        "y_effective": str(y_eff),
+        "v_effective": str(v_eff),
+        "snapped": y_eff != params.y or v_eff != params.v,
+    }
+    return Instance(jobs, tie_script=[(t, 0) for t in times], tags=tags)
+
+
+def reference_gen_nested(params: NestedParams) -> Instance:
+    """``gen_nested`` through ``Instance(jobs)``, with a Job per piece."""
+    delta_o = params.outer.delta
+    r_steps = math.floor(params.r_s / delta_o + Fraction(1, 2))
+    r_eff = r_steps * delta_o
+    p_s = params.p_s
+    w_s = p_s / (_ONE - r_eff)
+    inner_pieces, _, _ = _reference_family(params.inner)
+    inner_total = p_s * (_ONE + sum(p for _, p, _ in inner_pieces))
+    jobs = [Job(0, 0, 1, 1)]
+    script = []
+    for rel, proc, weight in reference_small_pieces(r_steps, r_steps, 0, delta_o):
+        jobs.append(Job(len(jobs), rel, proc, weight))
+        script.append((rel, 0))
+    small_id = len(jobs)
+    jobs.append(Job(small_id, r_eff, p_s, w_s))
+    script.append((r_eff, small_id))
+    resume = []
+    for rel, proc, weight in inner_pieces:
+        if rel == 0:
+            resume.append((p_s * proc, len(jobs)))
+        jobs.append(Job(len(jobs), r_eff + p_s * rel, p_s * proc, w_s * weight))
+    for rel in sorted(dict.fromkeys(rel for rel, _, _ in inner_pieces if rel > 0)):
+        script.append((r_eff + p_s * rel, small_id))
+    t = r_eff + inner_total - sum(p for p, _ in resume)
+    for proc, jid in resume:
+        script.append((t, jid))
+        t += proc
+    inner = params.inner
+    tags = {
+        "family": "nested",
+        "r_s": str(params.r_s),
+        "r_s_effective": str(r_eff),
+        "p_s": str(p_s),
+        "small_weight": str(w_s),
+        "outer_delta": str(delta_o),
+        "inner_y": str(inner.y),
+        "inner_v": str(inner.v),
+        "inner_z": str(inner.z),
+        "inner_delta": str(inner.delta),
+        "inner_length": str(inner_total / p_s),
+        "snapped": r_eff != params.r_s,
+    }
+    return Instance(jobs, tie_script=script, tags=tags)
+
+
+def _assert_same_instance(inst: Instance, ref: Instance) -> None:
+    """Equal jobs, script and tags, the same grid and the same written bytes."""
+    assert inst.jobs == ref.jobs
+    assert inst.tie_script == ref.tie_script
+    assert inst.tags == ref.tags
+    assert inst._grid == ref._grid
+    assert _timeline(inst) == _timeline(ref)
+    assert _written(write_instance, inst) == _written(write_instance, ref)
+
+
+_Y, _V = Fraction("0.8157"), Fraction("0.7066")
+_SWEEP_P_S = Fraction(30277523, 422353)
+
+
+class TestGeneratorsMatchTheReference:
+    """The generators build on the integer grid what the Fraction reference builds job by job."""
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 7), Fraction(1, 11), Fraction(1, 1000)])
+    @pytest.mark.parametrize(
+        "y, v, z",
+        [(_Y, _V, Fraction(0)), (_Y, _V, Fraction(1, 3)), (Fraction(3, 5), Fraction(3, 5), 0),
+         (Fraction(3, 5), Fraction(3, 5), Fraction(7, 5)), (Fraction(1, 2), Fraction(0), 0)],
+        ids=["sweep", "lump", "no-ramp", "no-ramp-lump", "all-ramp"],
+    )
+    def test_basic(self, y, v, z, delta):
+        params = ScenarioParams(y=y, v=v, z=z, delta=delta)
+        _assert_same_instance(gen_basic(params), reference_gen_basic(params))
+
+    @pytest.mark.parametrize(
+        "outer, r_s, p_s, inner",
+        [
+            (ScenarioParams(_Y, _V, delta=Fraction(1, 1000)), Fraction("0.5307"), _SWEEP_P_S,
+             ScenarioParams(_Y, _V, delta=Fraction(1, 1000))),
+            (ScenarioParams(_Y, _V, delta=Fraction(1, 100)), Fraction("0.5307"), _SWEEP_P_S,
+             ScenarioParams(_Y, _V, Fraction(1, 3), Fraction(1, 70))),
+            (ScenarioParams(Fraction(1, 2), Fraction(1, 2), delta=Fraction(1, 20)), Fraction(3, 10),
+             Fraction(50, 3), ScenarioParams(Fraction(2, 5), Fraction(0), Fraction(1, 2), Fraction(1, 7))),
+        ],
+        ids=["sweep", "inner-lump", "inner-all-ramp"],
+    )
+    def test_nested(self, outer, r_s, p_s, inner):
+        params = NestedParams(outer=outer, r_s=r_s, p_s=p_s, inner=inner)
+        _assert_same_instance(gen_nested(params), reference_gen_nested(params))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (ScenarioParams(Fraction(1, 100), Fraction(0), delta=Fraction(1, 10)),
+             "y snaps below one grid step"),
+            (ScenarioParams(Fraction(9, 10), Fraction(9, 10), delta=Fraction(1, 2)),
+             "y snaps to 1 or beyond; refine delta or lower y"),
+            (ScenarioParams(_Y, _V, delta=Fraction(1, 10**6)),
+             "delta 1/1000000 cuts the family into 1361200 small pieces, more than 1000000"),
+        ],
+    )
+    def test_refusals_keep_their_text(self, params, message):
+        with pytest.raises(ValueError) as err:
+            gen_basic(params)
+        assert str(err.value) == message
+        outer = ScenarioParams(_Y, _V, delta=Fraction(1, 100))
+        with pytest.raises(ValueError) as err:
+            gen_nested(NestedParams(outer, Fraction("0.5307"), _SWEEP_P_S, params))
+        assert str(err.value) == message
+
+    def test_short_inner_segment_keeps_its_text(self):
+        outer = ScenarioParams(_Y, _V, delta=Fraction(1, 100))
+        with pytest.raises(ValueError) as err:
+            gen_nested(NestedParams(outer, Fraction("0.5307"), Fraction(1, 10), outer))
+        assert str(err.value) == (
+            "inner segment too short to cover the truncated outer releases: "
+            "r_s + p_s*L = 0.7621 < 1.2986 = y(1-v)/(1-y)"
+        )
+
+    def test_a_repeated_script_time_is_a_value_error(self, monkeypatch):
+        # No valid parameters repeat a time; a piece list that does must be
+        # refused with a ValueError, which ``python -O`` keeps, naming the time.
+        import wsrpt.instances
+
+        small_pieces = wsrpt.instances._small_pieces
+
+        def doubled_outer(m_steps, n_steps, z, delta):
+            pieces = small_pieces(m_steps, n_steps, z, delta)
+            if delta == Fraction(1, 20):  # the outer family's: its first release twice
+                for column in (pieces.releases, pieces.procs, pieces.weights):
+                    column.insert(0, column[0])
+            return pieces
+
+        monkeypatch.setattr(wsrpt.instances, "_small_pieces", doubled_outer)
+        outer = ScenarioParams(Fraction(1, 2), Fraction(1, 2), delta=Fraction(1, 20))
+        inner = ScenarioParams(Fraction(2, 5), Fraction(2, 5), delta=Fraction(1, 10))
+        with pytest.raises(ValueError, match="^the tie script names time 0 twice$"):
+            gen_nested(NestedParams(outer, Fraction(3, 10), Fraction(50), inner))
+
+
 def reference_gen_random(rng: Random, n: int, kind: str) -> Instance:
     """The generator's body with a new Fraction per draw, kept to pin its draws."""
     jobs = []
@@ -239,6 +433,7 @@ class TestGenRandom:
                 expected = reference_gen_random(ref, n, kind)
                 assert inst.jobs == expected.jobs
                 assert inst.tags == expected.tags
+                assert inst._grid == expected._grid
                 assert ours.getstate() == ref.getstate()
 
     def test_deterministic(self):
@@ -376,9 +571,9 @@ class TestFileIO:
         import wsrpt.instances
 
         parsed = []
-        parse = wsrpt.instances._parse_rational
+        parse = wsrpt.instances._parse_pair
         monkeypatch.setattr(
-            wsrpt.instances, "_parse_rational", lambda text: (parsed.append(text), parse(text))[1]
+            wsrpt.instances, "_parse_pair", lambda text: (parsed.append(text), parse(text))[1]
         )
         inst = gen_basic(ScenarioParams(y=Fraction(1, 2), v=Fraction(3, 10), delta=Fraction(1, 10)))
         payload = instance_to_dict(inst)
@@ -594,3 +789,89 @@ class TestRoundTrip:
         back = slices_from_dicts(json.loads(first)["slices"])
         assert back == slices
         assert _written(_write_slices, back) == first
+
+
+def reference_read(doc) -> Instance:
+    """The reader's former body: a ``Job`` per record in file order, then ``Instance(jobs)``."""
+    jobs = [
+        Job(rec["id"], to_rational(rec["r"]), to_rational(rec["p"]), to_rational(rec["w"]))
+        for rec in doc["jobs"]
+    ]
+    script = doc.get("tie_script")
+    if script is not None:
+        script = [(to_rational(e["t"]), e["choice"]) for e in script]
+    return Instance(jobs, tie_script=script, tags=doc.get("tags", {}))
+
+
+#: Numerals whose value is not written in lowest terms.
+_UNREDUCED = ("2/4", "0.50", "1e-3", "1_000", "006/4", "3E+0")
+
+
+def _doc(*changes) -> dict:
+    """A document of one valid job per change, ids 0, 1, ..., each with the change applied."""
+    return {"jobs": [{"id": k, "r": "0", "p": "1", "w": "1", **c} for k, c in enumerate(changes)]}
+
+
+_MALFORMED = [
+    ("bool-release", _doc({"r": False}), "refusing boolean value False; pass a number"),
+    ("bool-processing", _doc({}, {"p": True}), "refusing boolean value True; pass a number"),
+    ("str-id", _doc({"id": "0"}), "job id must be an int, not '0'"),
+    ("float-id", _doc({}, {"id": 1.5}), "job id must be an int, not 1.5"),
+    ("bool-id", _doc({"id": True}), "job id must be an int, not True"),
+    ("duplicate-ids", _doc({}, {"id": 0}), "job ids must be unique"),
+    ("no-jobs", {"jobs": []}, "instance must contain at least one job"),
+    ("zero-processing", _doc({"p": "0/3"}), "job 0: processing must be > 0"),
+    ("negative-processing", _doc({"p": "-1e-3"}), "job 0: processing must be > 0"),
+    ("negative-release", _doc({}, {"r": "-2/4"}), "job 1: release must be >= 0"),
+    ("negative-weight", _doc({"w": "-0.50"}), "job 0: weight must be >= 0"),
+    # Several faults: the first faulty job in file order is named, and in
+    # one job processing comes before release, release before weight.
+    ("first-job-named", _doc({}, {"w": "-1"}, {"p": "0"}, {"id": "x"}), "job 1: weight must be >= 0"),
+    ("processing-first", _doc({"r": "-1", "p": "0", "w": "-1"}), "job 0: processing must be > 0"),
+    ("release-before-weight", _doc({"r": "-1", "w": "-1"}), "job 0: release must be >= 0"),
+    ("job-before-duplicate", _doc({}, {"id": 0, "w": "-1"}), "job 0: weight must be >= 0"),
+    ("numeral-before-id", _doc({"id": "a", "w": "1/0"}), "not a rational numeral: '1/0'"),
+    ("duplicate-before-script",
+     {**_doc({}, {"id": 0}), "tie_script": [{"t": "0", "choice": "0"}]}, "job ids must be unique"),
+    ("script-choice",
+     {**_doc({}), "tie_script": [{"t": "0", "choice": "0"}]},
+     "tie-script choice must be an int, not '0'"),
+]
+
+
+class TestGridReader:
+    """The reader puts documents on the integer grid exactly as ``Instance(jobs)`` would."""
+
+    @given(_instance_documents(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_instance_of_jobs(self, doc, data):
+        for rec in doc["jobs"]:
+            for key in "rpw":
+                if data.draw(st.booleans()):
+                    rec[key] = data.draw(st.sampled_from(_UNREDUCED))
+        inst = read_instance(io.StringIO(json.dumps(doc)))
+        _assert_same_instance(inst, reference_read(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED]
+    )
+    def test_malformed_documents_keep_their_error_text(self, doc, message):
+        with pytest.raises(ValueError) as ref:
+            reference_read(doc)
+        with pytest.raises(ValueError) as err:
+            instance_from_dict(json.loads(json.dumps(doc)))
+        assert str(err.value) == str(ref.value) == message
+
+
+def test_sweep_chain_builds_no_jobs():
+    # gen -> write -> read -> simulate -> validate -> structured -> objective
+    # -> audit reads only the grid; ``jobs`` is built on first access.
+    inst = gen_basic(ScenarioParams(_Y, _V, delta=Fraction(1, 100)))
+    back = read_instance(io.StringIO(_written(write_instance, inst)))
+    sched = simulate(back, tie=TieRule.SCRIPTED, script=back.tie_script)
+    sched.validate(back)
+    optimum = structured_optimal(back)
+    assert objective(sched, back) / optimum.objective > 1
+    assert is_equality_instance(back)
+    assert "jobs" not in vars(inst) and "jobs" not in vars(back)
+    assert back.jobs == inst.jobs and "jobs" in vars(back)
