@@ -209,19 +209,51 @@ def _checked_script(script) -> tuple[tuple[Fraction, int], ...] | None:
     return tuple((to_rational(t), _job_id(choice, "tie-script choice")) for t, choice in script)
 
 
+class _GridScript(NamedTuple):
+    """A tie script on its instance's time grid, in script order: entry i
+    names job ``choices[i]`` at ``times[i]``, an int in units of 1/den_t.
+
+    A time off that grid stays its Fraction, kept aside in its place: it is
+    written back as it came and matches no event.
+    """
+
+    times: list[int | Fraction]
+    choices: list[int]
+
+
+def _grid_table(pairs: Iterable[tuple[int, int]], den_t: int) -> dict:
+    """Each distinct time of ``pairs``, reduced (numerator, denominator)
+    pairs, in units of 1/den_t: one int per value, shared by every holder,
+    or the time's Fraction where its denominator does not divide den_t."""
+    return {
+        (n, d): n * (den_t // d) if den_t % d == 0 else Fraction(n, d) for n, d in set(pairs)
+    }
+
+
+def _script_on_grid(script, den_t: int) -> _GridScript:
+    """A script of ``(time, choice)`` pairs, its times made exact, on the grid of 1/den_t."""
+    entries = [(to_rational(t), choice) for t, choice in script]
+    pairs = [(t.numerator, t.denominator) for t, _ in entries]
+    on_grid = _grid_table(pairs, den_t)
+    return _GridScript([on_grid[p] for p in pairs], [choice for _, choice in entries])
+
+
 class Instance:
     """An ordered collection of jobs with unique ids.
 
     ``tie_script`` optionally names the tie winner at given event times
-    (see simulator.TieScript); ``tags`` carries generator metadata such as
+    (see ``simulator.simulate``); ``tags`` carries generator metadata such as
     snapped parameter values.
 
     The jobs live on their integer grid, a ``_Timeline`` in instance
-    order.  ``Instance(jobs)`` takes checked jobs and puts them on the grid
-    when it is first read; the generators and the reader build the grid
-    directly through ``_on_grid``, and ``jobs`` is then built on first
-    access, one Fraction per distinct value.  Equality compares jobs, tie
-    script and tags.  Instances are immutable.
+    order, and the tie script on the same grid, a ``_GridScript``.
+    ``Instance(jobs, tie_script)`` takes checked jobs and a script and puts
+    them on the grid when it is first read; the generators and the reader
+    build the grid directly through ``_on_grid``, and ``jobs`` and
+    ``tie_script`` are then built on first access, one Fraction per
+    distinct value.  The simulator keeps WSRPT's run under the instance's
+    own tie rule with it (``simulator._own_run``).  Equality compares jobs,
+    tie script and tags.  Instances are immutable.
     """
 
     def __init__(
@@ -240,18 +272,17 @@ class Instance:
     def _on_grid(
         cls,
         grid: _Timeline,
-        tie_script: tuple[tuple[Fraction, int], ...] | None = None,
+        script: _GridScript | None = None,
         tags: Mapping[str, object] | None = None,
     ) -> Instance:
-        """The instance of jobs already on ``grid``, taken as they are.
+        """The instance of jobs already on ``grid`` and a tie script on its
+        grid, taken as they are.
 
-        The caller vouches for every check ``Instance(jobs)`` makes and for
-        ``den_t`` being the lcm of the time denominators.
+        The caller vouches for every check ``Instance(jobs, tie_script)``
+        makes and for ``den_t`` being the lcm of the time denominators.
         """
         instance = cls.__new__(cls)
-        instance.__dict__.update(
-            _grid=grid, tie_script=tie_script, tags={} if tags is None else tags
-        )
+        instance.__dict__.update(_grid=grid, _script=script, tags={} if tags is None else tags)
         return instance
 
     @cached_property
@@ -264,6 +295,23 @@ class Instance:
             Job(i, times[r], times[p], ratios[w])
             for i, r, p, w in zip(ids, releases, procs, weights)
         )
+
+    @cached_property
+    def tie_script(self) -> tuple[tuple[Fraction, int], ...] | None:
+        """The tie script as ``(time, choice)`` pairs, built from the grid script."""
+        script = self._script
+        if script is None:
+            return None
+        den_t = self._grid.den_t
+        return tuple(
+            (Fraction(t, den_t) if type(t) is int else t, choice) for t, choice in zip(*script)
+        )
+
+    @cached_property
+    def _script(self) -> _GridScript | None:
+        """The tie script on the grid of ``_grid``."""
+        script = self.tie_script
+        return None if script is None else _script_on_grid(script, self._grid.den_t)
 
     @cached_property
     def _grid(self) -> _Timeline:
@@ -462,16 +510,31 @@ def objective(schedule: Schedule, instance: Instance) -> Fraction:
             f"schedule covers jobs {sorted(ends)} but instance has {sorted(inst_jobs)}"
         )
     # Weights sharing a denominator d add numerator·end as ints.  The few
-    # per-d Fractions add in a balanced tree, whose partial sums keep small
-    # denominators until the last levels; one division by den ends it.
+    # per-d sums add as reduced pairs in a balanced tree, whose partial sums
+    # keep small denominators until the last levels; one Fraction over
+    # den ends it.
     grouped: dict[int, int] = {}
     for i, (num, d) in zip(grid.ids, grid.weights):
         grouped[d] = grouped.get(d, 0) + num * ends[i]
-    terms = [Fraction(total, d) for d, total in grouped.items()]
+    terms = [_reduced(total, d) for d, total in grouped.items()]
     while len(terms) > 1:
-        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        pairs = [_pair_sum(a, b) for a, b in zip(terms[::2], terms[1::2])]
         if len(terms) % 2:
             pairs.append(terms[-1])
         terms = pairs
-    return terms[0] / schedule._den
+    num, den = terms[0]
+    return Fraction(num, den * schedule._den)
 
+
+def _pair_sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The sum of two reduced pairs, reduced, by ``Fraction``'s own rule for ``+``."""
+    (na, da), (nb, db) = a, b
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)

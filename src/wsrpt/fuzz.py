@@ -155,7 +155,7 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
             ratio, instance = worst["general"]
             tagged = Instance._on_grid(
                 instance._grid,
-                tie_script=instance.tie_script,
+                instance._script,
                 tags={**instance.tags, "fuzz_ratio": rational_str(ratio)},
             )
             path = Path(out_dir) / f"fuzz_certificate_seed{seed}.json"

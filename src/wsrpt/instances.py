@@ -28,7 +28,8 @@ from .core import (
     _Timeline,
     _check_ids,
     _check_job,
-    _checked_script,
+    _GridScript,
+    _grid_table,
     _job_id,
     _pair_str,
     _parse_pair,
@@ -183,22 +184,24 @@ def _family_instance(
     procs: list[int],
     weights: list[tuple[int, int]],
     unit: int,
-    script: list[tuple[int, int]],
+    script: _GridScript,
     tags: dict,
 ) -> Instance:
-    """The instance of jobs 0, 1, ... with times in units of 1/unit and
-    script entries ``(time in those units, choice)``.
+    """The instance of jobs 0, 1, ... with times, script times included,
+    in units of 1/unit.
 
-    The grid is divided by the gcd of ``unit`` and every time, which leaves
-    den_t the lcm of the time denominators, as ``Instance(jobs)`` has it.
+    The grid is divided by the gcd of ``unit`` and every job time, which
+    leaves den_t the lcm of the time denominators, as ``Instance(jobs)``
+    has it.  The script's times are releases and completions, sums of job
+    times, so the same division keeps them on the grid.
     """
-    tie_script = tuple((Fraction(t, unit), choice) for t, choice in script)
     g = gcd(unit, *releases, *procs)
     if g > 1:
         releases = [r // g for r in releases]
         procs = [p // g for p in procs]
+        script = _GridScript([t // g for t in script.times], script.choices)
     grid = _Timeline(list(range(len(releases))), releases, procs, unit // g, weights)
-    return Instance._on_grid(grid, tie_script=tie_script, tags=tags)
+    return Instance._on_grid(grid, script, tags)
 
 
 def gen_basic(params: ScenarioParams) -> Instance:
@@ -213,7 +216,8 @@ def gen_basic(params: ScenarioParams) -> Instance:
     unit = pieces.unit
 
     # Pieces come in release order, so their distinct releases are the script's times.
-    script = [(t, 0) for t in dict.fromkeys([0, *pieces.releases])]
+    times = list(dict.fromkeys([0, *pieces.releases]))
+    script = _GridScript(times, [0] * len(times))
 
     tags = {
         "family": "basic",
@@ -323,6 +327,7 @@ def gen_nested(params: NestedParams) -> Instance:
         "inner_length": rational_str(inner_total / p_s),
         "snapped": r_eff != params.r_s,
     }
+    script = _GridScript([t for t, _ in script], [choice for _, choice in script])
     return _family_instance(releases, procs, weights, unit, script, tags)
 
 
@@ -363,10 +368,15 @@ PathOrFile = Union[str, Path, IO[str]]
 def instance_to_dict(instance: Instance) -> dict:
     """JSON-ready form with rationals rendered as exact num/den strings.
 
-    Each distinct time and weight on the instance's grid is rendered once.
+    Each distinct time and weight on the instance's grid, script times
+    included, is rendered once.
     """
     ids, releases, procs, den_t, weights = instance._grid
-    times = {t: _pair_str(*_reduced(t, den_t)) for t in {*releases, *procs}}
+    script = instance._script
+    grid_times = {*releases, *procs}
+    if script is not None:
+        grid_times.update(t for t in script.times if type(t) is int)
+    times = {t: _pair_str(*_reduced(t, den_t)) for t in grid_times}
     ratios = {w: _pair_str(*w) for w in set(weights)}
     payload = {
         "jobs": [
@@ -374,9 +384,10 @@ def instance_to_dict(instance: Instance) -> dict:
             for i, r, p, w in zip(ids, releases, procs, weights)
         ],
     }
-    if instance.tie_script is not None:
+    if script is not None:
         payload["tie_script"] = [
-            {"t": _rational_str(t), "choice": c} for t, c in instance.tie_script
+            {"t": times[t] if type(t) is int else _rational_str(t), "choice": c}
+            for t, c in zip(*script)
         ]
     if instance.tags:
         payload["tags"] = dict(instance.tags)
@@ -443,7 +454,9 @@ def instance_from_dict(payload: dict) -> Instance:
 
     Each job is checked as ``Job`` checks it, in file order, and the jobs
     are put on their grid directly: times as ints over the lcm of their
-    denominators, weights as reduced pairs.
+    denominators, weights as reduced pairs.  The tie script goes on the
+    same grid, each time as an int where it lies on it; each distinct time
+    is one int, shared by every job and script entry that holds it.
     """
     pair = _Pairs()
     ids, rs, ps, ws = [], [], [], []
@@ -458,17 +471,19 @@ def instance_from_dict(payload: dict) -> Instance:
     script = payload.get("tie_script")
     if script is not None:
         entries = _records(script, "tie-script", ("t", "choice"))
-        script = [(Fraction(*pair(t)), choice) for t, choice in entries]
+        script = [(pair(t), choice) for t, choice in entries]
     tags = payload.get("tags", {})
     if not (isinstance(tags, dict) and _all_scalars(tags.values())):
         raise ValueError("instance tags are not a JSON object of scalars")
     _check_ids(ids)
-    script = _checked_script(script)
-    dens = {d for _, d in chain(rs, ps)}
-    den_t = lcm(*dens)
-    scale = {d: den_t // d for d in dens}
-    grid = _Timeline(ids, [n * scale[d] for n, d in rs], [n * scale[d] for n, d in ps], den_t, ws)
-    return Instance._on_grid(grid, tie_script=script, tags=tags)
+    den_t = lcm(*{d for _, d in chain(rs, ps)})
+    times = [] if script is None else [t for t, _ in script]
+    on_grid = _grid_table(chain(rs, ps, times), den_t)
+    grid = _Timeline(ids, [on_grid[r] for r in rs], [on_grid[p] for p in ps], den_t, ws)
+    if script is not None:
+        choices = [_job_id(choice, "tie-script choice") for _, choice in script]
+        script = _GridScript([on_grid[t] for t in times], choices)
+    return Instance._on_grid(grid, script, tags)
 
 
 @_without_digit_limit()

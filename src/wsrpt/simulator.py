@@ -17,8 +17,11 @@ that leaves it unfinished, and the tie rule compares those cached ranks;
 a chosen job at the top of the loop's heap is updated in place, so an
 event costs one heap operation.  A returned schedule keeps the engine's
 runs on that grid and builds Fraction slices only when they are read.
-The equality audit scans the runs of that same engine call at each
-release instant, and otherwise Fractions appear only in its reports.
+An instance's tie script lives on the same grid, so a scripted run reads
+it as it is.  WSRPT under the instance's own tie rule runs at most once
+per instance (``_own_run``): ``simulate`` returns that one run when its
+arguments name that rule, and the equality audit scans it at each release
+instant, with Fractions only in its reports.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from .core import (
     Instance,
     Job,
     Schedule,
+    _GridScript,
+    _script_on_grid,
     _Timeline,
-    to_rational,
 )
 
 
@@ -125,13 +129,43 @@ def simulate(
     PREFER_RUNNING chain.  EXHAUSTIVE_WORST explores every tie branch and
     returns the worst (maximal-objective) schedule; among equally bad
     choices, ties go to the smallest job id.
+
+    WSRPT under the instance's own tie rule, with ``script`` None or the
+    instance's own ``tie_script``, is the instance's one run (``_own_run``):
+    every such call returns the same schedule.
     """
     if tie is TieRule.EXHAUSTIVE_WORST:
         return _exhaustive_worst(instance, policy)[1]
+    # The instance's own script is the one object ``tie_script`` built and
+    # cached; the check builds no script.
+    if script is None or script is instance.__dict__.get("tie_script"):
+        if policy is Policy.WSRPT and tie is _own_tie(instance):
+            return _own_run(instance)
+        script = instance._script
     timeline = _timeline(instance)
-    if script is None:
-        script = instance.tie_script
     return _schedule(timeline, _run(timeline, *_policy(timeline, policy, tie, script)))
+
+
+def _own_tie(instance: Instance) -> TieRule:
+    """The instance's own tie rule: SCRIPTED by its tie script, PREFER_RUNNING without one."""
+    return TieRule.PREFER_RUNNING if instance._script is None else TieRule.SCRIPTED
+
+
+def _own_run(instance: Instance) -> Schedule:
+    """WSRPT's schedule under the instance's own tie rule.
+
+    It is computed at most once per instance and kept in the instance's
+    ``__dict__``, as a cached property is, so every caller shares one
+    schedule, which nothing changes once it is built.  An engine error,
+    such as a scripted choice that is not a tied leader, is not kept:
+    every call raises it again.
+    """
+    schedule = instance.__dict__.get("_own_run")
+    if schedule is None:
+        timeline = _timeline(instance)
+        key, choose = _policy(timeline, Policy.WSRPT, _own_tie(instance), instance._script)
+        schedule = instance.__dict__["_own_run"] = _schedule(timeline, _run(timeline, key, choose))
+    return schedule
 
 
 def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
@@ -248,8 +282,9 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     factor den_t left out), with each weight's reduced pair read from the
     timeline, WSPT by the same key at full processing time and SRPT by
     ``rem`` itself.  ``choose`` reads the ranks ``_run`` caches and calls no key.
-    ``script`` is the tie script SCRIPTED follows; its entries off the grid
-    match no event.
+    ``script`` is the tie script SCRIPTED follows: an instance's own script
+    on its grid (a ``_GridScript``), read as it is, or any other script,
+    which is put on the grid first.  Its entries off the grid match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
     weights, den_t = timeline.weights, timeline.den_t
@@ -276,11 +311,12 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     if tie is TieRule.SCRIPTED:
         if script is None:
             raise ValueError("SCRIPTED tie rule needs a script")
+        if not isinstance(script, _GridScript):
+            script = _script_on_grid(script, den_t)
         index = {job_id: k for k, job_id in enumerate(timeline.ids)}
-        for t, choice in script:
-            t = to_rational(t)
-            if den_t % t.denominator == 0:
-                script_map[t.numerator * (den_t // t.denominator)] = (choice, index.get(choice))
+        script_map = {
+            t: (choice, index.get(choice)) for t, choice in zip(*script) if type(t) is int
+        }
     prefer_new = tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST)
     longest = tie is TieRule.PREFER_NEW_LONGEST
 
@@ -446,33 +482,42 @@ class EqualityReport:
 def is_equality_instance(instance: Instance) -> EqualityReport:
     """Check that every release ties the running job's current Smith ratio.
 
-    Simulates WSRPT as ``simulate`` does, under the instance's tie script
-    (PREFER_RUNNING without one), and scans its runs once: at each release
-    instant t the new jobs must share one exact Smith ratio, and so must the
-    job whose run covers t⁻ (start < t <= end) at its remaining work, if any.
+    Reads the instance's one WSRPT run (``_own_run``), the schedule
+    ``simulate`` returns under the instance's tie script (PREFER_RUNNING
+    without one), and scans its runs once: at each release instant t the
+    new jobs must share one exact Smith ratio, and so must the job whose
+    run covers t⁻ (start < t <= end) at its remaining work, if any.
     """
     timeline = _timeline(instance)
-    ids, procs, den_t = timeline.ids, timeline.procs, timeline.den_t
-    tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
-    key, choose = _policy(timeline, Policy.WSRPT, tie, instance.tie_script)
-    runs = _run(timeline, key, choose)
+    ids, procs, den_t, weights = timeline.ids, timeline.procs, timeline.den_t, timeline.weights
+    runs = _own_run(instance)._runs
+    index = {job_id: k for k, job_id in enumerate(ids)}  # runs name jobs by id
+
+    def ratio(k: int, work: int) -> tuple[int, int]:
+        """Job k's Smith ratio with ``work`` left as a reduced pair: equal ratios, equal pairs."""
+        num, den = weights[k]
+        g = gcd(num, work)
+        return num // g, den * (work // g)
+
     rem = list(procs)  # each job's work left at the start of runs[i]
     violations: list[tuple[Fraction, str]] = []
     i = 0
     for t, new in _release_groups(timeline.releases):
         while runs[i][2] < t:  # in range: a job released at t runs after t
-            k, start, end = runs[i]
-            rem[k] -= end - start
+            job, start, end = runs[i]
+            rem[index[job]] -= end - start
             i += 1
-        k, start, _ = runs[i]
+        job, start, _ = runs[i]
+        k = index[job]
         left = rem[k] - (t - start)
-        new_ids = [ids[j] for j in new]
-        ratios = {key(j, procs[j]) for j in new}
+        ratios = {ratio(j, procs[j]) for j in new}
         if len(ratios) > 1:
+            new_ids = [ids[j] for j in new]
             violations.append(
                 (Fraction(t, den_t), f"co-released jobs {new_ids} have distinct ratios")
             )
-        elif start < t and left and key(k, left) not in ratios:
+        elif start < t and left and ratio(k, left) not in ratios:
+            new_ids = [ids[j] for j in new]
             violations.append(
                 (Fraction(t, den_t),
                  f"jobs {new_ids} (ratio {_grid_ratio(timeline, new[0], procs[new[0]])}) vs "

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import strategies as st
 
 from wsrpt.core import Instance, Job
+from wsrpt.instances import NestedParams, ScenarioParams, gen_basic, gen_nested
 
 
 @st.composite
@@ -38,3 +40,22 @@ def decision_instants(instance: Instance, s) -> list[Fraction]:
     """A slice's start and every release strictly inside it."""
     inside = {j.release for j in instance.jobs if s.start < j.release < s.end}
     return [s.start, *sorted(inside)]
+
+
+#: The sweep benchmark's worst-case point and the nested point's p_s.
+SWEEP_Y, SWEEP_V = Fraction("0.8157"), Fraction("0.7066")
+SWEEP_P_S = Fraction(30277523, 422353)
+
+
+@cache
+def sweep_points() -> tuple[Instance, ...]:
+    """The four instances of the δ-sweep: the basic family at δ = 1/1000,
+    1/3000 and 1/10000, and the nested family at δ = 1/1000.  Generated
+    once per session and shared, so their own runs are shared too."""
+    point = ScenarioParams(y=SWEEP_Y, v=SWEEP_V, delta=Fraction(1, 1000))
+    basic = [
+        gen_basic(ScenarioParams(y=SWEEP_Y, v=SWEEP_V, delta=Fraction(1, d)))
+        for d in (1000, 3000, 10000)
+    ]
+    nested = NestedParams(outer=point, r_s=Fraction("0.5307"), p_s=SWEEP_P_S, inner=point)
+    return (*basic, gen_nested(nested))

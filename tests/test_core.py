@@ -18,9 +18,9 @@ from wsrpt.core import (
     rational_str,
     to_rational,
 )
-from wsrpt.simulator import simulate
+from wsrpt.simulator import TieRule, simulate
 
-from conftest import small_instances
+from conftest import small_instances, sweep_points
 
 
 class TestToRational:
@@ -387,3 +387,67 @@ def test_objective_dominates_release_plus_processing(instance):
     sched = simulate(instance)
     lower = sum(j.weight * (j.release + j.processing) for j in instance.jobs)
     assert objective(sched, instance) >= lower
+
+
+def reference_objective(schedule, instance):
+    """``objective`` as a tree of Fractions: per weight denominator d, the
+    int sum of numerator * end, then those Fractions added pairwise in a
+    balanced tree and the sum divided by the schedule's grid."""
+    ends = schedule._ends
+    grid = instance._grid
+    grouped = {}
+    for i, (num, d) in zip(grid.ids, grid.weights):
+        grouped[d] = grouped.get(d, 0) + num * ends[i]
+    terms = [Fraction(total, d) for d, total in grouped.items()]
+    while len(terms) > 1:
+        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            pairs.append(terms[-1])
+        terms = pairs
+    return terms[0] / schedule._den
+
+
+@st.composite
+def _weighted_instances(draw):
+    """Times in halves and thirds, weights over up to seven denominators,
+    zero weights included, so the objective's tree has 1 to 7 leaves."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    dens = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=7))
+
+    def value(low, high, denominators):
+        return Fraction(
+            draw(st.integers(min_value=low, max_value=high)), draw(st.sampled_from(denominators))
+        )
+
+    return Instance(tuple(
+        Job(i, value(0, 9, (2, 3)), value(1, 9, (2, 3)), value(0, 10**12, dens)) for i in range(n)
+    ))
+
+
+class TestObjectiveTree:
+    """``objective`` adds reduced int pairs where its reference adds Fractions."""
+
+    @staticmethod
+    def _check(schedule, instance):
+        value = objective(schedule, instance)
+        assert type(value) is Fraction and value == reference_objective(schedule, instance)
+
+    @given(_weighted_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_tree(self, instance):
+        self._check(simulate(instance), instance)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(0, 0, 0), (Fraction(1, 7), Fraction(3, 7), Fraction(5, 7)),
+         (1, Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 5), 0, Fraction(1, 5)),
+         (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11))],
+        ids=["zero-weights", "one-group", "three-groups", "zeros-and-one-group", "five-groups"],
+    )
+    def test_edge_groupings(self, weights):
+        instance = Instance(tuple(Job(k, k, 2, w) for k, w in enumerate(weights)))
+        self._check(simulate(instance), instance)
+
+    def test_sweep_points(self):
+        for instance in sweep_points():
+            self._check(simulate(instance, tie=TieRule.SCRIPTED), instance)

@@ -1,5 +1,6 @@
 """Worst-case family generators and instance file I/O."""
 
+import importlib
 import io
 import json
 import math
@@ -32,7 +33,7 @@ from wsrpt.instances import (
     write_json,
 )
 from wsrpt.oracle import structured_optimal
-from wsrpt.simulator import Policy, TieRule, _timeline, is_equality_instance, simulate
+from wsrpt.simulator import TieRule, _timeline, is_equality_instance, simulate, split_job
 
 
 class TestScenarioParams:
@@ -875,3 +876,140 @@ def test_sweep_chain_builds_no_jobs():
     assert is_equality_instance(back)
     assert "jobs" not in vars(inst) and "jobs" not in vars(back)
     assert back.jobs == inst.jobs and "jobs" in vars(back)
+
+
+def test_sweep_chain_builds_no_script_fractions():
+    # Without a script argument, SCRIPTED follows the instance's own script
+    # on its grid: no step builds the Fraction tuple ``tie_script``.
+    inst = gen_basic(ScenarioParams(_Y, _V, delta=Fraction(1, 100)))
+    back = read_instance(io.StringIO(_written(write_instance, inst)))
+    sched = simulate(back, tie=TieRule.SCRIPTED)
+    assert is_equality_instance(back)
+    assert "tie_script" not in vars(inst) and "tie_script" not in vars(back)
+    assert sched is simulate(back, tie=TieRule.SCRIPTED, script=back.tie_script)
+    assert back.tie_script == inst.tie_script
+
+
+#: Events at 0, 1/3, 1 and 4/3 on a grid of thirds.  The entry at 0 names
+#: the only released job; 1/2 and 1/6 lie off the grid, 5/3 and -1/3 on it
+#: at no event, and job 5 does not exist.
+_THIRDS_JOBS = (Job(0, 0, 1, 1), Job(1, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
+_THIRDS_SCRIPT = (
+    (Fraction(0), 0), (Fraction(1, 2), 5), (Fraction(1, 6), 1), (Fraction(5, 3), 0),
+    (Fraction(-1, 3), 1),
+)
+
+
+class TestGridScript:
+    """A tie script lives on its instance's time grid; ``tie_script`` is its Fraction view."""
+
+    def test_off_grid_entries_survive_and_match_no_event(self):
+        inst = Instance(_THIRDS_JOBS, tie_script=_THIRDS_SCRIPT)
+        assert inst._script == (
+            [0, Fraction(1, 2), Fraction(1, 6), 5, -1], [0, 5, 1, 0, 1]
+        )
+        first = _written(write_instance, inst)
+        assert [e["t"] for e in json.loads(first)["tie_script"]] == [
+            "0", "1/2", "1/6", "5/3", "-1/3"
+        ]
+        back = read_instance(io.StringIO(first))
+        assert _written(write_instance, back) == first
+        assert back._script == inst._script and back.tie_script == _THIRDS_SCRIPT
+        assert simulate(back, tie=TieRule.SCRIPTED) == simulate(back)
+        assert simulate(inst, tie=TieRule.SCRIPTED) == simulate(inst)
+
+    @pytest.mark.parametrize("source", ["constructor", "gen_basic", "gen_nested", "read"])
+    def test_tie_script_is_the_fraction_tuple_built_once(self, source):
+        basic = ScenarioParams(_Y, _V, delta=Fraction(1, 100))
+        if source == "constructor":
+            inst = Instance(_THIRDS_JOBS, tie_script=list(_THIRDS_SCRIPT))
+            expected = _THIRDS_SCRIPT
+        elif source == "gen_nested":
+            params = NestedParams(basic, Fraction("0.5307"), _SWEEP_P_S,
+                                  ScenarioParams(_Y, _V, Fraction(1, 3), Fraction(1, 70)))
+            inst = gen_nested(params)
+            expected = reference_gen_nested(params).tie_script
+        else:
+            inst = gen_basic(basic)
+            expected = reference_gen_basic(basic).tie_script
+            if source == "read":
+                inst = read_instance(io.StringIO(_written(write_instance, inst)))
+        script = inst.tie_script
+        assert script is inst.tie_script and script == expected
+        assert type(script) is tuple
+        assert all(type(e) is tuple and type(e[0]) is Fraction for e in script)
+        assert all(type(choice) is int for _, choice in script)
+
+    def test_split_job_keeps_the_script(self):
+        # Splitting job 1 into three shifts every later id by two; an entry
+        # naming job 1 names its first fragment.
+        params = NestedParams(ScenarioParams(_Y, _V, delta=Fraction(1, 100)), Fraction("0.5307"),
+                              _SWEEP_P_S, ScenarioParams(_Y, _V, delta=Fraction(1, 100)))
+        inst = gen_nested(params)
+        split = split_job(inst, 1, 3)
+        assert split.tie_script == tuple((t, c + 2 if c > 1 else c) for t, c in inst.tie_script)
+        assert len({c for _, c in split.tie_script}) > 2
+        again = read_instance(io.StringIO(_written(write_instance, split)))
+        assert again.tie_script == split.tie_script
+
+    def test_fuzz_certificate_keeps_the_script(self, tmp_path, monkeypatch):
+        fuzz_module = importlib.import_module("wsrpt.fuzz")
+        script = ((Fraction(1, 3), 0), (Fraction(0), 1))  # 1/3 lies off every half grid
+
+        def scripted(rng, n, kind):
+            drawn = gen_random(rng, n, kind)
+            return Instance(drawn.jobs, tie_script=script, tags=drawn.tags)
+
+        monkeypatch.setattr(fuzz_module, "gen_random", scripted)
+        report = fuzz_module.fuzz(6, seed=2, out_dir=tmp_path)
+        certificate = read_instance(report.certificate_path)
+        assert certificate.tie_script == script
+        assert certificate.tags["fuzz_ratio"]
+
+
+def _scripted(script, tags=None) -> dict:
+    """A two-job document with ``script`` as its tie script."""
+    doc = {**_doc({}, {}), "tie_script": script}
+    if tags is not None:
+        doc["tags"] = tags
+    return doc
+
+
+#: Malformed tie scripts and the error each raises, first fault first.
+_MALFORMED_SCRIPTS = [
+    ("not-a-list", _scripted(5), "tie-script records are not a JSON list"),
+    ("record-not-an-object", _scripted([5]), "tie-script record 0 is not a JSON object"),
+    ("no-choice", _scripted([{"t": "0"}]), "tie-script record 0 lacks field 'choice'"),
+    ("no-time", _scripted([{"t": "0", "choice": 0}, {"choice": 0}]),
+     "tie-script record 1 lacks field 't'"),
+    ("bad-numeral", _scripted([{"t": "0", "choice": 0}, {"t": "x", "choice": 0}]),
+     "not a rational numeral: 'x'"),
+    ("zero-denominator", _scripted([{"t": "1/0", "choice": 0}]), "not a rational numeral: '1/0'"),
+    ("huge-exponent", _scripted([{"t": "1e99999", "choice": 0}]),
+     "numeral '1e99999' has a decimal exponent beyond +-4300"),
+    ("float-time", _scripted([{"t": 0.5, "choice": 0}]),
+     "refusing inexact value 0.5; pass a string or Fraction"),
+    ("bool-time", _scripted([{"t": True, "choice": 0}]),
+     "refusing boolean value True; pass a number"),
+    ("bool-choice", _scripted([{"t": "0", "choice": True}]),
+     "tie-script choice must be an int, not True"),
+    ("float-choice", _scripted([{"t": "0", "choice": 1.0}]),
+     "tie-script choice must be an int, not 1.0"),
+    # Every record is read, and the tags are checked, before any choice.
+    ("numeral-before-choice", _scripted([{"t": "0", "choice": "a"}, {"t": "x", "choice": 0}]),
+     "not a rational numeral: 'x'"),
+    ("record-before-choice", _scripted([{"t": "0", "choice": "a"}, {"t": "1"}]),
+     "tie-script record 1 lacks field 'choice'"),
+    ("tags-before-choice", _scripted([{"t": "0", "choice": "a"}], tags=5),
+     "instance tags are not a JSON object of scalars"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message", [case[1:] for case in _MALFORMED_SCRIPTS],
+    ids=[case[0] for case in _MALFORMED_SCRIPTS],
+)
+def test_malformed_scripts_keep_their_error_text(doc, message):
+    with pytest.raises(ValueError) as err:
+        instance_from_dict(json.loads(json.dumps(doc)))
+    assert str(err.value) == message

@@ -6,14 +6,15 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsrpt.simulator
-from wsrpt.core import Instance, Job, Schedule, Slice, objective
-from wsrpt.instances import ScenarioParams, gen_basic
+from wsrpt.core import Instance, Job, Schedule, Slice, objective, to_rational
+from wsrpt.instances import RANDOM_KINDS, ScenarioParams, gen_basic, gen_random
 from wsrpt.oracle import optimal_dp_timeindexed, optimal_objective, priority_schedule
 from wsrpt.simulator import (
     MAX_SEARCH_DEPTH,
@@ -21,8 +22,10 @@ from wsrpt.simulator import (
     Policy,
     TieRule,
     _exhaustive_worst,
+    _grid_ratio,
     _policy,
     _ratio_key,
+    _release_groups,
     _run,
     _timeline,
     is_equality_instance,
@@ -30,7 +33,7 @@ from wsrpt.simulator import (
     split_job,
 )
 
-from conftest import decision_instants, interrupts, remaining_at, small_instances
+from conftest import decision_instants, interrupts, remaining_at, small_instances, sweep_points
 
 FIXED_TIES = (
     TieRule.PREFER_RUNNING,
@@ -732,3 +735,201 @@ class TestSplitJob:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             split_job(_two_long_jobs(), 9, 2)
+
+
+def reference_audit(instance):
+    """The equality audit with an engine call of its own, as it ran before
+    the instance's run was shared: its ``(time, text)`` violations."""
+    timeline = _timeline(instance)
+    ids, procs, den_t = timeline.ids, timeline.procs, timeline.den_t
+    tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
+    key, choose = _policy(timeline, Policy.WSRPT, tie, instance.tie_script)
+    runs = _run(timeline, key, choose)
+    rem = list(procs)
+    violations = []
+    i = 0
+    for t, new in _release_groups(timeline.releases):
+        while runs[i][2] < t:
+            k, start, end = runs[i]
+            rem[k] -= end - start
+            i += 1
+        k, start, _ = runs[i]
+        left = rem[k] - (t - start)
+        new_ids = [ids[j] for j in new]
+        ratios = {key(j, procs[j]) for j in new}
+        if len(ratios) > 1:
+            violations.append(
+                (Fraction(t, den_t), f"co-released jobs {new_ids} have distinct ratios")
+            )
+        elif start < t and left and key(k, left) not in ratios:
+            violations.append(
+                (Fraction(t, den_t),
+                 f"jobs {new_ids} (ratio {_grid_ratio(timeline, new[0], procs[new[0]])}) vs "
+                 f"running job {ids[k]} (ratio {_grid_ratio(timeline, k, left)})")
+            )
+    return violations
+
+
+def _ci_smoke_instances():
+    """The instances the CI smoke step generates or writes by hand, the
+    sweep's three among them."""
+    yield gen_random(Random(3), 6)
+    yield gen_random(Random(1), 16)
+    yield Instance((Job(0, 0, 10**7, 1),))
+    yield gen_basic(ScenarioParams(y=Fraction(3, 5), v=Fraction(3, 10), delta=Fraction(1, 7)))
+    yield gen_random(Random(8), 6)
+    yield Instance((
+        Job(0, 0, 1, to_rational("1e400")), Job(1, 0, 2, to_rational("1e-400")), Job(2, 1, 1, 0)
+    ))
+    yield gen_random(Random(5), 3)
+
+
+def _perturbed_variants():
+    """Tie-scripted basic families at four deltas, plain and with one
+    weight scaled by 101/100 or 99/100 at one of four positions: 108
+    instances, some of whose scripted choices no longer lead."""
+    shapes = [(Fraction(1, 2), Fraction(3, 10), 0), (Fraction(4, 5), Fraction(7, 10), 0),
+              (Fraction(3, 5), Fraction(3, 5), Fraction(1, 2))]
+    for y, v, z in shapes:
+        for delta in (Fraction(1, 20), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 3000)):
+            instance = gen_basic(ScenarioParams(y=y, v=v, z=z, delta=delta))
+            yield instance
+            grid = instance._grid
+            n = len(grid.ids)
+            for k in (0, 1, n // 2, n - 1):
+                for factor in (Fraction(101, 100), Fraction(99, 100)):
+                    weights = list(grid.weights)
+                    weight = Fraction(*weights[k]) * factor
+                    weights[k] = weight.numerator, weight.denominator
+                    yield Instance._on_grid(grid._replace(weights=weights), instance._script)
+
+
+def _audit_outcome(audit, instance):
+    """``(violations, passed)`` of an audit, or the text of its ValueError."""
+    try:
+        report = audit(instance)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(report, list):
+        return report, not report
+    return report.violations, report.passed
+
+
+class TestOwnRun:
+    """WSRPT under an instance's own tie rule runs once; the audit reads that run."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The number of engine calls made so far, as a one-item list."""
+        count = [0]
+        run = wsrpt.simulator._run
+
+        def counted(*args):
+            count[0] += 1
+            return run(*args)
+
+        monkeypatch.setattr(wsrpt.simulator, "_run", counted)
+        return count
+
+    @staticmethod
+    def _basic():
+        params = ScenarioParams(y=Fraction(1, 2), v=Fraction(3, 10), delta=Fraction(1, 20))
+        return gen_basic(params)
+
+    def test_audit_reads_the_scripted_run(self, runs):
+        inst = self._basic()
+        sched = simulate(inst, tie=TieRule.SCRIPTED)
+        assert is_equality_instance(inst)
+        assert runs == [1]
+        assert simulate(inst, tie=TieRule.SCRIPTED, script=inst.tie_script) is sched
+        assert is_equality_instance(inst) and runs == [1]
+        assert sched.slices == reference_slices(
+            inst, _policy_key(Policy.WSRPT), TieRule.SCRIPTED, inst.tie_script
+        )
+
+    def test_audit_reads_the_prefer_running_run(self, runs):
+        inst = _ids_reversed(interrupts(3))
+        sched = simulate(inst)
+        assert is_equality_instance(inst).violations and runs == [1]
+        assert simulate(inst, policy=Policy.WSRPT, tie=TieRule.PREFER_RUNNING) is sched
+        assert runs == [1]
+
+    def test_other_runs_make_their_own_call(self, runs):
+        inst = self._basic()
+        own = simulate(inst, tie=TieRule.SCRIPTED)
+        # Equal to the own script but another object; a script of its own;
+        # other tie rules and policies, with and without the own script.
+        equal = list(inst.tie_script)
+        foreign = ((Fraction(1, 20), 2), (Fraction(1, 7), 0))
+        cases = [
+            (Policy.WSRPT, TieRule.SCRIPTED, equal, equal),
+            (Policy.WSRPT, TieRule.SCRIPTED, foreign, foreign),
+            (Policy.WSRPT, TieRule.PREFER_RUNNING, None, ()),
+            (Policy.WSRPT, TieRule.PREFER_NEW_LONGEST, inst.tie_script, ()),
+            (Policy.WSPT_PREEMPTIVE, TieRule.PREFER_RUNNING, None, ()),
+            (Policy.SRPT, TieRule.PREFER_NEW_SHORTEST, inst.tie_script, ()),
+        ]
+        for k, (policy, tie, script, reference_script) in enumerate(cases, start=2):
+            sched = simulate(inst, policy=policy, tie=tie, script=script)
+            assert runs == [k] and sched is not own
+            assert sched.slices == reference_slices(
+                inst, _policy_key(policy), tie, reference_script
+            )
+        assert simulate(inst, tie=TieRule.SCRIPTED) is own
+        assert is_equality_instance(inst) and runs == [len(cases) + 1]
+
+    def test_bad_scripted_choice_raises_on_every_call(self, runs):
+        inst = Instance((Job(0, 0, 1, 2), Job(1, 0, 1, 1)), tie_script=((0, 1),))
+        message = "^scripted choice 1 at t=0 is not among the tied leaders$"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                simulate(inst, tie=TieRule.SCRIPTED)
+            with pytest.raises(ValueError, match=message):
+                is_equality_instance(inst)
+        assert runs == [4] and "_own_run" not in vars(inst)
+
+    def test_own_run_takes_no_part_in_equality(self):
+        class Tags(dict):  # a dict of tags does not hash; these do
+            def __hash__(self):
+                return hash(frozenset(self.items()))
+
+        basic = self._basic()
+        inst, twin = (
+            Instance(basic.jobs, tie_script=basic.tie_script, tags=Tags(basic.tags))
+            for _ in range(2)
+        )
+        simulate(inst, tie=TieRule.SCRIPTED)
+        assert "_own_run" in vars(inst) and "_own_run" not in vars(twin)
+        assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
+
+    @pytest.mark.parametrize(
+        "instances",
+        [_ci_smoke_instances, sweep_points, _perturbed_variants],
+        ids=["ci-smoke", "sweep-points", "perturbed-families"],
+    )
+    def test_reports_match_the_uncached_audit(self, instances):
+        # Each instance is simulated under its own rule first, so the audit
+        # reads that run; a scripted-choice error leaves nothing to read.
+        outcomes = set()
+        for inst in instances():
+            expected = _audit_outcome(reference_audit, inst)
+            own_tie = TieRule.PREFER_RUNNING if inst.tie_script is None else TieRule.SCRIPTED
+            try:
+                simulate(inst, tie=own_tie)
+            except ValueError as exc:
+                assert str(exc) == expected
+            assert _audit_outcome(is_equality_instance, inst) == expected
+            outcomes.add(type(expected) if isinstance(expected, str) else expected[1])
+        if instances is _perturbed_variants:
+            assert outcomes == {str, True, False}
+
+    @pytest.mark.parametrize("kind", RANDOM_KINDS)
+    def test_random_reports_match_the_uncached_audit(self, kind):
+        rng = Random(RANDOM_KINDS.index(kind))
+        for n in range(1, 9):
+            for _ in range(25):
+                inst = gen_random(rng, n, kind)
+                simulate(inst)
+                assert _audit_outcome(is_equality_instance, inst) == _audit_outcome(
+                    reference_audit, inst
+                )
