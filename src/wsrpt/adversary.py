@@ -7,6 +7,12 @@ game the observed remainders select: first-untouched and second-ahead
 strike at p1, terminal at p2.  All checkpoint bookkeeping is exact rational
 arithmetic on the simulated schedule; only the second-ahead branch's
 burst-length search is float numerics.
+
+The game instance lives on the integer grid of 1/den_t, den_t the lcm of
+the denominators of p1, p2, the burst release and the piece length: ``play``
+builds it there directly, with no ``Job`` per burst piece, the policies and
+the equalizer schedule it in grid units, and the transcript is rendered
+from those ints.
 """
 
 from __future__ import annotations
@@ -14,13 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Union
 
 from .core import (
     Instance,
     Job,
     Schedule,
-    Slice,
+    _scaled,
+    _Timeline,
     objective,
     rational_str,
     to_rational,
@@ -28,7 +36,7 @@ from .core import (
 from .analysis import _argmax, burst_length
 from .instances import MAX_BURST_PIECES, instance_to_dict, slices_to_dicts, write_json
 from .oracle import closed_pair_optimal, pair_objectives, priority_schedule
-from .simulator import Policy, TieRule, simulate
+from .simulator import Policy, TieRule, _ratio_key, simulate
 
 #: Branch names, in the order the game tests them.
 BRANCH_FIRST_UNTOUCHED = "first-untouched"  # second job ran the whole prefix
@@ -162,29 +170,32 @@ def _j2_first_schedule(instance: Instance) -> Schedule:
 def _equalizer_schedule(instance: Instance) -> Schedule:
     """Keep both long jobs' ratios equal, then play out ties nonpreemptively.
 
-    Rotates in exact cycles of p1/50, splitting each cycle between the long
-    jobs in proportion p1 : p2 so that at every cycle boundary the executed
-    work — and hence the weight-over-remaining ratio — stays proportionate.
-    At the first release after zero it stops rotating and finishes the
-    remaining jobs nonpreemptively in decreasing current-ratio order
-    (running job first among ties, then lower id).
+    With the long jobs' processing times P1 and P2 in units of 1/den_t,
+    rotates on the grid of den = den_t·50·(P1+P2): each cycle of p1/50 is
+    P1·(P1+P2) units, split into shares P1·P1 and P1·P2 between the long
+    jobs, so that at every cycle boundary the executed work — and hence the
+    weight-over-remaining ratio — stays proportionate.  At the first release
+    after zero it stops rotating and finishes the remaining jobs
+    nonpreemptively in decreasing current-ratio order (running job first
+    among ties, then lower id), ranked exactly by ``_ratio_key``.
     """
-    p1job, p2job = instance.job(0), instance.job(1)
-    p1, p2 = p1job.processing, p2job.processing
-    later = sorted(dict.fromkeys(j.release for j in instance.jobs if j.release > 0))
-    t_switch = later[0] if later else None
+    ids, releases, procs, den_t, weights = instance._grid
+    proc = dict(zip(ids, procs))
+    p1, p2 = proc[0], proc[1]
+    scale = 50 * (p1 + p2)
+    later = [r for r in releases if r > 0]
+    t_switch = min(later) * scale if later else None
 
-    cycle = p1 / 50
-    shares = {0: cycle * p1 / (p1 + p2), 1: cycle * p2 / (p1 + p2)}
-    rem = {j.id: j.processing for j in instance.jobs}
-    runs: list[list] = []  # [job, start, end], adjacent runs of a job fused
+    shares = {0: p1 * p1, 1: p1 * p2}
+    rem = {i: p * scale for i, p in proc.items()}
+    runs: list[list[int]] = []  # [job, start, end], adjacent runs of a job fused
 
-    def run(jid: int, start: Fraction, end: Fraction) -> None:
+    def run(jid: int, start: int, end: int) -> None:
         if runs and runs[-1][0] == jid and runs[-1][2] == start:
             runs[-1][2] = end
         else:
             runs.append([jid, start, end])
-    now = Fraction(0)
+    now = 0
     running = None
     while rem[0] > 0 or rem[1] > 0:
         if t_switch is not None and now >= t_switch:
@@ -203,19 +214,13 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
             now += d
             running = jid
 
-    alive = [j for j in instance.jobs if rem[j.id] > 0]
-    alive.sort(
-        key=lambda j: (
-            -Fraction(j.weight, rem[j.id]),
-            j.id != running,
-            j.id,
-        )
-    )
-    for j in alive:
-        start = max(now, j.release)
-        now = start + rem[j.id]
-        run(j.id, start, now)
-    return Schedule(Slice(*r) for r in runs)
+    alive = [k for k, i in enumerate(ids) if rem[i] > 0]
+    alive.sort(key=lambda k: (*_ratio_key(*weights[k], rem[ids[k]]), ids[k] != running, ids[k]))
+    for k in alive:
+        start = max(now, releases[k] * scale)
+        now = start + rem[ids[k]]
+        run(ids[k], start, now)
+    return Schedule._on_grid([tuple(r) for r in runs], den_t * scale)
 
 
 def play(
@@ -236,9 +241,9 @@ def play(
     A completed job counts as infinite ratio.  The burst is
     discretized into pieces of length ``delta`` (default p1/1000) whose
     weights realize the branch ratio exactly; the transcript's optimal side
-    is the exact discrete pair closed form.  A delta that would cut the
-    burst into more than MAX_BURST_PIECES pieces is refused before any
-    burst job is built.
+    is the exact discrete pair closed form.  The game instance is built on
+    its integer grid directly.  A delta that would cut the burst into more
+    than MAX_BURST_PIECES pieces is refused before it is built.
     """
     p1 = to_rational(p1)
     p2 = to_rational(p2)
@@ -290,11 +295,20 @@ def play(
     block_length = pieces * delta
     state = replace(state, block_length=block_length)
 
-    jobs = [Job(0, 0, p1, p1), Job(1, 0, p2, p2)]
+    # The guards above vouch for every check Job and Instance would make:
+    # positive times and weights, a nonnegative release, ids 0..n-1.
+    den_t = lcm(p1.denominator, p2.denominator, t_r.denominator, delta.denominator)
     weight = rho * delta
-    jobs.extend(Job(2 + i, t_r, delta, weight) for i in range(pieces))
-    instance = Instance(
-        tuple(jobs),
+    grid = _Timeline(
+        list(range(2 + pieces)),
+        [0, 0] + [_scaled(t_r, den_t)] * pieces,
+        [_scaled(p1, den_t), _scaled(p2, den_t)] + [_scaled(delta, den_t)] * pieces,
+        den_t,
+        [(p1.numerator, p1.denominator), (p2.numerator, p2.denominator)]
+        + [(weight.numerator, weight.denominator)] * pieces,
+    )
+    instance = Instance._on_grid(
+        grid,
         tags={
             "kind": "adversary",
             "branch": branch,

@@ -354,7 +354,9 @@ class Instance:
         )
 
     def __hash__(self):
-        return hash((self.jobs, self.tie_script, self.tags))
+        # Tags are left out: a dict does not hash, and equal instances have
+        # equal jobs and scripts whatever their tags.
+        return hash((self.jobs, self.tie_script))
 
     def __repr__(self):
         return f"Instance(jobs={self.jobs!r}, tie_script={self.tie_script!r}, tags={self.tags!r})"
@@ -408,17 +410,11 @@ class Schedule:
         schedule._runs, schedule._den = runs, den
         return schedule
 
-    def _timed(self, convert) -> list[tuple]:
-        """The runs as ``(job, convert(start), convert(end))``, with ``convert``
-        applied once per distinct time, to its Fraction."""
-        times = dict.fromkeys(t for run in self._runs for t in run[1:])
-        at = {t: convert(Fraction(t, self._den)) for t in times}
-        return [(job, at[start], at[end]) for job, start, end in self._runs]
-
     @cached_property
     def slices(self) -> tuple[Slice, ...]:
         """The runs as slices, one Fraction per distinct time."""
-        return tuple(Slice(*run) for run in self._timed(to_rational))
+        at = {t: Fraction(t, self._den) for t in {t for run in self._runs for t in run[1:]}}
+        return tuple(Slice(job, at[start], at[end]) for job, start, end in self._runs)
 
     @cached_property
     def _ends(self) -> dict[int, int]:

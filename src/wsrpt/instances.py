@@ -489,10 +489,9 @@ def instance_from_dict(payload: dict) -> Instance:
 @_without_digit_limit()
 def slices_to_dicts(schedule: Schedule) -> list[dict]:
     """JSON-ready slice list ``{"job", "start", "end"}``, each distinct run time rendered once."""
-    return [
-        {"job": job, "start": start, "end": end}
-        for job, start, end in schedule._timed(_rational_str)
-    ]
+    runs, den = schedule._runs, schedule._den
+    times = {t: _pair_str(*_reduced(t, den)) for t in {t for run in runs for t in run[1:]}}
+    return [{"job": job, "start": times[start], "end": times[end]} for job, start, end in runs]
 
 
 @_without_digit_limit()

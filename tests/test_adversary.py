@@ -1,10 +1,12 @@
 """Two-long-job adversary game: branch selection, burst sizing, and the
 certified ratio against every policy it is played against."""
 
+import io
 import json
 import math
 import re
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -13,15 +15,24 @@ from wsrpt.adversary import (
     BRANCH_SECOND_AHEAD,
     BRANCH_TERMINAL,
     AdversaryState,
+    _equalizer_schedule,
     choose_l,
     play,
     transcript_to_dict,
     write_transcript,
 )
-from wsrpt.core import Job, rational_str, to_rational
-from wsrpt.instances import instance_from_dict, slices_from_dicts
+from wsrpt.core import Instance, Job, Schedule, Slice, objective, rational_str, to_rational
+from wsrpt.instances import (
+    ScenarioParams,
+    gen_basic,
+    gen_random,
+    instance_from_dict,
+    slices_from_dicts,
+    slices_to_dicts,
+    write_instance,
+)
 from wsrpt.oracle import optimal_bruteforce
-from wsrpt.simulator import Policy, TieRule
+from wsrpt.simulator import Policy, TieRule, simulate
 
 # (policy, tie, branch, ratio at delta=1e-2, ratio at delta=1e-3)
 GAMES = [
@@ -210,3 +221,142 @@ class TestTranscriptIO:
         # Record lists nested at depth 2 (jobs, tie script) and 1 (slices).
         assert instance_from_dict(loaded["instance"]) == t.instance
         assert slices_from_dicts(loaded["schedule"]) == t.schedule.slices
+
+
+def reference_equalizer_schedule(instance: Instance) -> Schedule:
+    """The equalizer walked in Fractions over ``Job``s: cycles of p1/50
+    split p1 : p2 between the long jobs until the first release after zero,
+    then the rest nonpreemptively by decreasing w/rem, running job first
+    among ties, then lower id."""
+    p1, p2 = instance.job(0).processing, instance.job(1).processing
+    later = sorted(dict.fromkeys(j.release for j in instance.jobs if j.release > 0))
+    t_switch = later[0] if later else None
+    cycle = p1 / 50
+    shares = {0: cycle * p1 / (p1 + p2), 1: cycle * p2 / (p1 + p2)}
+    rem = {j.id: j.processing for j in instance.jobs}
+    runs = []
+
+    def run(jid, start, end):
+        if runs and runs[-1][0] == jid and runs[-1][2] == start:
+            runs[-1][2] = end
+        else:
+            runs.append([jid, start, end])
+
+    now, running = Fraction(0), None
+    while rem[0] > 0 or rem[1] > 0:
+        if t_switch is not None and now >= t_switch:
+            break
+        for jid in (0, 1):
+            if rem[jid] == 0:
+                continue
+            d = min(shares[jid], rem[jid])
+            if t_switch is not None:
+                d = min(d, t_switch - now)
+            if d <= 0:
+                continue
+            run(jid, now, now + d)
+            rem[jid] -= d
+            now += d
+            running = jid
+    alive = [j for j in instance.jobs if rem[j.id] > 0]
+    alive.sort(key=lambda j: (-Fraction(j.weight, rem[j.id]), j.id != running, j.id))
+    for j in alive:
+        start = max(now, j.release)
+        now = start + rem[j.id]
+        run(j.id, start, now)
+    return Schedule(Slice(*r) for r in runs)
+
+
+def reference_game_instance(t) -> Instance:
+    """The game instance of transcript ``t`` built from checked ``Job``s."""
+    st = t.state
+    delta = to_rational(t.instance.tags["delta"])
+    pieces = st.block_length / delta
+    assert pieces.denominator == 1
+    jobs = [Job(0, 0, st.p1, st.p1), Job(1, 0, st.p2, st.p2)]
+    jobs += [
+        Job(2 + i, st.block_release, delta, st.block_ratio * delta)
+        for i in range(pieces.numerator)
+    ]
+    return Instance(jobs, tags=dict(t.instance.tags))
+
+
+def _game_grid():
+    for p1 in ("1", "3/2"):
+        for p2 in ("2.3364", "3", "11/7", "1.5"):
+            if to_rational(p2) <= to_rational(p1):
+                continue
+            for delta in (None, "1/37", "1/100", "1/250"):
+                yield p1, p2, delta
+
+
+GAME_GRID = list(_game_grid())
+GAME_IDS = [f"p1={p1}-p2={p2}-delta={d or 'p1/1000'}" for p1, p2, d in GAME_GRID]
+POLICIES = ("wsrpt", "wspt", "srpt", "j2-first", "equalizer")
+
+
+class TestGridGame:
+    """The game instance, the equalizer and the transcript on the integer grid."""
+
+    @pytest.mark.parametrize("tie", [TieRule.PREFER_RUNNING, TieRule.PREFER_NEW_LONGEST])
+    @pytest.mark.parametrize("p1,p2,delta", GAME_GRID, ids=GAME_IDS)
+    def test_equalizer_matches_the_fraction_walk(self, p1, p2, delta, tie):
+        t = play("equalizer", tie=tie, delta=delta, p1=p1, p2=p2)
+        probe = Instance((Job(0, 0, t.state.p1, t.state.p1), Job(1, 0, t.state.p2, t.state.p2)))
+        for instance in (probe, t.instance):
+            grid = _equalizer_schedule(instance)
+            reference = reference_equalizer_schedule(instance)
+            assert grid.slices == reference.slices
+            assert objective(grid, instance) == objective(reference, instance)
+            grid.validate(instance)
+            reference.validate(instance)
+        assert t.schedule == grid
+        assert t.online_objective == objective(reference, t.instance)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("p1,p2,delta", GAME_GRID[::3], ids=GAME_IDS[::3])
+    def test_game_instance_matches_the_job_build(self, p1, p2, delta, policy):
+        t = play(policy, delta=delta, p1=p1, p2=p2)
+        ours, theirs = t.instance, reference_game_instance(t)
+        assert ours._grid == theirs._grid
+        assert ours._by_id == theirs._by_id
+        assert ours.tags == theirs.tags
+        assert ours.tie_script is None and theirs.tie_script is None
+        assert ours.jobs == theirs.jobs
+        assert ours == theirs and hash(ours) == hash(theirs)
+        written = []
+        for instance in (ours, theirs):
+            text = io.StringIO()
+            write_instance(instance, text)
+            written.append(text.getvalue())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_game_builds_no_jobs(self, policy):
+        # play -> transcript_to_dict -> write_transcript reads only the grid;
+        # ``jobs`` is built on first access.
+        t = play(policy, delta="1/100")
+        transcript_to_dict(t)
+        write_transcript(t, io.StringIO())
+        assert "jobs" not in vars(t.instance)
+        assert len(t.instance.jobs) == len(t.instance._grid.ids)
+
+    @staticmethod
+    def _fraction_rendered(schedule: Schedule) -> list[dict]:
+        return [
+            {"job": s.job, "start": rational_str(s.start), "end": rational_str(s.end)}
+            for s in schedule.slices
+        ]
+
+    def test_slices_to_dicts_renders_each_time_as_its_fraction(self):
+        basic = gen_basic(ScenarioParams(Fraction(1, 2), Fraction(3, 10), delta=Fraction(1, 20)))
+        small = gen_random(Random(3), 5)
+        schedules = [
+            simulate(basic, tie=TieRule.SCRIPTED),  # engine
+            simulate(small, tie=TieRule.EXHAUSTIVE_WORST),  # tie search
+            Schedule((Slice(0, 0, Fraction(1, 3)), Slice(1, Fraction(1, 3), 2), Slice(0, 2, 5))),
+            play("equalizer", delta="1/37").schedule,  # a grid finer than its times
+            play("j2-first", delta="1/37").schedule,
+        ]
+        for schedule in schedules:
+            assert slices_to_dicts(schedule) == self._fraction_rendered(schedule)

@@ -1,5 +1,6 @@
 """Domain types: exact conversion, schedules, and the objective."""
 
+import io
 import re
 import sys
 import time
@@ -18,6 +19,7 @@ from wsrpt.core import (
     rational_str,
     to_rational,
 )
+from wsrpt.instances import ScenarioParams, gen_basic, read_instance, write_instance
 from wsrpt.simulator import TieRule, simulate
 
 from conftest import small_instances, sweep_points
@@ -227,6 +229,21 @@ class TestInstance:
             inst.jobs = ()
         with pytest.raises(FrozenInstanceError):
             del inst.tags
+
+    def test_instances_with_dict_tags_hash(self):
+        # Generated, read and constructed instances all carry a dict of
+        # tags; the hash leaves it out, and equal instances hash equal.
+        made = gen_basic(ScenarioParams(Fraction(1, 2), Fraction(3, 10), delta=Fraction(1, 20)))
+        text = io.StringIO()
+        write_instance(made, text)
+        read = read_instance(io.StringIO(text.getvalue()))
+        built = Instance(made.jobs, tie_script=made.tie_script, tags=dict(made.tags))
+        assert isinstance(made.tags, dict) and made.tags
+        assert made == read == built
+        assert hash(made) == hash(read) == hash(built)
+        plain = Instance((Job(0, 0, 1, 1), Job(1, 1, 2, 1)))
+        assert hash(plain) == hash(Instance(plain.jobs, tags={"kind": "other"}))
+        assert hash(plain) != hash(Instance(plain.jobs, tie_script=((1, 1),)))
 
     def test_job_lookup(self):
         inst = Instance((Job(0, 0, 1, 1), Job(5, 1, 2, 1)))
