@@ -28,13 +28,21 @@ from .core import (
     Job,
     Schedule,
     _scaled,
+    _rational_str,
     _Timeline,
+    _without_digit_limit,
     objective,
     rational_str,
     to_rational,
 )
 from .analysis import _argmax, burst_length
-from .instances import MAX_BURST_PIECES, instance_to_dict, slices_to_dicts, write_json
+from .instances import (
+    MAX_BURST_PIECES,
+    _expanded,
+    _instance_payload,
+    _slice_table,
+    write_json,
+)
 from .oracle import closed_pair_optimal, pair_objectives, priority_schedule
 from .simulator import Policy, TieRule, _ratio_key, simulate
 
@@ -331,36 +339,46 @@ def play(
     )
 
 
-def transcript_to_dict(transcript: AdversaryTranscript) -> dict:
-    """JSON-ready form of a game transcript (rationals as exact strings)."""
+def _transcript_payload(transcript: AdversaryTranscript) -> dict:
+    """``transcript_to_dict``'s payload with its record lists as tables,
+    under a digit limit lifted by the caller."""
     st = transcript.state
     return {
         "branch": transcript.branch,
-        "p1": rational_str(st.p1),
-        "p2": rational_str(st.p2),
+        "p1": _rational_str(st.p1),
+        "p2": _rational_str(st.p2),
         "checkpoints": [
-            [rational_str(t), rational_str(r1), rational_str(r2)]
+            [_rational_str(t), _rational_str(r1), _rational_str(r2)]
             for t, r1, r2 in st.checkpoints
         ],
         "block": {
-            "release": rational_str(st.block_release),
-            "ratio": rational_str(st.block_ratio),
-            "length": rational_str(st.block_length),
+            "release": _rational_str(st.block_release),
+            "ratio": _rational_str(st.block_ratio),
+            "length": _rational_str(st.block_length),
             "closed_form_l1": st.l1,
             "closed_form_l2": st.l2,
         },
-        "online_objective": rational_str(transcript.online_objective),
-        "optimal_objective": rational_str(transcript.optimal_objective),
+        "online_objective": _rational_str(transcript.online_objective),
+        "optimal_objective": _rational_str(transcript.optimal_objective),
         "ratio": float(transcript.ratio),
-        "ratio_exact": rational_str(transcript.ratio),
-        "instance": instance_to_dict(transcript.instance),
-        "schedule": slices_to_dicts(transcript.schedule),
+        "ratio_exact": _rational_str(transcript.ratio),
+        "instance": _instance_payload(transcript.instance),
+        "schedule": _slice_table(transcript.schedule),
     }
 
 
+@_without_digit_limit()
+def transcript_to_dict(transcript: AdversaryTranscript) -> dict:
+    """JSON-ready form of a game transcript (rationals as exact strings)."""
+    return _expanded(_transcript_payload(transcript))
+
+
+@_without_digit_limit()
 def write_transcript(transcript: AdversaryTranscript, dest) -> None:
-    """Write the transcript as indented JSON."""
-    write_json(transcript_to_dict(transcript), dest)
+    """Write the transcript as indented JSON: the bytes of
+    ``json.dump(transcript_to_dict(transcript), indent=2)`` plus a newline,
+    with the instance's and the schedule's record lists written as tables."""
+    write_json(_transcript_payload(transcript), dest)
 
 
 __all__ = [

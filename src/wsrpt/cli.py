@@ -20,19 +20,26 @@ from pathlib import Path
 
 from . import analysis
 from .adversary import EXTRA_POLICIES, play, write_transcript
-from .core import Schedule, objective, rational_str, to_rational
+from .core import (
+    Schedule,
+    _rational_str,
+    _without_digit_limit,
+    objective,
+    rational_str,
+    to_rational,
+)
 from .fuzz import fuzz
 from .instances import (
     NestedParams,
     RANDOM_KINDS,
     ScenarioParams,
     _field,
+    _slice_table,
     gen_basic,
     gen_nested,
     gen_random,
     read_instance,
     slices_from_dicts,
-    slices_to_dicts,
     write_instance,
     write_json,
 )
@@ -136,20 +143,17 @@ def _show(value, exact: bool) -> str:
         return "inf"
 
 
+@_without_digit_limit()
 def _write_schedule(schedule: Schedule, value: Fraction, path) -> None:
     """JSON of objective ``value`` and slices, or CSV (job,start,end) by the path."""
-    slices = slices_to_dicts(schedule)
+    slices = _slice_table(schedule)
     if str(path).endswith(".csv"):
         with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=["job", "start", "end"])
-            writer.writeheader()
-            writer.writerows(slices)
+            writer = csv.writer(f)
+            writer.writerow(slices.keys)
+            writer.writerows(slices.rows())
     else:
-        payload = {
-            "objective": rational_str(value),
-            "slices": slices,
-        }
-        write_json(payload, path)
+        write_json({"objective": _rational_str(value), "slices": slices}, path)
 
 
 def _cmd_simulate(args) -> int:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from math import ceil, gcd, lcm
 from operator import itemgetter
 from pathlib import Path
@@ -364,6 +364,65 @@ def gen_random(rng: Random, n: int, kind: str = "general") -> Instance:
 PathOrFile = Union[str, Path, IO[str]]
 
 
+class _Table:
+    """A JSON list of flat objects as fixed ``keys`` and equal-length ``columns``.
+
+    Every value is an int or a numeral string (digits, "-", "/"), which
+    JSON writes without escaping.  ``write_json`` renders a table as
+    ``json.dump`` renders its list of dicts; a plain class, not a list or
+    tuple, so ``json.dumps`` refuses it rather than writing it as a pair.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns: tuple):
+        self.keys = keys
+        self.columns = columns
+
+    def rows(self):
+        return zip(*self.columns)
+
+    def records(self) -> list[dict]:
+        keys = self.keys
+        return [dict(zip(keys, row)) for row in self.rows()]
+
+
+def _expanded(value):
+    """``value`` with every table, in dicts at any depth, as its list of dicts."""
+    if isinstance(value, _Table):
+        return value.records()
+    if isinstance(value, dict):
+        return {key: _expanded(item) for key, item in value.items()}
+    return value
+
+
+def _grid_strs(times, den: int) -> dict[int, str]:
+    """Each distinct time in ``times`` (ints in units of 1/den) rendered once."""
+    return {t: _pair_str(*_reduced(t, den)) for t in set(times)}
+
+
+def _instance_payload(instance: Instance) -> dict:
+    """``instance_to_dict``'s payload with its record lists as tables,
+    under a digit limit lifted by the caller."""
+    ids, releases, procs, den_t, weights = instance._grid
+    script = instance._script
+    script_times = [] if script is None else [t for t in script.times if type(t) is int]
+    time = _grid_strs(chain(releases, procs, script_times), den_t).__getitem__
+    ratio = {w: _pair_str(*w) for w in set(weights)}.__getitem__
+    payload = {
+        "jobs": _Table(
+            ("id", "r", "p", "w"),
+            (ids, [*map(time, releases)], [*map(time, procs)], [*map(ratio, weights)]),
+        ),
+    }
+    if script is not None:
+        times = [time(t) if type(t) is int else _rational_str(t) for t in script.times]
+        payload["tie_script"] = _Table(("t", "choice"), (times, script.choices))
+    if instance.tags:
+        payload["tags"] = dict(instance.tags)
+    return payload
+
+
 @_without_digit_limit()
 def instance_to_dict(instance: Instance) -> dict:
     """JSON-ready form with rationals rendered as exact num/den strings.
@@ -371,27 +430,7 @@ def instance_to_dict(instance: Instance) -> dict:
     Each distinct time and weight on the instance's grid, script times
     included, is rendered once.
     """
-    ids, releases, procs, den_t, weights = instance._grid
-    script = instance._script
-    grid_times = {*releases, *procs}
-    if script is not None:
-        grid_times.update(t for t in script.times if type(t) is int)
-    times = {t: _pair_str(*_reduced(t, den_t)) for t in grid_times}
-    ratios = {w: _pair_str(*w) for w in set(weights)}
-    payload = {
-        "jobs": [
-            {"id": i, "r": times[r], "p": times[p], "w": ratios[w]}
-            for i, r, p, w in zip(ids, releases, procs, weights)
-        ],
-    }
-    if script is not None:
-        payload["tie_script"] = [
-            {"t": times[t] if type(t) is int else _rational_str(t), "choice": c}
-            for t, c in zip(*script)
-        ]
-    if instance.tags:
-        payload["tags"] = dict(instance.tags)
-    return payload
+    return _expanded(_instance_payload(instance))
 
 
 class _Numerals(dict):
@@ -486,12 +525,18 @@ def instance_from_dict(payload: dict) -> Instance:
     return Instance._on_grid(grid, script, tags)
 
 
+def _slice_table(schedule: Schedule) -> _Table:
+    """``slices_to_dicts``'s records as a table, under a digit limit lifted by the caller."""
+    runs = schedule._runs
+    jobs, starts, ends = zip(*runs) if runs else ((), (), ())
+    time = _grid_strs(chain(starts, ends), schedule._den).__getitem__
+    return _Table(("job", "start", "end"), (jobs, [*map(time, starts)], [*map(time, ends)]))
+
+
 @_without_digit_limit()
 def slices_to_dicts(schedule: Schedule) -> list[dict]:
     """JSON-ready slice list ``{"job", "start", "end"}``, each distinct run time rendered once."""
-    runs, den = schedule._runs, schedule._den
-    times = {t: _pair_str(*_reduced(t, den)) for t in {t for run in runs for t in run[1:]}}
-    return [{"job": job, "start": times[start], "end": times[end]} for job, start, end in runs]
+    return _slice_table(schedule).records()
 
 
 @_without_digit_limit()
@@ -504,7 +549,7 @@ def slices_from_dicts(records) -> tuple[Slice, ...]:
     )
 
 
-# Records per C-encoder call in a record list; bounds the text held at once.
+# Rows per write of a table; bounds the text held at once.
 _CHUNK = 256
 _SCALARS = (str, int, float, type(None))
 
@@ -529,23 +574,47 @@ def _key(key) -> str:
     return encode(key if isinstance(key, str) else encode(key))
 
 
+def _write_table(write, table: _Table, depth: int) -> None:
+    """Write ``table`` as ``json.dump(indent=2)`` writes its list of dicts at ``depth``.
+
+    One ``%`` template renders every row: its keys are encoded once, and
+    each field is ``%d`` or a quoted ``%s`` by the type of the first row's
+    value, which needs no escaping.  Rows go out ``_CHUNK`` at a time.
+    """
+    rows = table.rows()
+    first = next(rows, None)
+    if first is None:
+        write("[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    fields = [
+        _key(key).replace("%", "%%") + (": %d" if isinstance(value, int) else ': "%s"')
+        for key, value in zip(table.keys, first)
+    ]
+    template = "{" + inner + "  " + ("," + inner + "  ").join(fields) + inner + "}"
+    joint = "," + inner
+    write("[" + inner + template % first)
+    while chunk := list(islice(rows, _CHUNK)):
+        write(joint + joint.join([template % row for row in chunk]))
+    write("\n" + "  " * depth + "]")
+
+
 def _write_value(write, value, depth: int, active: set) -> None:
     """Write ``value`` as ``json.dump(indent=2)`` does at nesting ``depth``.
 
-    A container of scalars is one C-encoder call whose item separator is
-    already the indent joint; only its brackets are spliced.  A list of
-    non-empty flat dicts goes out in chunks of ``_CHUNK`` records, each one
-    C call at the fields' depth whose record boundaries are rewritten to
-    the joint one level out.  That rewrite is exact: the boundary ``}`` +
-    separator + ``{`` holds a raw newline, which no encoded string does,
-    and no encoded scalar ends in ``}``.  Any other container recurses,
-    with ``active`` holding the ids of the containers being written, for
+    A table goes to ``_write_table``.  A container of scalars is one
+    C-encoder call whose item separator is already the indent joint; only
+    its brackets are spliced.  Any other container recurses, with
+    ``active`` holding the ids of the containers being written, for
     ``json``'s circular-reference error.
     """
     if isinstance(value, (list, tuple)):
         values, is_dict, close = value, False, "]"
     elif isinstance(value, dict):
         values, is_dict, close = value.values(), True, "}"
+    elif isinstance(value, _Table):
+        _write_table(write, value, depth)
+        return
     else:
         write(_encoder(depth).encode(value))
         return
@@ -560,24 +629,6 @@ def _write_value(write, value, depth: int, active: set) -> None:
         return
     if id(value) in active:
         raise ValueError("Circular reference detected")
-    if (
-        not is_dict
-        and all(issubclass(t, dict) for t in set(map(type, values)))
-        and all(values)
-        and _all_scalars(chain.from_iterable(map(dict.values, values)))
-    ):
-        fields = inner + "  "
-        boundary = "},\n" + fields + "{"
-        joint = "\n" + inner + "},\n" + inner + "{\n" + fields
-        encode = _encoder(depth + 2).encode
-        write("[")
-        lead = "\n" + inner
-        for i in range(0, len(values), _CHUNK):
-            body = encode(values[i : i + _CHUNK])[2:-2].replace(boundary, joint)
-            write(lead + "{\n" + fields + body + "\n" + inner + "}")
-            lead = ",\n" + inner
-        write("\n" + pad + "]")
-        return
     active.add(id(value))
     write("{" if is_dict else "[")
     lead = "\n" + inner
@@ -592,9 +643,11 @@ def _write_value(write, value, depth: int, active: set) -> None:
 def write_json(payload: dict, dest: PathOrFile) -> None:
     """Write ``payload`` as indented JSON plus a final newline.
 
-    The bytes are those of ``json.dump(payload, dest, indent=2)``, but the
-    text is streamed in chunks through the C encoder, which ``json.dump``
-    never reaches when it indents.
+    The bytes are those of ``json.dump(payload, dest, indent=2)``, with
+    each table written as its list of dicts: one format per row, in chunks
+    of ``_CHUNK`` rows.  The rest goes through the C encoder, which
+    ``json.dump`` never reaches when it indents, one call per container of
+    scalars.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8") as f:
@@ -604,9 +657,16 @@ def write_json(payload: dict, dest: PathOrFile) -> None:
         dest.write("\n")
 
 
+@_without_digit_limit()
 def write_instance(instance: Instance, dest: PathOrFile) -> None:
-    """Serialize to JSON with rationals rendered as exact num/den strings."""
-    write_json(instance_to_dict(instance), dest)
+    """Serialize to JSON with rationals rendered as exact num/den strings.
+
+    The bytes are ``json.dump(instance_to_dict(instance), indent=2)``'s
+    plus a newline, written from the grid: each distinct value is rendered
+    once and the jobs and tie script go out as tables, with no dict per
+    record.
+    """
+    write_json(_instance_payload(instance), dest)
 
 
 def read_instance(src: PathOrFile) -> Instance:

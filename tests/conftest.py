@@ -42,6 +42,15 @@ def decision_instants(instance: Instance, s) -> list[Fraction]:
     return [s.start, *sorted(inside)]
 
 
+def only_json(value) -> bool:
+    """Whether ``value`` holds only dicts with str keys, lists and JSON scalars."""
+    if type(value) is dict:
+        return all(type(key) is str and only_json(item) for key, item in value.items())
+    if type(value) is list:
+        return all(map(only_json, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
 #: The sweep benchmark's worst-case point and the nested point's p_s.
 SWEEP_Y, SWEEP_V = Fraction("0.8157"), Fraction("0.7066")
 SWEEP_P_S = Fraction(30277523, 422353)

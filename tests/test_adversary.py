@@ -34,6 +34,8 @@ from wsrpt.instances import (
 from wsrpt.oracle import optimal_bruteforce
 from wsrpt.simulator import Policy, TieRule, simulate
 
+from conftest import only_json
+
 # (policy, tie, branch, ratio at delta=1e-2, ratio at delta=1e-3)
 GAMES = [
     (Policy.WSRPT, TieRule.PREFER_RUNNING, BRANCH_TERMINAL, 1.103748, 1.103833),
@@ -221,6 +223,19 @@ class TestTranscriptIO:
         # Record lists nested at depth 2 (jobs, tie script) and 1 (slices).
         assert instance_from_dict(loaded["instance"]) == t.instance
         assert slices_from_dicts(loaded["schedule"]) == t.schedule.slices
+
+    @pytest.mark.parametrize("delta", [None, "1/100"], ids=["default-delta", "delta=1/100"])
+    @pytest.mark.parametrize("tie", [TieRule.PREFER_RUNNING, TieRule.PREFER_NEW_LONGEST])
+    @pytest.mark.parametrize("policy", ["wsrpt", "wspt", "srpt", "j2-first", "equalizer"])
+    def test_written_bytes_are_json_dump_of_the_dict(self, policy, tie, delta):
+        # The writer renders the jobs and slices as tables; the dict expands
+        # them.  Both must give json.dump's bytes.
+        t = play(policy, tie=tie, delta=delta)
+        d = transcript_to_dict(t)
+        assert only_json(d)
+        text = io.StringIO()
+        write_transcript(t, text)
+        assert text.getvalue().splitlines(True) == (json.dumps(d, indent=2) + "\n").splitlines(True)
 
 
 def reference_equalizer_schedule(instance: Instance) -> Schedule:

@@ -1,6 +1,8 @@
 """Command-line surface: each subcommand end to end, config-file
 resolution, default output locations, and exit-code discipline."""
 
+import csv
+import io
 import json
 import time
 from fractions import Fraction
@@ -9,10 +11,10 @@ import pytest
 
 from wsrpt import analysis
 from wsrpt.cli import main
-from wsrpt.core import Instance, Job, rational_str, to_rational
-from wsrpt.instances import read_instance, write_instance
-from wsrpt.oracle import optimal_objective
-from wsrpt.simulator import MAX_SEARCH_DEPTH
+from wsrpt.core import Instance, Job, objective, rational_str, to_rational
+from wsrpt.instances import read_instance, slices_to_dicts, write_instance
+from wsrpt.oracle import optimal_objective, structured_optimal
+from wsrpt.simulator import MAX_SEARCH_DEPTH, TieRule, simulate
 
 from conftest import interrupts
 
@@ -101,6 +103,35 @@ class TestGenerateSimulateOptimal:
         lines = sched.read_text().strip().splitlines()
         assert lines[0] == "job,start,end"
         assert len(lines) > 1
+
+    def test_schedule_files_match_the_reference_writers(self, tmp_path, capsys):
+        # The CSV rows are csv.DictWriter's and the JSON is json.dump's, each
+        # of slices_to_dicts' records, for the engine's and an oracle's runs.
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "basic", "--y", "0.5", "--v", "0.3", "--delta", "1/20",
+            "--out", str(inst))
+        instance = read_instance(inst)
+        cases = [
+            (["simulate", "--tie", "scripted"], simulate(instance, tie=TieRule.SCRIPTED)),
+            (["optimal", "--method", "structured"], structured_optimal(instance).schedule),
+        ]
+        for argv, schedule in cases:
+            records = slices_to_dicts(schedule)
+            want = io.StringIO(newline="")
+            writer = csv.DictWriter(want, fieldnames=["job", "start", "end"])
+            writer.writeheader()
+            writer.writerows(records)
+            value = objective(schedule, instance)
+            for suffix, text in (
+                (".csv", want.getvalue()),
+                (".json", json.dumps({"objective": rational_str(value), "slices": records},
+                                     indent=2) + "\n"),
+            ):
+                out = tmp_path / f"sched{suffix}"
+                code, _ = run(capsys, *argv, "--instance", str(inst), "--out", str(out))
+                assert code == 0
+                with open(out, encoding="utf-8", newline="") as f:
+                    assert f.read() == text, (argv, suffix)
 
     def test_gen_nested(self, tmp_path, capsys):
         inst = tmp_path / "nested.json"

@@ -18,6 +18,9 @@ from wsrpt.analysis import basic_ratio_closed
 from wsrpt.core import Instance, Job, Schedule, objective, to_rational
 from wsrpt.instances import (
     _CHUNK,
+    _Table,
+    _instance_payload,
+    _slice_table,
     NestedParams,
     RANDOM_KINDS,
     ScenarioParams,
@@ -34,6 +37,8 @@ from wsrpt.instances import (
 )
 from wsrpt.oracle import structured_optimal
 from wsrpt.simulator import TieRule, _timeline, is_equality_instance, simulate, split_job
+
+from conftest import only_json
 
 
 class TestScenarioParams:
@@ -528,6 +533,16 @@ class TestFileIO:
         assert slices_to_dicts(sched)[0] == {"job": 0, "start": "0", "end": "1"}
         assert calls == [0, before] * 3
         assert sys.get_int_max_str_digits() == before
+        # The writers lift it once for the whole document, tables included.
+        from wsrpt.adversary import play, write_transcript
+
+        _written(write_instance, inst)
+        assert calls == [0, before] * 4
+        game = play("wsrpt", delta="1/100")
+        del calls[:]
+        _written(write_transcript, game)
+        assert calls == [0, before]
+        assert sys.get_int_max_str_digits() == before
 
     def test_values_past_the_digit_limit_round_trip(self):
         huge = Fraction(10**5000 + 1, 3**11000)
@@ -535,6 +550,7 @@ class TestFileIO:
         back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
         assert back.jobs == inst.jobs
         assert back.tie_script == inst.tie_script
+        assert _written(write_instance, inst) == json.dumps(instance_to_dict(inst), indent=2) + "\n"
         sched = simulate(inst)
         assert slices_from_dicts(json.loads(json.dumps(slices_to_dicts(sched)))) == sched.slices
 
@@ -769,15 +785,93 @@ def _write_slices(slices, dest):
     write_json({"slices": slices_to_dicts(Schedule(slices))}, dest)
 
 
+def _as_json_dump(payload) -> list[str]:
+    return (json.dumps(payload, indent=2) + "\n").splitlines(True)
+
+
+class TestTables:
+    """Record lists written as tables: the bytes of their lists of dicts."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_rows_around_a_chunk_boundary(self, n, depth):
+        # A key with a quote, a backslash and a % is escaped for JSON and
+        # for the row template alike.
+        table = _Table(
+            ("job", 'a"%d\\', "t"),
+            (list(range(-1, n - 1)), [str(-k) for k in range(n)], [f"{k}/7" for k in range(n)]),
+        )
+        payload, records = table, table.records()
+        for key in ("schedule", "instance")[:depth]:
+            payload, records = {key: payload}, {key: records}
+        assert _written(write_json, payload).splitlines(True) == _as_json_dump(records)
+
+    def test_rows_are_streamed_in_chunks(self):
+        n = 3 * _CHUNK
+        table = _Table(("job", "start", "end"), (range(n), ["0"] * n, [str(k) for k in range(n)]))
+        writes = []
+
+        class Sink:
+            write = writes.append
+
+        write_json({"schedule": table}, Sink())
+        text = "".join(writes)
+        assert text.splitlines(True) == _as_json_dump({"schedule": table.records()})
+        assert max(map(len, writes)) < len(text) / 2
+
+    def test_json_dumps_refuses_a_table(self):
+        table = _Table(("job",), ([0],))
+        for payload in (table, {"slices": table}, [{"instance": {"jobs": table}}]):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                json.dumps(payload)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance(
+                (Job(3, Fraction(1, 2), 1, Fraction(2, 3)), Job(0, 0, 2, 0)),
+                tie_script=((Fraction(1, 2), 3), (Fraction(1, 3), 0), (Fraction(7, 5), 3)),
+                tags={"é☃\U0001f600": 'a"b\\c\n\t\x00', "%d": "%s", "": None, "x": 0.5},
+            ),
+            Instance((Job(0, 0, 1, 1),), tie_script=()),
+            Instance((Job(10**30, 5, Fraction(1, 10**20), 7),), tags={"n": -1}),
+        ],
+        ids=["off-grid-script-escaped-tags", "empty-script", "wide-values"],
+    )
+    def test_instance_edge_cases(self, inst):
+        text = _written(write_instance, inst)
+        assert text.splitlines(True) == _as_json_dump(instance_to_dict(inst))
+        if inst.tie_script == ():
+            assert json.loads(text)["tie_script"] == []
+
+    def test_generated_instances_write_as_json_dump_of_their_dict(self):
+        point = ScenarioParams(y=Fraction(1, 2), v=Fraction(3, 10), delta=Fraction(1, 40))
+        nested = NestedParams(outer=point, r_s=Fraction(1, 5), p_s=Fraction(5), inner=point)
+        for inst in (gen_basic(point), gen_nested(nested), gen_random(Random(5), 7)):
+            assert _written(write_instance, inst).splitlines(True) == _as_json_dump(
+                instance_to_dict(inst)
+            )
+
+    def test_dicts_hold_no_tables(self):
+        inst = gen_basic(ScenarioParams(y=Fraction(1, 2), v=Fraction(3, 10), delta=Fraction(1, 10)))
+        sched = simulate(inst, tie=TieRule.SCRIPTED)
+        assert isinstance(_instance_payload(inst)["jobs"], _Table)
+        assert isinstance(_slice_table(sched), _Table)
+        for value in (instance_to_dict(inst), slices_to_dicts(sched), slices_to_dicts(Schedule(()))):
+            assert only_json(value)
+
+
 class TestRoundTrip:
     """Every document the reader accepts reads back equal after a write,
-    and a second write gives the first write's bytes."""
+    which gives the bytes of ``json.dump`` of its dict, and a second write
+    gives the first write's bytes."""
 
     @given(_instance_documents())
     @settings(max_examples=60, deadline=None)
     def test_instances(self, doc):
         inst = read_instance(io.StringIO(json.dumps(doc)))
         first = _written(write_instance, inst)
+        assert first.splitlines(True) == _as_json_dump(instance_to_dict(inst))
         back = read_instance(io.StringIO(first))
         assert back == inst
         assert _written(write_instance, back) == first
