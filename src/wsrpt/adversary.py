@@ -196,13 +196,13 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
 
     shares = {0: p1 * p1, 1: p1 * p2}
     rem = {i: p * scale for i, p in proc.items()}
-    runs: list[list[int]] = []  # [job, start, end], adjacent runs of a job fused
+    runs: list[tuple[int, int, int]] = []  # (job, start, end), adjacent runs of a job fused
 
     def run(jid: int, start: int, end: int) -> None:
         if runs and runs[-1][0] == jid and runs[-1][2] == start:
-            runs[-1][2] = end
+            runs[-1] = (jid, runs[-1][1], end)
         else:
-            runs.append([jid, start, end])
+            runs.append((jid, start, end))
     now = 0
     running = None
     while rem[0] > 0 or rem[1] > 0:
@@ -228,7 +228,7 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
         start = max(now, releases[k] * scale)
         now = start + rem[ids[k]]
         run(ids[k], start, now)
-    return Schedule._on_grid([tuple(r) for r in runs], den_t * scale)
+    return Schedule._on_grid(runs, den_t * scale)
 
 
 def play(

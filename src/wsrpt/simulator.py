@@ -12,11 +12,17 @@ WSRPT or WSPT key is the ratio's correctly rounded float followed by its
 reduced pair (weight numerator, weight denominator times remaining
 work).  Rounding is monotone, so the float settles every order it can and
 never contradicts the exact one; two ratios with equal floats are
-compared by cross-multiplying the pairs.  The loop ranks a job once at its release and once after each run
-that leaves it unfinished, and the tie rule compares those cached ranks;
-a chosen job at the top of the loop's heap is updated in place, so an
-event costs one heap operation.  A returned schedule keeps the engine's
-runs on that grid and builds Fraction slices only when they are read.
+compared by cross-multiplying the pairs.  The loop ranks a job once at
+its release and once after each run that leaves it unfinished, and the
+tie rule compares those cached ranks.  Equal ranks given at release are
+interned into one object, so the heap settles a tie among them (a burst
+of identical jobs, a release that ties the running job) by identity,
+without looking inside the ranks.  No rank grows as its job's work
+shrinks, so a chosen job at the heap's top gets its new rank written
+straight into the top, with no sift.
+The engine's runs are ``(job, start, end)`` tuples on that grid; a
+returned schedule keeps them as they are and builds Fraction slices only
+when they are read.
 An instance's tie script lives on the same grid, so a scripted run reads
 it as it is.  WSRPT under the instance's own tie rule runs at most once
 per instance (``_own_run``): ``simulate`` returns that one run when its
@@ -31,6 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, inf, lcm
 
 from .core import (
@@ -168,53 +175,62 @@ def _own_run(instance: Instance) -> Schedule:
     return schedule
 
 
-def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
+def _run(timeline: _Timeline, key, choose) -> list[tuple[int, int, int]]:
     """The event loop behind every single-path schedule: its runs.
 
     Runs on the integer grid of ``timeline``: a job is its index k, and
     times and remaining work are ints in units of 1/den_t.  ``key(k, rem)``
-    ranks job k with ``rem`` work left; the smallest rank runs first.  Each
-    job is ranked once at its release and once after each run that leaves
-    it unfinished; ``ranks[k]`` holds job k's last rank, which is its rank
-    at ``rem[k]`` for every released unfinished job, since only the job
-    that ran has less work left.  At each decision point
-    ``choose(now, new, running, rem, ranks, top_key, top)`` returns the job
-    to run until the next release or its completion: ``new`` are the jobs
-    released at ``now``, ``running`` is the unfinished job that ran up to
+    ranks job k with ``rem`` work left; the smallest rank runs first.  No
+    key's rank may grow as its work shrinks: WSRPT's w/rem grows, SRPT's
+    rem shrinks, and WSPT's ratio and a priority list's position are
+    static.  Each job is ranked once at its release and once after each
+    run that leaves it unfinished; ``ranks[k]`` holds job k's last rank,
+    which is its rank at ``rem[k]`` for every released unfinished job,
+    since only the job that ran has less work left.  Equal ranks given at
+    release are interned into one object, so a tie between them is
+    settled by identity before the comparison looks inside the ranks.  At
+    each decision point ``choose(now, new, running, rem, ranks, top_key,
+    top)`` returns the job to run until the next release or its
+    completion: ``new`` are the jobs released at ``now`` in ascending
+    order (else empty), ``running`` is the unfinished job that ran up to
     ``now`` (else None), ``rem`` holds every job's remaining work, and
     ``top`` is the smallest index among the released jobs of minimal rank
     ``top_key``.  ``choose`` compares ranks through ``ranks`` and calls no
-    ``key``.  Returns the runs ``[k, start, end]`` on the grid, adjacent
+    ``key``.  Returns the runs ``(k, start, end)`` on the grid, adjacent
     runs of a job fused; ``_schedule`` makes them a schedule on that grid.
 
     The released unfinished jobs sit in a min-heap of (rank, index,
-    version).  A chosen job that is the heap's top is updated in place,
-    one heap operation per event: its entry is replaced after a partial
-    run and popped on completion.  Any other chosen job gets a new entry
-    under a bumped version, and its old one is dropped when it surfaces,
-    as is the entry of a job that completed off the top.  A job whose rank
-    did not change keeps its entry as it is.
+    version).  A chosen job that is the heap's top keeps its entry there:
+    after a partial run its new entry is written straight into the top,
+    with no sift, since by the contract above a rank that did not grow
+    still sorts first; on completion it is popped.  Any other chosen job
+    gets a new entry under a bumped version, and its old one is dropped
+    when it surfaces, as is the entry of a job that completed off the top.
+    A job whose rank did not change keeps its entry as it is.
     """
-    releases = _release_groups(timeline.releases)
+    groups = iter(_release_groups(timeline.releases))
     rem = list(timeline.procs)
     unfinished = len(rem)
     heap: list[tuple] = []
     ranks: list = [None] * len(rem)
     version = [0] * len(rem)
+    intern = {}.setdefault  # one object per distinct rank given at release
 
-    runs: list[list[int]] = []  # [job, start, end], adjacent runs of a job fused
-    idx = 0
-    now = releases[0][0]
+    runs: list[tuple[int, int, int]] = []
+    next_t, next_new = next(groups)
+    now = next_t
     running: int | None = None
 
     while unfinished:
-        new: list[int] = []
-        if idx < len(releases) and releases[idx][0] == now:
-            new = releases[idx][1]
+        if now == next_t:
+            new = next_new
             for k in new:
-                rank = ranks[k] = key(k, rem[k])
+                rank = key(k, rem[k])
+                rank = ranks[k] = intern(rank, rank)
                 heapq.heappush(heap, (rank, k, 0))
-            idx += 1
+            next_t, next_new = next(groups, (inf, ()))
+        else:
+            new = ()
 
         while heap:
             top_key, top, ver = heap[0]
@@ -223,19 +239,19 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
             heapq.heappop(heap)
         else:
             # Idle: jump to the next release.
-            now = releases[idx][0]
+            now = next_t
             running = None
             continue
 
         chosen = choose(now, new, running, rem, ranks, top_key, top)
 
         end = now + rem[chosen]
-        if idx < len(releases) and releases[idx][0] < end:
-            end = releases[idx][0]
+        if next_t < end:
+            end = next_t
         if runs and runs[-1][0] == chosen and runs[-1][2] == now:
-            runs[-1][2] = end
+            runs[-1] = (chosen, runs[-1][1], end)
         else:
-            runs.append([chosen, now, end])
+            runs.append((chosen, now, end))
         left = rem[chosen] = rem[chosen] - (end - now)
         now = end
         if left:
@@ -243,8 +259,8 @@ def _run(timeline: _Timeline, key, choose) -> list[list[int]]:
             rank = key(chosen, left)
             if rank != ranks[chosen]:
                 ranks[chosen] = rank
-                if chosen == top:
-                    heapq.heapreplace(heap, (rank, chosen, ver))
+                if chosen == top:  # a rank that did not grow still sorts first
+                    heap[0] = (rank, chosen, ver)
                 else:
                     version[chosen] += 1
                     heapq.heappush(heap, (rank, chosen, version[chosen]))
@@ -261,18 +277,23 @@ def _choose_top(now, new, running, rem, ranks, top_key, top) -> int:
     return top
 
 
-def _release_groups(releases: list[int]) -> list[tuple[int, list[int]]]:
+def _release_groups(releases: list[int]) -> list[tuple[int, tuple[int, ...]]]:
     """``(time, indices)`` per release instant in time order, indices ascending."""
-    groups: dict[int, list[int]] = {}
-    for k, r in enumerate(releases):
-        groups.setdefault(r, []).append(k)
-    return sorted(groups.items())
+    order = sorted(range(len(releases)), key=releases.__getitem__)  # stable: indices ascend
+    return [(t, tuple(group)) for t, group in groupby(order, releases.__getitem__)]
 
 
-def _schedule(timeline: _Timeline, runs: list[list[int]]) -> Schedule:
-    """The schedule of ``_run``'s runs, left on the grid of 1/den_t."""
+def _schedule(timeline: _Timeline, runs: list[tuple[int, int, int]]) -> Schedule:
+    """The schedule of ``_run``'s runs, left on the grid of 1/den_t.
+
+    The runs name jobs by index.  The ids are distinct ints in ascending
+    order, so when the first is 0 and the last n-1 they are the indices
+    themselves, and the runs are passed on as they are.
+    """
     ids = timeline.ids
-    return Schedule._on_grid([(ids[k], start, end) for k, start, end in runs], timeline.den_t)
+    if ids[0] != 0 or ids[-1] != len(ids) - 1:
+        runs = [(ids[k], start, end) for k, start, end in runs]
+    return Schedule._on_grid(runs, timeline.den_t)
 
 
 def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
@@ -318,7 +339,7 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
             t: (choice, index.get(choice)) for t, choice in zip(*script) if type(t) is int
         }
     prefer_new = tie in (TieRule.PREFER_NEW_LONGEST, TieRule.PREFER_NEW_SHORTEST)
-    longest = tie is TieRule.PREFER_NEW_LONGEST
+    extreme = max if tie is TieRule.PREFER_NEW_LONGEST else min
 
     def choose(now, new, running, rem, ranks, top_key, top) -> int:
         if now in script_map:
@@ -336,7 +357,9 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
         if prefer_new:
             tied_new = [k for k in new if ranks[k] == top_key]
             if tied_new:
-                return min(tied_new, key=lambda k: (-rem[k] if longest else rem[k], k))
+                # max and min return the first extreme job, and ``new``
+                # ascends: among equal work the smallest index wins.
+                return extreme(tied_new, key=rem.__getitem__)
             # fall through to the running-job preference
         if running is not None and ranks[running] == top_key:
             return running
@@ -417,14 +440,14 @@ def _event_search(timeline: _Timeline, weights: list[int], leaders, sign: int, w
 
 def _path_schedule(timeline: _Timeline, path: tuple) -> Schedule:
     """The schedule of an ``_event_search`` path, its steps fused into runs."""
-    runs: list[list[int]] = []
+    runs: list[tuple[int, int, int]] = []
     while path is not _PATH_END:
         if path[1] is not None:
-            k, start, end = path[1]
+            k, start, end = step = path[1]
             if runs and runs[-1][0] == k and runs[-1][2] == start:
-                runs[-1][2] = end
+                runs[-1] = (k, runs[-1][1], end)
             else:
-                runs.append([k, start, end])
+                runs.append(step)
         path = path[2]
     return _schedule(timeline, runs)
 

@@ -7,15 +7,23 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wsrpt.oracle
 import wsrpt.simulator
+from wsrpt.adversary import play
 from wsrpt.core import Instance, Job, Schedule, Slice, objective, to_rational
 from wsrpt.instances import RANDOM_KINDS, ScenarioParams, gen_basic, gen_random
-from wsrpt.oracle import optimal_dp_timeindexed, optimal_objective, priority_schedule
+from wsrpt.oracle import (
+    optimal_dp_timeindexed,
+    optimal_objective,
+    priority_schedule,
+    structured_optimal,
+)
 from wsrpt.simulator import (
     MAX_SEARCH_DEPTH,
     BudgetExceeded,
@@ -416,6 +424,59 @@ class TestAgainstReference:
         assert simulate(inst, tie=TieRule.SCRIPTED).slices == expected
 
 
+def burst_instance(k: int, at: Fraction, ratio: Fraction) -> Instance:
+    """The adversary's game in small: two long jobs of ratio 1 (p = w = 1
+    and 2) and, released at ``at``, k identical pieces of length 1/4 and
+    the given ratio, then two jobs of that length whose ratios lie 2^-60
+    (relative) below and above it.  Those three ratios round to one float,
+    and the higher ratio sits at the higher id, so a rank that stopped at
+    the float would tie them and run the lower one first."""
+    piece = Fraction(1, 4)
+    near = (ratio * (1 - Fraction(1, 2**60)), ratio * (1 + Fraction(1, 2**60)))
+    return Instance(
+        (Job(0, 0, 1, 1), Job(1, 0, 2, 2))
+        + tuple(Job(2 + i, at, piece, ratio * piece) for i in range(k))
+        + tuple(Job(2 + k + i, at, piece, r * piece) for i, r in enumerate(near))
+    )
+
+
+#: Bursts of 1, 2 and 37 pieces at the first long job's end (p1 = 1) or
+#: the second's (p2 = 2), of ratio 1 (the long jobs' own, so WSPT ties them
+#: all) or 2 (the second long job's WSRPT ratio once half of it ran).
+BURSTS = [
+    pytest.param(k, at, ratio, id=f"k{k}-at{at}-ratio{ratio}")
+    for k in (1, 2, 37)
+    for at in (Fraction(1), Fraction(2))
+    for ratio in (Fraction(1), Fraction(2))
+]
+
+
+class TestBursts:
+    """Bursts of identical pieces: the ties the adversary game is made of."""
+
+    def test_near_ratios_share_one_float(self):
+        keys = [_ratio_key(*pair, 1) for pair in _timeline(burst_instance(1, 1, 2)).weights[2:]]
+        assert len({f for f, _ in keys}) == 1
+        assert keys[2] < keys[0] < keys[1]
+
+    @pytest.mark.parametrize("k, at, ratio", BURSTS)
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_fixed_tie_rules(self, k, at, ratio, policy):
+        instance = burst_instance(k, at, ratio)
+        for tie in FIXED_TIES:
+            expected = reference_slices(instance, _policy_key(policy), tie)
+            assert simulate(instance, policy=policy, tie=tie).slices == expected
+
+    @pytest.mark.parametrize("k, at, ratio", BURSTS)
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_scripted_piece_past_the_smallest_id(self, k, at, ratio, policy):
+        instance = burst_instance(k, at, ratio)
+        expected, script = drawn_script(instance, policy, Random(k))
+        if k > 1:  # the pieces tie, so the draw names one past the smallest
+            assert any(2 < choice < 2 + k for _, choice in script)
+        assert simulate(instance, policy=policy, tie=TieRule.SCRIPTED, script=script).slices == expected
+
+
 class TestRankCache:
     """``_run`` hands ``choose`` each released job's rank at its current work."""
 
@@ -442,6 +503,88 @@ class TestRankCache:
             return choose(now, new, running, rem, ranks, top_key, top)
 
         _run(timeline, key, checked)
+
+
+#: Work left on the integer grid, past the float range too.
+WORK = st.integers(min_value=2, max_value=10**400).flatmap(
+    lambda r1: st.tuples(st.just(r1), st.integers(min_value=1, max_value=r1 - 1))
+)
+
+
+def _assert_rank_never_grows(key, n: int, data) -> None:
+    """``key(k, r2) <= key(k, r1)`` whenever 0 < r2 < r1, in the one order
+    the heap uses (``<``; a ``_Ratio`` defines no other)."""
+    k = data.draw(st.integers(min_value=0, max_value=n - 1))
+    r1, r2 = data.draw(WORK)
+    assert not key(k, r1) < key(k, r2)
+
+
+class TestKeyContract:
+    """No rank grows as work shrinks, so ``_run`` may write a chosen top's
+    new rank straight into the heap's top."""
+
+    @given(
+        st.one_of(SCRAMBLED, st.sampled_from(list(FLOAT_EDGES.values()))),
+        st.sampled_from(list(Policy)),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_policy_keys(self, instance, policy, data):
+        key, _ = _policy(_timeline(instance), policy, TieRule.PREFER_RUNNING, None)
+        _assert_rank_never_grows(key, len(instance.jobs), data)
+
+    @given(SCRAMBLED, st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_priority_list_keys(self, instance, rnd, data):
+        keys = []
+
+        def captured(timeline, key, choose):
+            keys.append(key)
+            return _run(timeline, key, choose)
+
+        order = [j.id for j in instance.jobs]
+        rnd.shuffle(order)
+        with mock.patch.object(wsrpt.oracle, "_run", captured):
+            priority_schedule(instance, order)
+            try:
+                structured_optimal(instance)
+            except ValueError:
+                pass  # refused after its run: the key was still captured
+        assert len(keys) == 2
+        for key in keys:
+            _assert_rank_never_grows(key, len(instance.jobs), data)
+
+
+class TestEngineParts:
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=40))
+    def test_release_groups_match_a_dict_grouping(self, releases):
+        groups: dict[int, list[int]] = {}
+        for k, r in enumerate(releases):
+            groups.setdefault(r, []).append(k)
+        assert [(t, list(g)) for t, g in _release_groups(releases)] == sorted(groups.items())
+
+    @pytest.mark.parametrize("ids", [[0, 2], [1, 2], [0, 1]])
+    def test_schedule_names_the_real_ids(self, ids):
+        # Ratios 1 and 1/2: the jobs run in id order.
+        instance = Instance(tuple(Job(i, 0, n + 1, 1) for n, i in enumerate(ids)))
+        for policy in Policy:
+            schedule = simulate(instance, policy=policy)
+            assert [job for job, _, _ in schedule._runs] == ids
+            assert [s.job for s in schedule.slices] == ids
+
+    def test_every_producer_hands_over_tuples(self):
+        instance = Instance((Job(0, 0, 1, 1), Job(3, 1, 1, 1), Job(5, 1, 2, 2)))
+        schedules = [
+            simulate(instance, tie=tie) for tie in FIXED_TIES + (TieRule.EXHAUSTIVE_WORST,)
+        ] + [
+            priority_schedule(instance, [5, 0, 3]),
+            structured_optimal(instance).schedule,
+            optimal_dp_timeindexed(instance).schedule,
+            play("equalizer", delta=Fraction(1, 10)).schedule,
+            play("j2-first", delta=Fraction(1, 10)).schedule,
+        ]
+        for schedule in schedules:
+            assert schedule._runs and all(type(run) is tuple for run in schedule._runs)
 
 
 class TestTieRules:
