@@ -20,7 +20,7 @@ from . import _backend
 from .core import Instance, rational_str
 from .instances import RANDOM_KINDS, gen_random, write_instance
 from .oracle import MAX_BRUTEFORCE_JOBS, _check_subset_cap
-from .simulator import BudgetExceeded, Policy, _scaled_weights, _timeline, _worst_search
+from .simulator import BudgetExceeded, Policy, _scaled_weights, _worst_search
 
 # Not called here: perfbench/spans.py patches these names in this module (ROADMAP item 1).
 from .core import objective  # noqa: F401
@@ -77,7 +77,7 @@ def evaluate_instance(instance: Instance) -> Fraction | None:
     budget; such trials are counted but not scored.  Past the subset DP's
     job cap, the DP's ValueError follows the search.
     """
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     weights, _ = _scaled_weights(timeline.weights)
     try:
         worst, _ = _worst_search(timeline, weights, Policy.WSRPT)

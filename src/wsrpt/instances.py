@@ -6,6 +6,10 @@ ties the running job's current weight-to-remaining ratio exactly (weights
 use the left grid endpoint, the running long job has burned exactly that
 much work), so each instance carries the tie script that realizes the
 adversarial resolution of those ties.
+
+Files are written by json's own encoder, with ``indent=2``; the package
+renders only the record lists (jobs, tie scripts, slices), which it hands
+over as tables and writes one format per row.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, islice
 from math import ceil, gcd, lcm
 from operator import itemgetter
@@ -388,11 +391,13 @@ class _Table:
 
 
 def _expanded(value):
-    """``value`` with every table, in dicts at any depth, as its list of dicts."""
+    """``value`` with every table, in dicts and lists at any depth, as its list of dicts."""
     if isinstance(value, _Table):
         return value.records()
     if isinstance(value, dict):
         return {key: _expanded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [*map(_expanded, value)]
     return value
 
 
@@ -554,24 +559,8 @@ _CHUNK = 256
 _SCALARS = (str, int, float, type(None))
 
 
-@cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """C-backed encoder whose item separator is the indent-2 joint at ``depth``."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
-
-
 def _all_scalars(values) -> bool:
     return all(issubclass(t, _SCALARS) for t in set(map(type, values)))
-
-
-def _key(key) -> str:
-    """A dict key as ``json`` writes it: a non-str scalar becomes its JSON text."""
-    if not isinstance(key, (str, int, float)) and key is not None:
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-        )
-    encode = _encoder(0).encode
-    return encode(key if isinstance(key, str) else encode(key))
 
 
 def _write_table(write, table: _Table, depth: int) -> None:
@@ -588,7 +577,7 @@ def _write_table(write, table: _Table, depth: int) -> None:
         return
     inner = "\n" + "  " * (depth + 1)
     fields = [
-        _key(key).replace("%", "%%") + (": %d" if isinstance(value, int) else ': "%s"')
+        json.dumps(key).replace("%", "%%") + (": %d" if isinstance(value, int) else ': "%s"')
         for key, value in zip(table.keys, first)
     ]
     template = "{" + inner + "  " + ("," + inner + "  ").join(fields) + inner + "}"
@@ -599,62 +588,42 @@ def _write_table(write, table: _Table, depth: int) -> None:
     write("\n" + "  " * depth + "]")
 
 
-def _write_value(write, value, depth: int, active: set) -> None:
-    """Write ``value`` as ``json.dump(indent=2)`` does at nesting ``depth``.
-
-    A table goes to ``_write_table``.  A container of scalars is one
-    C-encoder call whose item separator is already the indent joint; only
-    its brackets are spliced.  Any other container recurses, with
-    ``active`` holding the ids of the containers being written, for
-    ``json``'s circular-reference error.
-    """
-    if isinstance(value, (list, tuple)):
-        values, is_dict, close = value, False, "]"
-    elif isinstance(value, dict):
-        values, is_dict, close = value.values(), True, "}"
-    elif isinstance(value, _Table):
-        _write_table(write, value, depth)
-        return
-    else:
-        write(_encoder(depth).encode(value))
-        return
-    if not value:
-        write("{}" if is_dict else "[]")
-        return
-    pad = "  " * depth
-    inner = pad + "  "
-    if _all_scalars(values):
-        text = _encoder(depth + 1).encode(value)
-        write(text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1])
-        return
-    if id(value) in active:
-        raise ValueError("Circular reference detected")
-    active.add(id(value))
-    write("{" if is_dict else "[")
-    lead = "\n" + inner
-    for key, item in value.items() if is_dict else enumerate(value):
-        write(lead + _key(key) + ": " if is_dict else lead)
-        _write_value(write, item, depth + 1, active)
-        lead = ",\n" + inner
-    write("\n" + pad + close)
-    active.discard(id(value))
-
-
 def write_json(payload: dict, dest: PathOrFile) -> None:
     """Write ``payload`` as indented JSON plus a final newline.
 
     The bytes are those of ``json.dump(payload, dest, indent=2)``, with
-    each table written as its list of dicts: one format per row, in chunks
-    of ``_CHUNK`` rows.  The rest goes through the C encoder, which
-    ``json.dump`` never reaches when it indents, one call per container of
-    scalars.
+    each table written as its list of dicts.  json's own encoder writes
+    everything but the tables: its ``default`` hook queues each table and
+    hands back ``""``, and the chunk it then yields, that stand-in, is
+    replaced by ``_write_table``'s rows, one format per row in chunks of
+    ``_CHUNK``.  The table's depth is read off the indent after the last
+    line break; a JSON string holds no raw newline, so every line break is
+    the structure's.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8") as f:
             write_json(payload, f)
-    else:
-        _write_value(dest.write, payload, 0, set())
-        dest.write("\n")
+        return
+    tables = []
+
+    def stand_in(value):
+        if not isinstance(value, _Table):
+            return json.JSONEncoder.default(encoder, value)
+        tables.append(value)
+        return ""
+
+    encoder = json.JSONEncoder(indent=2, default=stand_in)
+    write = dest.write
+    depth = 0
+    for chunk in encoder.iterencode(payload):
+        if tables:
+            _write_table(write, tables.pop(), depth)
+            continue
+        write(chunk)
+        _, newline, line = chunk.rpartition("\n")
+        if newline:
+            depth = (len(line) - len(line.lstrip(" "))) // 2
+    write("\n")
 
 
 @_without_digit_limit()

@@ -31,7 +31,6 @@ from .simulator import (
     _run,
     _scaled_weights,
     _schedule,
-    _timeline,
 )
 
 #: Hard job-count cap for the subset DP (2^n table).
@@ -60,7 +59,7 @@ def priority_schedule(instance: Instance, order) -> Schedule:
     lists express every candidate optimum.
     """
     order = tuple(order)
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     if sorted(order) != timeline.ids:
         raise ValueError("order must be a permutation of the instance's job ids")
     pos = {jid: k for k, jid in enumerate(order)}
@@ -116,7 +115,7 @@ def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
             classes.setdefault((weights[k], rem[k]), k)
         return classes.values()
 
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     weights, den_w = _scaled_weights(timeline.weights)
     value, path = _event_search(timeline, weights, one_per_class, -1, "time-indexed DP")
     obj = Fraction(value, timeline.den_t * den_w)
@@ -132,7 +131,7 @@ def structured_optimal(instance: Instance) -> OptimalResult:
     sum w_j (M_j + p_j/2) <= sum w_j C_j, which a job run in one piece meets
     exactly.  So an unsplit schedule is optimal; a split one raises ValueError.
     """
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     times = sorted(set(timeline.releases))
     following = dict(zip(times, times[1:]))
     # (-ratio, overruns the next release, -processing, release, index) on the

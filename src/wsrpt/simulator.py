@@ -5,14 +5,14 @@ the running job's priority can only improve relative to the waiting jobs
 under every supported policy, so no preemption can trigger mid-slice.
 Equality instances make *every* release a tie, which is why selection is
 exact and ties are resolved by an explicit rule or script.  The single-path
-engine selects on the instance's own integer grid, built once per
-instance (``_timeline``): times are ints over the lcm of the release and
-processing denominators, each weight is its reduced integer pair, and a
-WSRPT or WSPT key is the ratio's correctly rounded float followed by its
-reduced pair (weight numerator, weight denominator times remaining
-work).  Rounding is monotone, so the float settles every order it can and
-never contradicts the exact one; two ratios with equal floats are
-compared by cross-multiplying the pairs.  The loop ranks a job once at
+engine selects on the instance's own integer grid in id order, built once
+per instance (``Instance._by_id``): times are ints over the lcm of the
+release and processing denominators, each weight is its reduced integer
+pair, and a WSRPT or WSPT key is the ratio's correctly rounded float
+followed by its reduced pair (weight numerator, weight denominator times
+remaining work).  Rounding is monotone, so the float settles every order
+it can and never contradicts the exact one; two ratios with equal floats
+are compared by cross-multiplying the pairs.  The loop ranks a job once at
 its release and once after each run that leaves it unfinished, and the
 tie rule compares those cached ranks.  Equal ranks given at release are
 interned into one object, so the heap settles a tie among them (a burst
@@ -117,11 +117,6 @@ def _scaled_weights(weights: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [num * (den_w // d) for num, d in weights], den_w
 
 
-def _timeline(instance: Instance) -> _Timeline:
-    """The instance on its integer grid in ascending id order, built once per instance."""
-    return instance._by_id
-
-
 def simulate(
     instance: Instance,
     policy: Policy = Policy.WSRPT,
@@ -149,7 +144,7 @@ def simulate(
         if policy is Policy.WSRPT and tie is _own_tie(instance):
             return _own_run(instance)
         script = instance._script
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     return _schedule(timeline, _run(timeline, *_policy(timeline, policy, tie, script)))
 
 
@@ -169,7 +164,7 @@ def _own_run(instance: Instance) -> Schedule:
     """
     schedule = instance.__dict__.get("_own_run")
     if schedule is None:
-        timeline = _timeline(instance)
+        timeline = instance._by_id
         key, choose = _policy(timeline, Policy.WSRPT, _own_tie(instance), instance._script)
         schedule = instance.__dict__["_own_run"] = _schedule(timeline, _run(timeline, key, choose))
     return schedule
@@ -238,7 +233,10 @@ def _run(timeline: _Timeline, key, choose) -> list[tuple[int, int, int]]:
                 break
             heapq.heappop(heap)
         else:
-            # Idle: jump to the next release.
+            # Idle: jump to the next release.  Past the last one, a job
+            # still unfinished has lost its heap entry and would never run.
+            if next_t == inf:
+                raise RuntimeError(f"event loop lost {unfinished} unfinished job(s) from its heap")
             now = next_t
             running = None
             continue
@@ -482,7 +480,7 @@ def _exhaustive_worst(instance: Instance, policy: Policy):
     """Explore every tie branch; return (objective, schedule) of the worst run."""
     if not isinstance(policy, Policy):
         raise ValueError(f"unknown policy {policy!r}")
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     weights, den_w = _scaled_weights(timeline.weights)
     value, path = _worst_search(timeline, weights, policy)
     return Fraction(value, timeline.den_t * den_w), _path_schedule(timeline, path)
@@ -511,7 +509,7 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
     new jobs must share one exact Smith ratio, and so must the job whose
     run covers t⁻ (start < t <= end) at its remaining work, if any.
     """
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     ids, procs, den_t, weights = timeline.ids, timeline.procs, timeline.den_t, timeline.weights
     runs = _own_run(instance)._runs
     index = {job_id: k for k, job_id in enumerate(ids)}  # runs name jobs by id

@@ -19,6 +19,7 @@ from wsrpt.core import Instance, Job, Schedule, objective, to_rational
 from wsrpt.instances import (
     _CHUNK,
     _Table,
+    _expanded,
     _instance_payload,
     _slice_table,
     NestedParams,
@@ -36,7 +37,7 @@ from wsrpt.instances import (
     write_json,
 )
 from wsrpt.oracle import structured_optimal
-from wsrpt.simulator import TieRule, _timeline, is_equality_instance, simulate, split_job
+from wsrpt.simulator import TieRule, is_equality_instance, simulate, split_job
 
 from conftest import only_json
 
@@ -328,7 +329,7 @@ def _assert_same_instance(inst: Instance, ref: Instance) -> None:
     assert inst.tie_script == ref.tie_script
     assert inst.tags == ref.tags
     assert inst._grid == ref._grid
-    assert _timeline(inst) == _timeline(ref)
+    assert inst._by_id == ref._by_id
     assert _written(write_instance, inst) == _written(write_instance, ref)
 
 
@@ -789,6 +790,11 @@ def _as_json_dump(payload) -> list[str]:
     return (json.dumps(payload, indent=2) + "\n").splitlines(True)
 
 
+_JOBS = _Table(("id", "r", "p", "w"), ([0, 4], ["0", "1/2"], ["1", "3"], ["1", "2/3"]))
+_SLICES = _Table(("job", "start", "end"), ([4, 0, 4], ["0", "1/2", "3/2"], ["1/2", "3/2", "7/2"]))
+_EMPTY = _Table(("job", "start", "end"), ((), (), ()))
+
+
 class TestTables:
     """Record lists written as tables: the bytes of their lists of dicts."""
 
@@ -818,6 +824,27 @@ class TestTables:
         text = "".join(writes)
         assert text.splitlines(True) == _as_json_dump({"schedule": table.records()})
         assert max(map(len, writes)) < len(text) / 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [_JOBS, {"a": _JOBS}],
+            {"instance": {"jobs": _JOBS, "tags": {"family": "x"}}, "schedule": _SLICES},
+            {"schedule": _SLICES, "instance": [{"jobs": _JOBS}]},
+            {"a": _EMPTY, "b": [_EMPTY, _JOBS], "c": _EMPTY},
+            _EMPTY,
+            {"x": "", "jobs": _JOBS, "y": "", "slices": _SLICES, "z": ""},
+            ["", _SLICES, "", [_JOBS, ""]],
+        ],
+        ids=["list-items", "transcript", "deeper-second", "empty", "bare-empty", "empty-tags", "empty-items"],
+    )
+    def test_tables_are_spliced_where_the_encoder_meets_them(self, payload):
+        # json's encoder writes the structure and hands each table to the
+        # hook; its rows must land at that point, at that depth.  A "" value
+        # yields the same chunk as a table's stand-in, so the tables must be
+        # found through the hook, not by the chunk's text.
+        want = json.dumps(_expanded(payload), indent=2) + "\n"
+        assert _written(write_json, payload).splitlines(True) == want.splitlines(True)
 
     def test_json_dumps_refuses_a_table(self):
         table = _Table(("job",), ([0],))

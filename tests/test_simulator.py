@@ -7,6 +7,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -35,7 +36,6 @@ from wsrpt.simulator import (
     _ratio_key,
     _release_groups,
     _run,
-    _timeline,
     is_equality_instance,
     simulate,
     split_job,
@@ -455,7 +455,7 @@ class TestBursts:
     """Bursts of identical pieces: the ties the adversary game is made of."""
 
     def test_near_ratios_share_one_float(self):
-        keys = [_ratio_key(*pair, 1) for pair in _timeline(burst_instance(1, 1, 2)).weights[2:]]
+        keys = [_ratio_key(*pair, 1) for pair in burst_instance(1, 1, 2)._by_id.weights[2:]]
         assert len({f for f, _ in keys}) == 1
         assert keys[2] < keys[0] < keys[1]
 
@@ -491,7 +491,7 @@ class TestRankCache:
         # Scripted draws pick tied jobs off the heap's top, so both the
         # in-place heap update and the versioned lazy one run.
         script = drawn_script(instance, policy, rnd)[1] if tie is TieRule.SCRIPTED else ()
-        timeline = _timeline(instance)
+        timeline = instance._by_id
         key, choose = _policy(timeline, policy, tie, script)
 
         def checked(now, new, running, rem, ranks, top_key, top):
@@ -530,7 +530,7 @@ class TestKeyContract:
     )
     @settings(max_examples=200, deadline=None)
     def test_policy_keys(self, instance, policy, data):
-        key, _ = _policy(_timeline(instance), policy, TieRule.PREFER_RUNNING, None)
+        key, _ = _policy(instance._by_id, policy, TieRule.PREFER_RUNNING, None)
         _assert_rank_never_grows(key, len(instance.jobs), data)
 
     @given(SCRAMBLED, st.randoms(use_true_random=False), st.data())
@@ -585,6 +585,20 @@ class TestEngineParts:
         ]
         for schedule in schedules:
             assert schedule._runs and all(type(run) is tuple for run in schedule._runs)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_a_lost_heap_entry_fails_at_once(self, policy):
+        # Job 1's only entry never reaches the heap: once job 0 is done, no
+        # release is left to wake the loop, so it must fail, not idle forever.
+        def dropping(heap, item):
+            if item[1] != 1:
+                heapq.heappush(heap, item)
+
+        seen_from_simulator = SimpleNamespace(heappush=dropping, heappop=heapq.heappop)
+        instance = Instance((Job(0, 0, 1, 1), Job(1, 0, 1, 1), Job(2, 0, 1, 1)))
+        with mock.patch.object(wsrpt.simulator, "heapq", seen_from_simulator):
+            with pytest.raises(RuntimeError, match=r"^event loop lost 1 unfinished job\(s\)"):
+                simulate(instance, policy=policy)
 
 
 class TestTieRules:
@@ -883,7 +897,7 @@ class TestSplitJob:
 def reference_audit(instance):
     """The equality audit with an engine call of its own, as it ran before
     the instance's run was shared: its ``(time, text)`` violations."""
-    timeline = _timeline(instance)
+    timeline = instance._by_id
     ids, procs, den_t = timeline.ids, timeline.procs, timeline.den_t
     tie = TieRule.SCRIPTED if instance.tie_script is not None else TieRule.PREFER_RUNNING
     key, choose = _policy(timeline, Policy.WSRPT, tie, instance.tie_script)
