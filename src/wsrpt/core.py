@@ -2,16 +2,17 @@
 
 Times and weights are exact rationals: the constructed instances tie
 Smith ratios *exactly* at every release, and floats would silently break
-those ties.  An instance keeps its releases and processing times as ints
-on one time grid and each weight as its reduced integer pair, and a
-schedule keeps its runs as ints on one time grid, so the event engine,
-the oracles, the objective and the feasibility check work on ints; the
-``Fraction`` views (``Instance.jobs``, ``Schedule.slices``) are built only
-when they are read.  The event engine's rank puts a ratio's correctly
-rounded float in front of its exact pair, but never decides an order or
-a tie on the float alone.  Otherwise floating point is reserved for the
-analysis module, which works with closed forms and quadrature under
-stated tolerances.
+those ties.  Every instance, however it is built, keeps its releases and
+processing times as ints on one time grid and each weight as its reduced
+integer pair, and a schedule keeps its runs as ints on one time grid, so
+the event engine, the oracles, the objective and the feasibility check
+work on ints.  The ``Fraction`` views (``Instance.jobs``,
+``Instance.tie_script``, ``Schedule.slices``) are derived from the grids,
+never the other way round, and built only when they are read.  The event
+engine's rank puts a ratio's correctly rounded float in front of its
+exact pair, but never decides an order or a tie on the float alone.
+Otherwise floating point is reserved for the analysis module, which
+works with closed forms and quadrature under stated tolerances.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -195,20 +196,6 @@ class _Timeline(NamedTuple):
     weights: list[tuple[int, int]]
 
 
-def _check_ids(ids: list[int]) -> None:
-    if not ids:
-        raise ValueError("instance must contain at least one job")
-    if len(set(ids)) != len(ids):
-        raise ValueError("job ids must be unique")
-
-
-def _checked_script(script) -> tuple[tuple[Fraction, int], ...] | None:
-    """A tie script as a tuple of (time, choice), each time made exact and each choice an int."""
-    if script is None:
-        return None
-    return tuple((to_rational(t), _job_id(choice, "tie-script choice")) for t, choice in script)
-
-
 class _GridScript(NamedTuple):
     """A tie script on its instance's time grid, in script order: entry i
     names job ``choices[i]`` at ``times[i]``, an int in units of 1/den_t.
@@ -230,12 +217,47 @@ def _grid_table(pairs: Iterable[tuple[int, int]], den_t: int) -> dict:
     }
 
 
-def _script_on_grid(script, den_t: int) -> _GridScript:
-    """A script of ``(time, choice)`` pairs, its times made exact, on the grid of 1/den_t."""
-    entries = [(to_rational(t), choice) for t, choice in script]
-    pairs = [(t.numerator, t.denominator) for t, _ in entries]
-    on_grid = _grid_table(pairs, den_t)
-    return _GridScript([on_grid[p] for p in pairs], [choice for _, choice in entries])
+def _pair(value: Rational) -> tuple[int, int]:
+    """``value`` made exact, as its reduced (numerator, denominator) pair."""
+    value = to_rational(value)
+    return value.numerator, value.denominator
+
+
+def _script_on_grid(
+    times: list[tuple[int, int]], choices: list[int], den_t: int, on_grid: dict | None = None
+) -> _GridScript:
+    """A script's times, reduced pairs, and its choices on the grid of
+    1/den_t.  ``on_grid`` is a ``_grid_table`` that holds every script
+    time; without it the script gets a table of its own."""
+    if on_grid is None:
+        on_grid = _grid_table(times, den_t)
+    return _GridScript([on_grid[t] for t in times], choices)
+
+
+def _grid_of(ids, releases, procs, weights, script=None) -> tuple[_Timeline, _GridScript | None]:
+    """Checked jobs, columns of ids and of reduced (numerator, denominator)
+    pairs, and an iterable tie script of ``(time pair, choice)``, on their
+    integer grid.
+
+    The ids are checked first, then each script entry is read and its
+    choice checked, in script order.  ``den_t`` is the lcm of the release
+    and processing denominators; each distinct time is one int, shared by
+    every job and script entry that holds it.
+    """
+    if not ids:
+        raise ValueError("instance must contain at least one job")
+    if len(set(ids)) != len(ids):
+        raise ValueError("job ids must be unique")
+    times, choices = [], []
+    for t, choice in script or ():
+        times.append(t)
+        choices.append(_job_id(choice, "tie-script choice"))
+    den_t = lcm(*{d for _, d in chain(releases, procs)})
+    on_grid = _grid_table(chain(releases, procs, times), den_t)
+    grid = _Timeline(
+        ids, [on_grid[r] for r in releases], [on_grid[p] for p in procs], den_t, weights
+    )
+    return grid, None if script is None else _script_on_grid(times, choices, den_t, on_grid)
 
 
 class Instance:
@@ -246,14 +268,15 @@ class Instance:
     snapped parameter values.
 
     The jobs live on their integer grid, a ``_Timeline`` in instance
-    order, and the tie script on the same grid, a ``_GridScript``.
-    ``Instance(jobs, tie_script)`` takes checked jobs and a script and puts
-    them on the grid when it is first read; the generators and the reader
-    build the grid directly through ``_on_grid``, and ``jobs`` and
-    ``tie_script`` are then built on first access, one Fraction per
-    distinct value.  The simulator keeps WSRPT's run under the instance's
-    own tie rule with it (``simulator._own_run``).  Equality compares jobs,
-    tie script and tags.  Instances are immutable.
+    order, and the tie script on the same grid, a ``_GridScript``; the grid
+    is the instance's one truth.  ``Instance(jobs, tie_script)`` and the
+    reader put checked values on it at construction through ``_grid_of``,
+    and the generators build their grid directly through ``_on_grid``.
+    ``jobs``, ``tie_script`` and ``_by_id`` are views built from the grid on
+    first access, one Fraction per distinct value; ``Instance(jobs)`` keeps
+    the jobs it was given as its ``jobs``.  The simulator keeps WSRPT's run
+    under the instance's own tie rule with it (``simulator._own_run``).
+    Equality compares jobs, tie script and tags.  Instances are immutable.
     """
 
     def __init__(
@@ -263,10 +286,17 @@ class Instance:
         tags: Mapping[str, object] | None = None,
     ):
         jobs = tuple(jobs)
-        _check_ids([j.id for j in jobs])
-        self.__dict__.update(
-            jobs=jobs, tie_script=_checked_script(tie_script), tags={} if tags is None else tags
+        if tie_script is not None:  # read lazily: the ids are checked before any time
+            tie_script = ((_pair(t), choice) for t, choice in tie_script)
+        grid, script = _grid_of(
+            [j.id for j in jobs],
+            [(j.release.numerator, j.release.denominator) for j in jobs],
+            [(j.processing.numerator, j.processing.denominator) for j in jobs],
+            [(j.weight.numerator, j.weight.denominator) for j in jobs],
+            tie_script,
         )
+        tags = {} if tags is None else tags
+        self.__dict__.update(jobs=jobs, _grid=grid, _script=script, tags=tags)
 
     @classmethod
     def _on_grid(
@@ -305,25 +335,6 @@ class Instance:
         den_t = self._grid.den_t
         return tuple(
             (Fraction(t, den_t) if type(t) is int else t, choice) for t, choice in zip(*script)
-        )
-
-    @cached_property
-    def _script(self) -> _GridScript | None:
-        """The tie script on the grid of ``_grid``."""
-        script = self.tie_script
-        return None if script is None else _script_on_grid(script, self._grid.den_t)
-
-    @cached_property
-    def _grid(self) -> _Timeline:
-        """The jobs on their integer grid, in instance order."""
-        jobs = self.jobs
-        den_t = lcm(*{x.denominator for j in jobs for x in (j.release, j.processing)})
-        return _Timeline(
-            [j.id for j in jobs],
-            [_scaled(j.release, den_t) for j in jobs],
-            [_scaled(j.processing, den_t) for j in jobs],
-            den_t,
-            [(j.weight.numerator, j.weight.denominator) for j in jobs],
         )
 
     @cached_property

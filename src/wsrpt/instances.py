@@ -29,11 +29,11 @@ from .core import (
     Schedule,
     Slice,
     _Timeline,
-    _check_ids,
     _check_job,
+    _grid_of,
     _GridScript,
-    _grid_table,
     _job_id,
+    _pair,
     _pair_str,
     _parse_pair,
     _rational_str,
@@ -194,9 +194,10 @@ def _family_instance(
     in units of 1/unit.
 
     The grid is divided by the gcd of ``unit`` and every job time, which
-    leaves den_t the lcm of the time denominators, as ``Instance(jobs)``
-    has it.  The script's times are releases and completions, sums of job
-    times, so the same division keeps them on the grid.
+    leaves den_t the lcm of the time denominators, as ``_grid_of`` sets it
+    for ``Instance(jobs)`` and the reader.  The script's times are releases
+    and completions, sums of job times, so the same division keeps them on
+    the grid.
     """
     g = gcd(unit, *releases, *procs)
     if g > 1:
@@ -438,30 +439,17 @@ def instance_to_dict(instance: Instance) -> dict:
     return _expanded(_instance_payload(instance))
 
 
-class _Numerals(dict):
-    """``to_rational`` for one read under a lifted digit limit; each
-    distinct numeral string is parsed once."""
-
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = Fraction(*_parse_pair(text))
-        return value
-
-    def __call__(self, value) -> Fraction:
-        return self[value] if isinstance(value, str) else to_rational(value)
-
-
 class _Pairs(dict):
-    """``_Numerals`` as reduced (numerator, denominator) pairs."""
+    """``to_rational`` as a reduced (numerator, denominator) pair, for one
+    read under a lifted digit limit; each distinct numeral string is parsed
+    once."""
 
     def __missing__(self, text: str) -> tuple[int, int]:
         value = self[text] = _parse_pair(text)
         return value
 
     def __call__(self, value) -> tuple[int, int]:
-        if isinstance(value, str):
-            return self[value]
-        value = to_rational(value)
-        return value.numerator, value.denominator
+        return self[value] if isinstance(value, str) else _pair(value)
 
 
 def _field(record, name: str, what: str):
@@ -496,11 +484,9 @@ def _records(records, what: str, names: tuple[str, ...]):
 def instance_from_dict(payload: dict) -> Instance:
     """Inverse of instance_to_dict.
 
-    Each job is checked as ``Job`` checks it, in file order, and the jobs
-    are put on their grid directly: times as ints over the lcm of their
-    denominators, weights as reduced pairs.  The tie script goes on the
-    same grid, each time as an int where it lies on it; each distinct time
-    is one int, shared by every job and script entry that holds it.
+    Each job is checked as ``Job`` checks it, in file order, and every
+    script time is read; then ``_grid_of`` puts the reduced pairs on the
+    grid as ``Instance(jobs, tie_script)`` does, with no ``Job`` built.
     """
     pair = _Pairs()
     ids, rs, ps, ws = [], [], [], []
@@ -519,15 +505,7 @@ def instance_from_dict(payload: dict) -> Instance:
     tags = payload.get("tags", {})
     if not (isinstance(tags, dict) and _all_scalars(tags.values())):
         raise ValueError("instance tags are not a JSON object of scalars")
-    _check_ids(ids)
-    den_t = lcm(*{d for _, d in chain(rs, ps)})
-    times = [] if script is None else [t for t, _ in script]
-    on_grid = _grid_table(chain(rs, ps, times), den_t)
-    grid = _Timeline(ids, [on_grid[r] for r in rs], [on_grid[p] for p in ps], den_t, ws)
-    if script is not None:
-        choices = [_job_id(choice, "tie-script choice") for _, choice in script]
-        script = _GridScript([on_grid[t] for t in times], choices)
-    return Instance._on_grid(grid, script, tags)
+    return Instance._on_grid(*_grid_of(ids, rs, ps, ws, script), tags)
 
 
 def _slice_table(schedule: Schedule) -> _Table:
@@ -547,9 +525,9 @@ def slices_to_dicts(schedule: Schedule) -> list[dict]:
 @_without_digit_limit()
 def slices_from_dicts(records) -> tuple[Slice, ...]:
     """Inverse of slices_to_dicts."""
-    rational = _Numerals()
+    pair = _Pairs()
     return tuple(
-        Slice(job, rational(start), rational(end))
+        Slice(job, Fraction(*pair(start)), Fraction(*pair(end)))
         for job, start, end in _records(records, "slice", ("job", "start", "end"))
     )
 

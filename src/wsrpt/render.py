@@ -116,7 +116,10 @@ def render_profile(schedule: Schedule, instance: Instance, path) -> str:
     consecutive slices and gaps across idle time.
     """
     _check(schedule)
-    ratio = {j.id: float(j.weight) / float(j.processing) for j in instance.jobs}
+    # The quotient of the correctly rounded floats of w and p, read off the
+    # grid as ``float(w) / float(p)`` would read them off the jobs.
+    ids, _, procs, den_t, weights = instance._grid
+    ratio = {i: (num / den) / (p / den_t) for i, p, (num, den) in zip(ids, procs, weights)}
     t_max = float(schedule.makespan)
     r_max = max(ratio[s.job] for s in schedule.slices)
     x0, x1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT

@@ -45,6 +45,7 @@ from .core import (
     Job,
     Schedule,
     _GridScript,
+    _pair,
     _script_on_grid,
     _Timeline,
 )
@@ -331,7 +332,8 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
         if script is None:
             raise ValueError("SCRIPTED tie rule needs a script")
         if not isinstance(script, _GridScript):
-            script = _script_on_grid(script, den_t)
+            entries = [(_pair(t), choice) for t, choice in script]
+            script = _script_on_grid([t for t, _ in entries], [c for _, c in entries], den_t)
         index = {job_id: k for k, job_id in enumerate(timeline.ids)}
         script_map = {
             t: (choice, index.get(choice)) for t, choice in zip(*script) if type(t) is int

@@ -207,7 +207,45 @@ class TestJob:
         )
 
 
+_TWO_JOBS = (Job(0, 0, 1, 1), Job(1, 0, 1, 1))
+
+#: Faulty ``Instance(jobs, tie_script)`` arguments and the error each
+#: raises: the ids are checked before the script, whose entries are read in
+#: order, each time before its choice.
+_BAD_CONSTRUCTIONS = [
+    ("duplicate-ids-before-float-time",
+     (Job(0, 0, 1, 1), Job(0, 0, 2, 1)), ((0.5, 0),), "job ids must be unique"),
+    ("no-jobs-before-bad-script", (), ((0.5, True),), "instance must contain at least one job"),
+    ("float-time", _TWO_JOBS, ((0, 0), (0.5, 1)),
+     "refusing inexact value 0.5; pass a string or Fraction"),
+    ("bool-choice", _TWO_JOBS, ((0, True),), "tie-script choice must be an int, not True"),
+    ("str-choice", _TWO_JOBS, ((0, "1"),), "tie-script choice must be an int, not '1'"),
+    ("time-before-its-choice", _TWO_JOBS, ((0.5, True),),
+     "refusing inexact value 0.5; pass a string or Fraction"),
+    ("choice-before-a-later-time", _TWO_JOBS, ((0, True), (0.5, 0)),
+     "tie-script choice must be an int, not True"),
+]
+
+
 class TestInstance:
+    @pytest.mark.parametrize(
+        "jobs, script, message", [case[1:] for case in _BAD_CONSTRUCTIONS],
+        ids=[case[0] for case in _BAD_CONSTRUCTIONS],
+    )
+    def test_construction_errors_come_in_order(self, jobs, script, message):
+        with pytest.raises(ValueError) as err:
+            Instance(jobs, tie_script=script)
+        assert str(err.value) == message
+
+    def test_each_distinct_time_is_one_int(self):
+        # Times past the small-int cache: jobs and script share one object per value.
+        inst = Instance(
+            (Job(0, 1000, 1000, 1), Job(1, 1000, 2000, 1)), tie_script=((1000, 0), (2000, 1))
+        )
+        (r0, r1), (p0, p1) = inst._grid.releases, inst._grid.procs
+        assert r0 is r1 is p0 is inst._script.times[0]
+        assert p1 is inst._script.times[1]
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             Instance((Job(0, 0, 1, 1), Job(0, 0, 2, 1)))

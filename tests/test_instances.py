@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsrpt.adversary import play
 from wsrpt.analysis import basic_ratio_closed
 from wsrpt.core import Instance, Job, Schedule, objective, to_rational
 from wsrpt.instances import (
@@ -37,7 +38,8 @@ from wsrpt.instances import (
     write_json,
 )
 from wsrpt.oracle import structured_optimal
-from wsrpt.simulator import TieRule, is_equality_instance, simulate, split_job
+from wsrpt.render import render_gantt, render_profile
+from wsrpt.simulator import Policy, TieRule, is_equality_instance, simulate, split_job
 
 from conftest import only_json
 
@@ -1134,3 +1136,84 @@ def test_malformed_scripts_keep_their_error_text(doc, message):
     with pytest.raises(ValueError) as err:
         instance_from_dict(json.loads(json.dumps(doc)))
     assert str(err.value) == message
+
+
+def _fuzz_certificate():
+    """The instance ``fuzz`` writes as its certificate, caught before it is written."""
+    fuzz_module = importlib.import_module("wsrpt.fuzz")
+    written = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuzz_module, "write_instance", lambda inst, path: written.append(inst))
+        fuzz_module.fuzz(12, seed=11, out_dir=".")
+    (certificate,) = written
+    return certificate
+
+
+#: Ids out of order; 1/3 lies off the grid of halves and 5/2 on it at no release.
+_UNORDERED_DOC = {
+    "jobs": [{"id": 3, "r": "1/2", "p": "1", "w": "2"},
+             {"id": 0, "r": "0", "p": "3/2", "w": "1/3"},
+             {"id": 7, "r": "1/2", "p": "1/2", "w": "1"}],
+    "tie_script": [{"t": "1/2", "choice": 3}, {"t": "1/3", "choice": 0},
+                   {"t": "5/2", "choice": 7}],
+}
+
+#: A seed per kind whose three-job draw has whole-number times only.
+_WHOLE_DRAWS = {"general": 62, "unit-weight": 80, "zero-release": 8}
+
+#: Every way an instance is built, besides ``Instance(jobs, tie_script)`` itself.
+_ROUTES = {
+    "gen-basic": lambda: gen_basic(ScenarioParams(_Y, _V, Fraction(1, 3), Fraction(1, 50))),
+    "gen-nested": lambda: gen_nested(NestedParams(
+        ScenarioParams(_Y, _V, delta=Fraction(1, 100)), Fraction("0.5307"), _SWEEP_P_S,
+        ScenarioParams(_Y, _V, delta=Fraction(1, 100)))),
+    **{f"gen-random-{kind}-halves": (lambda kind=kind: gen_random(Random(5), 7, kind))
+       for kind in RANDOM_KINDS},
+    **{f"gen-random-{kind}-wholes":
+       (lambda kind=kind, seed=seed: gen_random(Random(seed), 3, kind))
+       for kind, seed in _WHOLE_DRAWS.items()},
+    "reader": lambda: instance_from_dict(_UNORDERED_DOC),
+    **{f"play-{policy}": (lambda policy=policy: play(policy, delta="1/100").instance)
+       for policy in (Policy.WSRPT, Policy.WSPT_PREEMPTIVE, Policy.SRPT, "j2-first", "equalizer")},
+    "split-job": lambda: split_job(instance_from_dict(_UNORDERED_DOC), 0, 3),
+    "fuzz-certificate": _fuzz_certificate,
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_every_route_builds_the_grid_instance_of_jobs_builds(route):
+    # The generators, the game and the fuzz certificate vouch for the
+    # grid ``Instance(jobs)`` would build: den_t is the lcm of the time
+    # denominators, and each script time sits where the builder puts it.
+    inst = _ROUTES[route]()
+    built = Instance(inst.jobs, inst.tie_script, inst.tags)
+    assert built._grid == inst._grid
+    assert built._script == inst._script
+    assert built._by_id == inst._by_id
+    assert built == inst and hash(built) == hash(inst)
+
+
+def test_rendering_builds_no_jobs(tmp_path):
+    inst = read_instance(io.StringIO(_written(write_instance, instance_from_dict(_UNORDERED_DOC))))
+    sched = simulate(inst)
+    render_gantt(sched, inst, tmp_path / "g.svg")
+    render_profile(sched, inst, tmp_path / "p.svg")
+    assert "jobs" not in vars(inst)
+
+
+def _outcome(f):
+    """``f()``, or the type of the error it raises."""
+    try:
+        return f()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@given(st.integers(0, 10**400), st.integers(1, 10**400), st.integers(1, 10**400),
+       st.integers(1, 10**400))
+@settings(max_examples=100, deadline=None)
+def test_profile_ratio_on_the_grid_is_the_job_ratio(num, den, p, den_t):
+    # Both are quotients of correctly rounded floats of the same rationals:
+    # equal floats, or the same error past the float range either way.
+    on_grid = _outcome(lambda: (num / den) / (p / den_t))
+    assert on_grid == _outcome(lambda: float(Fraction(num, den)) / float(Fraction(p, den_t)))
