@@ -7,6 +7,12 @@ priority-list scheduler that turns the subset DP's completion order into a
 schedule, the ratio-ordered list schedule that is certified optimal on any
 instance where it splits no job, and the closed form for two long jobs
 plus one homogeneous burst.
+
+The subset DP (``_backend.subset_dp``) rests on a dominance lemma: some
+optimal completion order puts a job before every job it dominates
+(released no later, no longer, no lighter), so it skips the job sets that
+no such order passes through and returns an order that respects dominance.
+The time-indexed DP uses no such lemma and stays the independent route.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .core import (
     Job,
     Schedule,
     _GridScript,
+    _job_id,
     _pair,
     _script_on_grid,
     _Timeline,
@@ -304,7 +305,8 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     ``rem`` itself.  ``choose`` reads the ranks ``_run`` caches and calls no key.
     ``script`` is the tie script SCRIPTED follows: an instance's own script
     on its grid (a ``_GridScript``), read as it is, or any other script,
-    which is put on the grid first.  Its entries off the grid match no event.
+    which is put on the grid first, its choices checked as the constructor
+    checks them.  Its entries off the grid match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
     weights, den_t = timeline.weights, timeline.den_t
@@ -332,7 +334,7 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
         if script is None:
             raise ValueError("SCRIPTED tie rule needs a script")
         if not isinstance(script, _GridScript):
-            entries = [(_pair(t), choice) for t, choice in script]
+            entries = [(_pair(t), _job_id(choice, "tie-script choice")) for t, choice in script]
             script = _script_on_grid([t for t, _ in entries], [c for _, c in entries], den_t)
         index = {job_id: k for k, job_id in enumerate(timeline.ids)}
         script_map = {

@@ -94,9 +94,20 @@ def sweep_makespans(releases, procs, n):
     return m
 
 
+def must_precede(i, k, releases, procs, weights):
+    """Job i dominates job k: released no later, no longer and no lighter,
+    and, when the two are identical, of the larger index."""
+    if i == k or releases[i] > releases[k] or procs[i] > procs[k] or weights[i] < weights[k]:
+        return False
+    same = (releases[i], procs[i], weights[i]) == (releases[k], procs[k], weights[k])
+    return i > k or not same
+
+
 def reference_subset_dp(releases, procs, weights, n):
     """Reference subset DP: each subset in mask order, each of its jobs in
-    index order, keeping the first strict minimum as its last completion."""
+    index order, f the minimum over all of them.  Its last completion is the
+    smallest index whose candidate equals f and that no other job of the
+    subset must follow."""
     size = 1 << n
     m = _backend.subset_makespans(releases, procs, n)
     f = [0] * size
@@ -104,7 +115,6 @@ def reference_subset_dp(releases, procs, weights, n):
     for s in range(1, size):
         ms = m[s]
         best = -1
-        best_j = -1
         t = s
         while t:
             j = (t & -t).bit_length() - 1
@@ -112,9 +122,13 @@ def reference_subset_dp(releases, procs, weights, n):
             cand = weights[j] * ms + f[s & ~(1 << j)]
             if best < 0 or cand < best:
                 best = cand
-                best_j = j
         f[s] = best
-        last[s] = best_j
+        members = [j for j in range(n) if s >> j & 1]
+        last[s] = next(
+            j for j in members
+            if weights[j] * ms + f[s & ~(1 << j)] == best
+            and not any(must_precede(j, k, releases, procs, weights) for k in members)
+        )
     order = []
     s = size - 1
     while s:
@@ -125,24 +139,96 @@ def reference_subset_dp(releases, procs, weights, n):
     return f[size - 1], tuple(order)
 
 
+def every_block_live(after, n, leaf):
+    """A stand-in for ``_backend._live_blocks`` that skips no block."""
+    return [True] * (1 << (n - leaf))
+
+
+def narrow_draw(data, max_n):
+    """Narrow ranges make ties and dominance common; weights times 10**60
+    keep every candidate far past machine words."""
+    n = data.draw(st.integers(0, max_n))
+    releases = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    procs = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    scale = data.draw(st.sampled_from([1, 10**60]))
+    weights = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return releases, procs, [w * scale for w in weights], n
+
+
 class TestBruteforce:
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_subset_dp_matches_the_reference(self, data):
-        # Narrow ranges make ties common, so the order's tie rule is tested;
-        # weights times 10**60 keep every candidate far past machine words.
-        # Small leaves put folds and block edges inside n <= 10.
-        n = data.draw(st.integers(0, 10))
-        releases = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        procs = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
-        scale = data.draw(st.sampled_from([1, 10**60]))
-        weights = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        weights = [w * scale for w in weights]
+        # Small leaves put folds, block edges and skipped blocks inside n <= 10.
+        releases, procs, weights, n = narrow_draw(data, 10)
         expected = reference_subset_dp(releases, procs, weights, n)
         with pytest.MonkeyPatch.context() as patch:
             for leaf in (1, 2, 7):
                 patch.setattr(_backend, "_LEAF", leaf)
                 assert _backend.subset_dp(releases, procs, weights, n) == expected
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_skipped_blocks_change_nothing(self, data):
+        # Each draw runs at leaves 1 and 7, with the blocks that hold no
+        # closed set skipped and with every block walked.
+        releases, procs, weights, n = narrow_draw(data, 10)
+        results = set()
+        with pytest.MonkeyPatch.context() as patch:
+            for leaf in (1, 7):
+                patch.setattr(_backend, "_LEAF", leaf)
+                results.add(_backend.subset_dp(releases, procs, weights, n))
+            patch.setattr(_backend, "_live_blocks", every_block_live)
+            for leaf in (1, 7):
+                patch.setattr(_backend, "_LEAF", leaf)
+                results.add(_backend.subset_dp(releases, procs, weights, n))
+        assert len(results) == 1
+        ((value, order),) = results
+        assert sorted(order) == list(range(n))
+        for a, j in enumerate(order):
+            assert not any(must_precede(k, j, releases, procs, weights) for k in order[a + 1:])
+        m = sweep_makespans(releases, procs, n)
+        s = cost = 0
+        for j in order:
+            s |= 1 << j
+            cost += weights[j] * m[s]
+        assert cost == value == reference_subset_dp(releases, procs, weights, n)[0]
+
+    @pytest.mark.parametrize("leaf", [1, 7])
+    def test_identical_jobs_complete_in_descending_index(self, leaf):
+        # Among identical jobs the larger index goes first, so the smallest
+        # index completes last.
+        n = 9
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_backend, "_LEAF", leaf)
+            value, order = _backend.subset_dp([0] * n, [1] * n, [1] * n, n)
+        assert order == tuple(range(n - 1, -1, -1))
+        assert value == n * (n + 1) // 2
+
+    def test_tie_goes_to_the_job_nothing_must_follow(self):
+        # Both jobs weigh 0, so both orders cost 0; job 0 is shorter, so it
+        # goes first and job 1 completes last.
+        assert _backend.subset_dp([0, 0], [1, 2], [0, 0], 2) == (0, (0, 1))
+
+    @pytest.mark.parametrize(
+        "shape, live",
+        [
+            # Job j has r = j and p = 17 - j, so no job dominates another.
+            ([(j, 17 - j, 1 + j % 3) for j in range(16)], list(range(1 << 9))),
+            # Each job dominates every later one, so a live block's jobs from
+            # 7 up are 7, 8, ... up to some job.
+            ([(j, j + 1, 16 - j) for j in range(16)], [(1 << k) - 1 for k in range(10)]),
+            # Identical jobs make one chain too, but there are only _LEAF of them.
+            ([(0, 1, 1)] * 7, [0]),
+        ],
+        ids=["dominance-free", "one-chain", "one-chain-at-the-leaf"],
+    )
+    def test_live_blocks_are_those_with_every_dominator(self, shape, live):
+        releases, procs, weights = (list(col) for col in zip(*shape))
+        n = len(shape)
+        after = _backend._dominance(releases, procs, weights, n)
+        flags = _backend._live_blocks(after, n, min(n, _backend._LEAF))
+        assert [b for b, flag in enumerate(flags) if flag] == live
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

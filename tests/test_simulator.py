@@ -622,6 +622,17 @@ class TestTieRules:
         with pytest.raises(ValueError, match=f"choice {choice} at t=0 is not available"):
             simulate(inst, tie=TieRule.SCRIPTED, script=((Fraction(0), choice),))
 
+    @pytest.mark.parametrize("choice", [True, False, "1"], ids=["true", "false", "numeral"])
+    def test_a_passed_script_refuses_a_choice_that_is_not_an_int(self, choice):
+        # The constructor refuses the same script; True would otherwise pick
+        # job 1 at the tie at t = 1, since it hashes as 1.
+        inst = Instance((Job(0, 0, 2, 2), Job(1, 1, 1, 2)))
+        message = f"tie-script choice must be an int, not {choice!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Instance(inst.jobs, tie_script=[(1, choice)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(inst, tie=TieRule.SCRIPTED, script=[(1, choice)])
+
     def test_script_entries_off_events_are_ignored(self):
         # Times are in thirds (events at 0, 1/3, 1 and 4/3): an entry off
         # that grid, or on it but at no event, never applies, whatever it
