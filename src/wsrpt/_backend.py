@@ -23,6 +23,13 @@ on the closed sets, those that hold every dominator of each of their
 members, once each closed S has the candidate of every job of S that no
 other job of S must follow (removing such a job leaves a closed set).
 
+The dominance line.  On entry the jobs are relabelled once, sorted by
+(release, processing, -weight, -index) (``_line``), and every table is
+indexed by masks of these labels.  A job's label is below those of all the
+jobs it dominates, and the releases are nondecreasing along the line, so
+the makespans take one list comprehension per job (``subset_makespans``)
+and each label's dominated jobs are later labels (``_dominance``).
+
 The walk goes through the masks in blocks of 2^_LEAF consecutive ones.
 Inside a block, each subset takes its candidates for the low _LEAF jobs
 one at a time.  After the block that ends at e, the job of e's lowest set
@@ -39,8 +46,11 @@ skipped blocks' share, and an instance without dominance costs what the
 full walk costs.
 
 The completion order is rebuilt from the full set down: at each S the
-smallest index whose candidate equals f(S) and that no other job of S must
-follow.  Every S on that path is closed.
+smallest original index whose candidate equals f(S) and that no other job
+of S must follow, found by scanning the jobs in index order through their
+labels.  Every S on that path is closed.  ``subset_cost`` returns f of the
+full set alone: it runs no rebuild, and it builds the relation only when
+the walk has blocks to skip.
 """
 
 from __future__ import annotations
@@ -58,42 +68,36 @@ def backend_name() -> str:
 
 
 def subset_makespans(releases: list[int], procs: list[int], n: int) -> list[int]:
-    """Makespan of every job subset, indexed by bitmask.
+    """Makespan of every job subset, indexed by bitmask, for jobs listed in
+    release order (``releases`` nondecreasing).
 
     Run work-conservingly, a set ends at ``max(m, r_j) + p_j``, where j is
-    its last job in (release, index) order and ``m`` is the makespan of the
-    rest.  Walking the jobs in that order builds each subset once, from the
-    subset without its last job, so the table takes O(2^n) steps.
+    its highest job and ``m`` is the makespan of the rest.  Job j's subsets
+    are the masks from 2^j up, so each job appends one comprehension over
+    the table built so far, and the table takes O(2^n) steps.
     """
-    m = [0] * (1 << n)
-    built = [0]  # every subset of the jobs walked so far
-    for j in sorted(range(n), key=lambda j: (releases[j], j)):
-        bit, rj, pj = 1 << j, releases[j], procs[j]
-        for s in built:
-            t = m[s]
-            m[s | bit] = (t if t > rj else rj) + pj
-        built += [s | bit for s in built]
+    m = [0]
+    for j in range(n):
+        r, p = releases[j], procs[j]
+        m += [(t if t > r else r) + p for t in m]
     return m
 
 
-def _dominance(
-    releases: list[int], procs: list[int], weights: list[int], n: int
-) -> list[int]:
-    """For each job, the mask of the jobs it dominates, which must go after it.
+def _dominance(procs: list[int], weights: list[int], n: int) -> list[int]:
+    """For each job on the dominance line, the mask of the later jobs it
+    dominates, which must go after it.
 
-    Sorted by (release, processing, -weight, -index), a job comes before
-    every job it dominates, and it dominates a later job exactly when it is
-    no longer and weighs no less.
+    On the line (``_line``) a job comes before every job it dominates, and
+    it dominates a later job exactly when it is no longer and weighs no less.
     """
-    line = sorted(range(n), key=lambda j: (releases[j], procs[j], -weights[j], -j))
     after = [0] * n
-    for a, i in enumerate(line):
-        pi, wi = procs[i], weights[i]
+    for a in range(n):
+        pa, wa = procs[a], weights[a]
         mask = 0
-        for k in line[a + 1:]:
-            if pi <= procs[k] and wi >= weights[k]:
-                mask |= 1 << k
-        after[i] = mask
+        for b in range(a + 1, n):
+            if pa <= procs[b] and wa >= weights[b]:
+                mask |= 1 << b
+        after[a] = mask
     return after
 
 
@@ -151,6 +155,32 @@ def _block_costs(m: list[int], weights: list[int], n: int, after: list[int]) -> 
     return f
 
 
+def _line(
+    releases: list[int], procs: list[int], weights: list[int], n: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The dominance line: job indices sorted by (release, processing,
+    -weight, -index), and the releases, processing times and weights in
+    that order.  Label a stands for job ``line[a]``."""
+    line = sorted(range(n), key=lambda j: (releases[j], procs[j], -weights[j], -j))
+    return (
+        line,
+        [releases[j] for j in line],
+        [procs[j] for j in line],
+        [weights[j] for j in line],
+    )
+
+
+def subset_cost(releases: list[int], procs: list[int], weights: list[int], n: int) -> int:
+    """Minimal total weighted completion time, without an order.
+
+    The same tables as ``subset_dp``; the dominance relation is built only
+    when the walk has blocks to skip (n > _LEAF), and nothing is rebuilt.
+    """
+    _, r, p, w = _line(releases, procs, weights, n)
+    after = _dominance(p, w, n) if n > _LEAF else []
+    return _block_costs(subset_makespans(r, p, n), w, n, after)[-1]
+
+
 def subset_dp(
     releases: list[int], procs: list[int], weights: list[int], n: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -161,23 +191,29 @@ def subset_dp(
     to last completion and respects dominance.  It is rebuilt from the full
     set down, taking at each S the smallest index whose candidate equals
     f(S) and that no other job of S must follow, so among identical jobs
-    the smallest index completes last.  The walk skips the blocks that hold
-    no closed set (``_live_blocks``).
+    the smallest index completes last.  The walk runs on the jobs'
+    dominance-line labels (``_line``) and skips the blocks that hold no
+    closed set (``_live_blocks``).
     """
-    after = _dominance(releases, procs, weights, n)
-    m = subset_makespans(releases, procs, n)
-    f = _block_costs(m, weights, n, after)
+    line, r, p, w = _line(releases, procs, weights, n)
+    after = _dominance(p, w, n)
+    m = subset_makespans(r, p, n)
+    f = _block_costs(m, w, n, after)
+    label = [0] * n
+    for a, j in enumerate(line):
+        label[j] = a
     s = (1 << n) - 1
     value = f[s]
     order = []
     while s:
         ms, fs = m[s], f[s]
-        for j in range(n):
-            if s >> j & 1 and not s & after[j] and weights[j] * ms + f[s ^ (1 << j)] == fs:
+        for j in range(n):  # original indices, so the smallest one wins
+            a = label[j]
+            if s >> a & 1 and not s & after[a] and w[a] * ms + f[s ^ (1 << a)] == fs:
                 break
         else:
             raise RuntimeError(f"no job of set {s:#x} that no other must follow realizes its cost")
         order.append(j)
-        s ^= 1 << j
+        s ^= 1 << a
     order.reverse()
     return value, tuple(order)

@@ -1,12 +1,12 @@
 """Randomized envelope check: worst simulated-over-optimal ratio never
 exceeds the analytic competitive ratio.
 
-Every trial draws a small random instance, finds the policy's objective
-under its worst tie-breaking, divides by the brute-force optimum (both exact
-integers on one scaling of the instance), and checks the quotient against
-the 1.2259 envelope.  The two
-structured classes — unit weights and common release — must come out at
-exactly 1.
+Every trial draws a small random instance and finds the policy's objective
+under its worst tie-breaking and the brute-force optimum, both exact
+integers on one scaling of the instance.  Their quotient is checked against
+the 1.2259 envelope by cross-multiplying, with no Fraction per trial.  The
+two structured classes — unit weights and common release — must come out
+at exactly 1.
 """
 
 from __future__ import annotations
@@ -68,6 +68,20 @@ class FuzzReport:
             raise ValueError("worst ratio fell below 1")
 
 
+def _score(instance: Instance) -> tuple[int, int] | None:
+    """The two ints whose quotient ``evaluate_instance`` returns, (worst,
+    best), or None when the tie search blows its budget."""
+    timeline = instance._by_id
+    weights, _ = _scaled_weights(timeline.weights)
+    try:
+        worst, _ = _worst_search(timeline, weights, Policy.WSRPT)
+    except BudgetExceeded:
+        return None
+    n = len(weights)
+    _check_subset_cap(n)
+    return worst, _backend.subset_cost(timeline.releases, timeline.procs, weights, n)
+
+
 def evaluate_instance(instance: Instance) -> Fraction | None:
     """Worst-tie simulated objective over the brute-force optimum.
 
@@ -77,16 +91,8 @@ def evaluate_instance(instance: Instance) -> Fraction | None:
     budget; such trials are counted but not scored.  Past the subset DP's
     job cap, the DP's ValueError follows the search.
     """
-    timeline = instance._by_id
-    weights, _ = _scaled_weights(timeline.weights)
-    try:
-        worst, _ = _worst_search(timeline, weights, Policy.WSRPT)
-    except BudgetExceeded:
-        return None
-    n = len(weights)
-    _check_subset_cap(n)
-    best, _ = _backend.subset_dp(timeline.releases, timeline.procs, weights, n)
-    return Fraction(worst, best)
+    score = _score(instance)
+    return None if score is None else Fraction(*score)
 
 
 def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport:
@@ -114,35 +120,39 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
     counts = {kind: 0 for kind in RANDOM_KINDS}
     skipped = {kind: 0 for kind in RANDOM_KINDS}
     at_optimum = {kind: 0 for kind in RANDOM_KINDS}
-    worst: dict[str, tuple[Fraction, Instance] | None] = {
+    # Each class's worst trial as (worst, best, instance), compared on ints.
+    worst: dict[str, tuple[int, int, Instance] | None] = {
         kind: None for kind in RANDOM_KINDS
     }
     cap = ENVELOPE + ENVELOPE_SLACK
+    cap_num, cap_den = cap.numerator, cap.denominator
     for i in range(trials):
         kind = RANDOM_KINDS[i % len(RANDOM_KINDS)]
         n = rng.randint(2, n_max)
         instance = gen_random(rng, n, kind)
-        ratio = evaluate_instance(instance)
+        score = _score(instance)
         counts[kind] += 1
-        if ratio is None:
+        if score is None:
             skipped[kind] += 1
             continue
-        if ratio > cap:
-            raise EnvelopeBreach(instance, ratio)
-        if kind in ("unit-weight", "zero-release") and ratio != 1:
-            raise AssertionError(
-                f"{kind} instance simulated at ratio {ratio} != 1"
-            )
-        if ratio == 1:
+        sim, opt = score
+        if sim * cap_den > cap_num * opt:
+            raise EnvelopeBreach(instance, Fraction(sim, opt))
+        if sim == opt:
             at_optimum[kind] += 1
-        if worst[kind] is None or ratio > worst[kind][0]:
-            worst[kind] = (ratio, instance)
+        elif kind in ("unit-weight", "zero-release"):
+            raise AssertionError(
+                f"{kind} instance simulated at ratio {Fraction(sim, opt)} != 1"
+            )
+        top = worst[kind]
+        if top is None or sim * top[1] > top[0] * opt:
+            worst[kind] = (sim, opt, instance)
 
     classes = {
         kind: ClassStats(
             trials=counts[kind],
             skipped=skipped[kind],
-            worst_ratio=worst[kind][0] if worst[kind] else Fraction(1),
+            worst_ratio=Fraction(*worst[kind][:2]) if worst[kind] else Fraction(1),
             at_optimum=at_optimum[kind],
         )
         for kind in RANDOM_KINDS
@@ -152,7 +162,8 @@ def fuzz(trials: int, n_max: int = 7, seed: int = 0, out_dir=None) -> FuzzReport
     certificate_path = None
     if worst["general"] is not None:
         if out_dir is not None:
-            ratio, instance = worst["general"]
+            instance = worst["general"][2]
+            ratio = classes["general"].worst_ratio
             tagged = Instance._on_grid(
                 instance._grid,
                 instance._script,

@@ -20,7 +20,7 @@ fuzz_module = importlib.import_module("wsrpt.fuzz")
 
 def _unit_weight_above_one(instance):
     # Inside the envelope, so only the structured-class check can fire.
-    return Fraction(11, 10) if instance.tags["kind"] == "unit-weight" else Fraction(1)
+    return (11, 10) if instance.tags["kind"] == "unit-weight" else (1, 1)
 
 
 class TestOutDir:
@@ -32,16 +32,17 @@ class TestOutDir:
         assert list(tmp_path.iterdir()) == []
 
 
-def _rigged_general(ratios):
-    """An evaluate_instance that scores the k-th general trial ratios[k]
-    and every structured trial 1; the general instances land in a list."""
+def _rigged_general(scores):
+    """A trial scorer that gives the k-th general trial the (simulated,
+    optimal) pair scores[k] and every structured trial (1, 1); the general
+    instances land in a list."""
     general = []
 
     def evaluate(instance):
         if instance.tags["kind"] != "general":
-            return Fraction(1)
+            return 1, 1
         general.append(instance)
-        return ratios[len(general) - 1]
+        return scores[len(general) - 1]
 
     return evaluate, general
 
@@ -50,22 +51,24 @@ class TestCertificate:
     """The certificate is the earliest general trial of the worst ratio."""
 
     @pytest.mark.parametrize(
-        "ratios, chosen",
+        "scores, chosen",
         [
-            ((Fraction(11, 10),) * 3, 0),
-            ((Fraction(11, 10), Fraction(6, 5), Fraction(6, 5)), 1),
+            # The pairs are compared as ratios, unreduced.
+            (((11, 10), (22, 20), (33, 30)), 0),
+            (((11, 10), (12, 10), (6, 5)), 1),
         ],
         ids=["equal-ratios-keep-the-first", "larger-ratio-replaces"],
     )
-    def test_earliest_worst_trial(self, tmp_path, monkeypatch, ratios, chosen):
-        evaluate, general = _rigged_general(ratios)
-        monkeypatch.setattr(fuzz_module, "evaluate_instance", evaluate)
+    def test_earliest_worst_trial(self, tmp_path, monkeypatch, scores, chosen):
+        evaluate, general = _rigged_general(scores)
+        monkeypatch.setattr(fuzz_module, "_score", evaluate)
         report = fuzz(9, seed=4, out_dir=tmp_path)
         assert len(general) == 3
+        ratio = Fraction(*scores[chosen])
         certificate = read_instance(report.certificate_path)
         assert certificate.jobs == general[chosen].jobs
-        assert certificate.tags["fuzz_ratio"] == str(ratios[chosen])
-        assert report.classes["general"].worst_ratio == ratios[chosen]
+        assert certificate.tags["fuzz_ratio"] == str(ratio)
+        assert report.classes["general"].worst_ratio == ratio
 
 
 class TestNMax:
@@ -92,13 +95,13 @@ class TestNMax:
 
 class TestGates:
     def test_ratio_past_the_envelope_is_a_breach(self, monkeypatch):
-        monkeypatch.setattr(fuzz_module, "evaluate_instance", lambda _: Fraction(13, 10))
+        monkeypatch.setattr(fuzz_module, "_score", lambda _: (13, 10))
         with pytest.raises(EnvelopeBreach, match="ratio 1.300000000 exceeds") as exc:
             fuzz(1, seed=0)
         assert exc.value.ratio == Fraction(13, 10)
 
     def test_unit_weight_ratio_above_one_fails(self, monkeypatch):
-        monkeypatch.setattr(fuzz_module, "evaluate_instance", _unit_weight_above_one)
+        monkeypatch.setattr(fuzz_module, "_score", _unit_weight_above_one)
         with pytest.raises(AssertionError) as exc:
             fuzz(3, seed=0)
         assert not isinstance(exc.value, EnvelopeBreach)
@@ -107,13 +110,13 @@ class TestGates:
     @pytest.mark.parametrize(
         "rigged, message",
         [
-            (lambda _: Fraction(13, 10), "ratio 1.300000000 exceeds envelope"),
+            (lambda _: (13, 10), "ratio 1.300000000 exceeds envelope"),
             (_unit_weight_above_one, "unit-weight instance simulated at ratio 11/10"),
         ],
         ids=["breach", "unit-weight"],
     )
     def test_cli_exits_2(self, tmp_path, capsys, monkeypatch, rigged, message):
-        monkeypatch.setattr(fuzz_module, "evaluate_instance", rigged)
+        monkeypatch.setattr(fuzz_module, "_score", rigged)
         code = main(["fuzz", "--trials", "3", "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"assertion failed: {message}")
@@ -163,15 +166,15 @@ class TestEvaluateInstance:
     def test_hand_made_instances_match_the_reference(self, instance):
         assert evaluate_instance(instance) == reference_ratio(instance)
 
-    def test_subset_dp_is_looked_up_at_call_time(self, monkeypatch):
-        # The benchmark's tracer wraps _backend.subset_dp and reads n as its
-        # fourth positional argument.
+    def test_subset_cost_is_looked_up_at_call_time(self, monkeypatch):
+        # A tracer can wrap _backend.subset_cost and read n as its fourth
+        # positional argument.
         calls = []
-        dp = _backend.subset_dp
-        monkeypatch.setattr(_backend, "subset_dp", lambda *args: (calls.append(args), dp(*args))[1])
+        cost = _backend.subset_cost
+        monkeypatch.setattr(_backend, "subset_cost", lambda *args: (calls.append(args), cost(*args))[1])
         instance = HAND_MADE["ids-out-of-list-order"]
         assert evaluate_instance(instance) == reference_ratio(instance)
-        assert [len(args) for args in calls] == [4, 4]
+        assert [len(args) for args in calls] == [4]
         assert calls[0][3] == len(instance.jobs)
 
     def test_search_over_budget_is_not_scored(self, monkeypatch):

@@ -109,7 +109,7 @@ def reference_subset_dp(releases, procs, weights, n):
     smallest index whose candidate equals f and that no other job of the
     subset must follow."""
     size = 1 << n
-    m = _backend.subset_makespans(releases, procs, n)
+    m = sweep_makespans(releases, procs, n)
     f = [0] * size
     last = [0] * size
     for s in range(1, size):
@@ -160,12 +160,14 @@ class TestBruteforce:
     @settings(max_examples=120, deadline=None)
     def test_subset_dp_matches_the_reference(self, data):
         # Small leaves put folds, block edges and skipped blocks inside n <= 10.
+        # subset_cost runs the same walk, with no relation up to the leaf.
         releases, procs, weights, n = narrow_draw(data, 10)
         expected = reference_subset_dp(releases, procs, weights, n)
         with pytest.MonkeyPatch.context() as patch:
             for leaf in (1, 2, 7):
                 patch.setattr(_backend, "_LEAF", leaf)
                 assert _backend.subset_dp(releases, procs, weights, n) == expected
+                assert _backend.subset_cost(releases, procs, weights, n) == expected[0]
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
@@ -205,6 +207,30 @@ class TestBruteforce:
         assert order == tuple(range(n - 1, -1, -1))
         assert value == n * (n + 1) // 2
 
+    @pytest.mark.parametrize(
+        "releases, procs, weights, expected",
+        [
+            # free16 with its releases reversed: r = 15 - j.
+            (
+                [15 - j for j in range(16)], [17 - j for j in range(16)], [1 + j % 3 for j in range(16)],
+                (1620, (15, 14, 13, 11, 8, 10, 5, 12, 7, 2, 4, 9, 1, 6, 3, 0)),
+            ),
+            # gen_random(Random(1), 16) on its grid, times and weights in halves.
+            (
+                [1, 2, 6, 5, 0, 6, 4, 3, 6, 0, 0, 4, 5, 5, 1, 4],
+                [5, 1, 4, 4, 4, 4, 1, 3, 2, 3, 1, 1, 2, 1, 4, 2],
+                [1, 4, 4, 2, 1, 4, 6, 6, 5, 1, 6, 4, 4, 5, 4, 3],
+                (748, (10, 1, 6, 13, 11, 7, 8, 12, 15, 14, 5, 2, 3, 9, 4, 0)),
+            ),
+        ],
+        ids=["free16-reversed-releases", "r16"],
+    )
+    def test_jobs_out_of_release_order_keep_their_order(self, releases, procs, weights, expected):
+        # The walk runs on the jobs relabelled in release order; the order
+        # it returns names the jobs by their own indices.
+        assert _backend.subset_dp(releases, procs, weights, 16) == expected
+        assert _backend.subset_cost(releases, procs, weights, 16) == expected[0]
+
     def test_tie_goes_to_the_job_nothing_must_follow(self):
         # Both jobs weigh 0, so both orders cost 0; job 0 is shorter, so it
         # goes first and job 1 completes last.
@@ -226,15 +252,17 @@ class TestBruteforce:
     def test_live_blocks_are_those_with_every_dominator(self, shape, live):
         releases, procs, weights = (list(col) for col in zip(*shape))
         n = len(shape)
-        after = _backend._dominance(releases, procs, weights, n)
+        _, _, procs, weights = _backend._line(releases, procs, weights, n)
+        after = _backend._dominance(procs, weights, n)
         flags = _backend._live_blocks(after, n, min(n, _backend._LEAF))
         assert [b for b, flag in enumerate(flags) if flag] == live
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_makespans_match_the_subset_sweep(self, data):
+        # The table is built for jobs listed in release order.
         n = data.draw(st.integers(0, 8))
-        releases = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        releases = sorted(data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
         procs = data.draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
         assert _backend.subset_makespans(releases, procs, n) == sweep_makespans(
             releases, procs, n
