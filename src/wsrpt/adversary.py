@@ -44,7 +44,7 @@ from .instances import (
     write_json,
 )
 from .oracle import closed_pair_optimal, pair_objectives, priority_schedule
-from .simulator import Policy, TieRule, _ratio_key, simulate
+from .simulator import Policy, TieRule, _smith_rank, simulate
 
 #: Branch names, in the order the game tests them.
 BRANCH_FIRST_UNTOUCHED = "first-untouched"  # second job ran the whole prefix
@@ -185,7 +185,7 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
     weight-over-remaining ratio — stays proportionate.  At the first release
     after zero it stops rotating and finishes the remaining jobs
     nonpreemptively in decreasing current-ratio order (running job first
-    among ties, then lower id), ranked exactly by ``_ratio_key``.
+    among ties, then lower id), ranked exactly by ``_smith_rank``.
     """
     ids, releases, procs, den_t, weights = instance._grid
     proc = dict(zip(ids, procs))
@@ -223,7 +223,8 @@ def _equalizer_schedule(instance: Instance) -> Schedule:
             running = jid
 
     alive = [k for k, i in enumerate(ids) if rem[i] > 0]
-    alive.sort(key=lambda k: (*_ratio_key(*weights[k], rem[ids[k]]), ids[k] != running, ids[k]))
+    smith = _smith_rank(weights, [rem[i] for i in ids])
+    alive.sort(key=lambda k: (smith(k, rem[ids[k]]), ids[k] != running, ids[k]))
     for k in alive:
         start = max(now, releases[k] * scale)
         now = start + rem[ids[k]]

@@ -33,10 +33,10 @@ from .simulator import (
     _choose_top,
     _event_search,
     _path_schedule,
-    _ratio_key,
     _run,
     _scaled_weights,
     _schedule,
+    _smith_rank,
 )
 
 #: Hard job-count cap for the subset DP (2^n table).
@@ -140,13 +140,13 @@ def structured_optimal(instance: Instance) -> OptimalResult:
     timeline = instance._by_id
     times = sorted(set(timeline.releases))
     following = dict(zip(times, times[1:]))
-    # (-ratio, overruns the next release, -processing, release, index) on the
-    # integer grid: jobs are indices in id order, and _ratio_key ranks w/p.
+    # (rank of w/p, overruns the next release, -processing, release, index)
+    # on the integer grid: jobs are indices in id order, and _smith_rank
+    # ranks w/p exactly, higher ratios first.
+    smith = _smith_rank(timeline.weights, timeline.procs)
     ranked = sorted(
-        (*_ratio_key(num, den, p), r + p > following.get(r, inf), -p, r, k)
-        for k, ((num, den), p, r) in enumerate(
-            zip(timeline.weights, timeline.procs, timeline.releases)
-        )
+        (smith(k, p), r + p > following.get(r, inf), -p, r, k)
+        for k, (p, r) in enumerate(zip(timeline.procs, timeline.releases))
     )
     rank = [0] * len(ranked)
     for pos, entry in enumerate(ranked):

@@ -7,19 +7,15 @@ Equality instances make *every* release a tie, which is why selection is
 exact and ties are resolved by an explicit rule or script.  The single-path
 engine selects on the instance's own integer grid in id order, built once
 per instance (``Instance._by_id``): times are ints over the lcm of the
-release and processing denominators, each weight is its reduced integer
-pair, and a WSRPT or WSPT key is the ratio's correctly rounded float
-followed by its reduced pair (weight numerator, weight denominator times
-remaining work).  Rounding is monotone, so the float settles every order
-it can and never contradicts the exact one; two ratios with equal floats
-are compared by cross-multiplying the pairs.  The loop ranks a job once at
-its release and once after each run that leaves it unfinished, and the
-tie rule compares those cached ranks.  Equal ranks given at release are
-interned into one object, so the heap settles a tie among them (a burst
-of identical jobs, a release that ties the running job) by identity,
-without looking inside the ranks.  No rank grows as its job's work
-shrinks, so a chosen job at the heap's top gets its new rank written
-straight into the top, with no sift.
+release and processing denominators, and each weight is its reduced
+integer pair.  A WSRPT or WSPT key is the Smith ratio's exact rank from
+``_smith_rank``: one int, the ratio floored on a power-of-two scale fine
+enough that distinct ratios get distinct floors, so ranks compare and tie
+exactly as the ratios do.  The loop ranks a job once at its release and
+once after each run that leaves it unfinished, and the tie rule compares
+those cached ranks.  No rank grows as its job's work shrinks, so a chosen
+job at the heap's top gets its new rank written straight into the top,
+with no sift.
 The engine's runs are ``(job, start, end)`` tuples on that grid; a
 returned schedule keeps them as they are and builds Fraction slices only
 when they are read.
@@ -38,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, inf, lcm
+from math import inf, lcm
 
 from .core import (
     Instance,
@@ -81,36 +77,28 @@ class BudgetExceeded(RuntimeError):
     """Raised when a memoized search outgrows the limit rule of ``_event_search``."""
 
 
-class _Ratio(tuple):
-    """A nonnegative ratio as its reduced (numerator, denominator) pair.
+def _smith_rank(weights: list[tuple[int, int]], works: list[int]):
+    """``rank(k, work)``: job k's Smith ratio w_k/work as a rank (smaller runs first).
 
-    Reduced, so equal ratios are equal tuples.  ``<`` cross-multiplies and
-    puts the larger ratio first, so a min-heap serves the highest ratio.
+    ``weights[k]`` is job k's weight as its reduced (numerator, denominator)
+    pair, and every work a job is ranked at is at most the largest of
+    ``works``.  The rank is one int, ``-((num << b) // (den * work))``, with
+    b = 2 * bitlen(largest weight denominator * largest work).  It is exact:
+    two distinct ratios whose denominators are below 2^(b/2) differ by more
+    than 2^-b, so their floors on the scale of 2^b differ, and equal ratios
+    get equal floors.  Floor is monotone, so no rank grows as work shrinks,
+    for any work.  The division costs time quadratic in the scale's width,
+    which is 104 bits at the basic family's delta = 1/10000 point but runs
+    to thousands of bits on a grid of many unrelated denominators.
     """
+    dens = [den for _, den in weights]
+    b = 2 * (max(dens) * max(works)).bit_length()
+    nums = [num << b for num, _ in weights]
 
-    __slots__ = ()
+    def rank(k: int, work: int) -> int:
+        return -(nums[k] // (dens[k] * work))
 
-    def __lt__(self, other):
-        return self[0] * other[1] > other[0] * self[1]
-
-
-def _ratio_key(num: int, den: int, work: int) -> tuple[float, _Ratio]:
-    """Rank of the ratio (num/den)/work (smaller runs first): ``(-f, pair)``.
-
-    ``num/den`` is a weight as its reduced integer pair (a Fraction's
-    numerator and denominator).  ``pair`` is the ratio as a reduced
-    ``_Ratio`` and ``f`` its correctly rounded float, or inf past the float
-    range.  Rounding is monotone, so ``f`` never orders two ratios against
-    their exact order; equal floats fall through to the pair, and equal
-    ratios give equal keys.
-    """
-    g = gcd(num, work)
-    num, den = num // g, den * (work // g)
-    try:
-        f = num / den
-    except OverflowError:
-        f = inf
-    return -f, _Ratio((num, den))
+    return rank
 
 
 def _scaled_weights(weights: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -183,18 +171,16 @@ def _run(timeline: _Timeline, key, choose) -> list[tuple[int, int, int]]:
     static.  Each job is ranked once at its release and once after each
     run that leaves it unfinished; ``ranks[k]`` holds job k's last rank,
     which is its rank at ``rem[k]`` for every released unfinished job,
-    since only the job that ran has less work left.  Equal ranks given at
-    release are interned into one object, so a tie between them is
-    settled by identity before the comparison looks inside the ranks.  At
-    each decision point ``choose(now, new, running, rem, ranks, top_key,
-    top)`` returns the job to run until the next release or its
-    completion: ``new`` are the jobs released at ``now`` in ascending
-    order (else empty), ``running`` is the unfinished job that ran up to
-    ``now`` (else None), ``rem`` holds every job's remaining work, and
-    ``top`` is the smallest index among the released jobs of minimal rank
-    ``top_key``.  ``choose`` compares ranks through ``ranks`` and calls no
-    ``key``.  Returns the runs ``(k, start, end)`` on the grid, adjacent
-    runs of a job fused; ``_schedule`` makes them a schedule on that grid.
+    since only the job that ran has less work left.  At each decision
+    point ``choose(now, new, running, rem, ranks, top_key, top)`` returns
+    the job to run until the next release or its completion: ``new`` are
+    the jobs released at ``now`` in ascending order (else empty),
+    ``running`` is the unfinished job that ran up to ``now`` (else None),
+    ``rem`` holds every job's remaining work, and ``top`` is the smallest
+    index among the released jobs of minimal rank ``top_key``.  ``choose``
+    compares ranks through ``ranks`` and calls no ``key``.  Returns the
+    runs ``(k, start, end)`` on the grid, adjacent runs of a job fused;
+    ``_schedule`` makes them a schedule on that grid.
 
     The released unfinished jobs sit in a min-heap of (rank, index,
     version).  A chosen job that is the heap's top keeps its entry there:
@@ -211,7 +197,6 @@ def _run(timeline: _Timeline, key, choose) -> list[tuple[int, int, int]]:
     heap: list[tuple] = []
     ranks: list = [None] * len(rem)
     version = [0] * len(rem)
-    intern = {}.setdefault  # one object per distinct rank given at release
 
     runs: list[tuple[int, int, int]] = []
     next_t, next_new = next(groups)
@@ -222,8 +207,7 @@ def _run(timeline: _Timeline, key, choose) -> list[tuple[int, int, int]]:
         if now == next_t:
             new = next_new
             for k in new:
-                rank = key(k, rem[k])
-                rank = ranks[k] = intern(rank, rank)
+                rank = ranks[k] = key(k, rem[k])
                 heapq.heappush(heap, (rank, k, 0))
             next_t, next_new = next(groups, (inf, ()))
         else:
@@ -299,9 +283,9 @@ def _schedule(timeline: _Timeline, runs: list[tuple[int, int, int]]) -> Schedule
 def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
 
-    WSRPT ranks by ``_ratio_key`` of w/rem on the integer grid (the common
+    WSRPT ranks by ``_smith_rank`` of w/rem on the integer grid (the common
     factor den_t left out), with each weight's reduced pair read from the
-    timeline, WSPT by the same key at full processing time and SRPT by
+    timeline, WSPT by the same rank at full processing time and SRPT by
     ``rem`` itself.  ``choose`` reads the ranks ``_run`` caches and calls no key.
     ``script`` is the tie script SCRIPTED follows: an instance's own script
     on its grid (a ``_GridScript``), read as it is, or any other script,
@@ -309,17 +293,15 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     checks them.  Its entries off the grid match no event.
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
-    weights, den_t = timeline.weights, timeline.den_t
+    den_t = timeline.den_t
 
     if policy is Policy.WSRPT:
-
-        def key(k: int, rem: int) -> tuple[float, _Ratio]:
-            num, den = weights[k]
-            return _ratio_key(num, den, rem)
+        key = _smith_rank(timeline.weights, timeline.procs)
     elif policy is Policy.WSPT_PREEMPTIVE:
-        static = [_ratio_key(num, den, p) for (num, den), p in zip(weights, timeline.procs)]
+        rank = _smith_rank(timeline.weights, timeline.procs)
+        static = [rank(k, p) for k, p in enumerate(timeline.procs)]
 
-        def key(k: int, rem: int) -> tuple[float, _Ratio]:
+        def key(k: int, rem: int):
             return static[k]
     elif policy is Policy.SRPT:
 
@@ -517,12 +499,7 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
     ids, procs, den_t, weights = timeline.ids, timeline.procs, timeline.den_t, timeline.weights
     runs = _own_run(instance)._runs
     index = {job_id: k for k, job_id in enumerate(ids)}  # runs name jobs by id
-
-    def ratio(k: int, work: int) -> tuple[int, int]:
-        """Job k's Smith ratio with ``work`` left as a reduced pair: equal ratios, equal pairs."""
-        num, den = weights[k]
-        g = gcd(num, work)
-        return num // g, den * (work // g)
+    rank = _smith_rank(weights, procs)  # equal ratios, equal ranks
 
     rem = list(procs)  # each job's work left at the start of runs[i]
     violations: list[tuple[Fraction, str]] = []
@@ -535,13 +512,13 @@ def is_equality_instance(instance: Instance) -> EqualityReport:
         job, start, _ = runs[i]
         k = index[job]
         left = rem[k] - (t - start)
-        ratios = {ratio(j, procs[j]) for j in new}
+        ratios = {rank(j, procs[j]) for j in new}
         if len(ratios) > 1:
             new_ids = [ids[j] for j in new]
             violations.append(
                 (Fraction(t, den_t), f"co-released jobs {new_ids} have distinct ratios")
             )
-        elif start < t and left and ratio(k, left) not in ratios:
+        elif start < t and left and rank(k, left) not in ratios:
             new_ids = [ids[j] for j in new]
             violations.append(
                 (Fraction(t, den_t),

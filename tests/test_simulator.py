@@ -2,7 +2,6 @@
 and the splitting transformation."""
 
 import heapq
-import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -33,9 +32,9 @@ from wsrpt.simulator import (
     _exhaustive_worst,
     _grid_ratio,
     _policy,
-    _ratio_key,
     _release_groups,
     _run,
+    _smith_rank,
     is_equality_instance,
     simulate,
     split_job,
@@ -297,9 +296,9 @@ class TestSimulate:
         assert objective(sched, flat) == optimal_objective(flat)
 
 
-#: Ratios at the edges of the engine's float prefix, each with the larger
-#: ratio at the larger id, so a rank that stopped at the float would pick
-#: the wrong job: ratios past the float range, ratios that underflow to 0.0
+#: Ratios at the edges of the float range, each with the larger ratio at
+#: the larger id, so a rank that rounded ratios to floats would pick the
+#: wrong job: ratios past the float range, ratios that underflow to 0.0
 #: beside a zero weight, and ratios 2^-60 apart that round to one float.
 FLOAT_EDGES = {
     "overflow": Instance(
@@ -349,8 +348,14 @@ WIDE_WEIGHTS = st.one_of(
 )
 
 
-class TestRatioKey:
-    """The float prefix never decides an order against the exact one."""
+def _rank_of(weights, works):
+    """``_smith_rank`` over Fraction ``weights`` and the works bound ``works``."""
+    pairs = [(w.numerator, w.denominator) for w in map(Fraction, weights)]
+    return _smith_rank(pairs, works)
+
+
+class TestSmithRank:
+    """``_smith_rank``'s ints order and tie ratios exactly as the ratios do."""
 
     @given(
         WIDE_WEIGHTS.flatmap(lambda w: st.tuples(st.just(w), _weights_near(w))),
@@ -362,24 +367,23 @@ class TestRatioKey:
     def test_orders_as_the_exact_ratio(self, weights, p, q, same_work):
         w, v = weights
         q = p if same_work else q
-        a = _ratio_key(w.numerator, w.denominator, p)
-        b = _ratio_key(v.numerator, v.denominator, q)
+        rank = _rank_of(weights, [p, q])
+        a, b = rank(0, p), rank(1, q)
         assert (a < b) == (w / p > v / q)
         assert (a == b) == (w / p == v / q)
 
-    @pytest.mark.parametrize(
-        "weight, prefix",
-        [
-            (Fraction(10**400), -math.inf),
-            (Fraction(1, 10**400), -0.0),
-            (Fraction(0), -0.0),
-            (1 + Fraction(1, 2**60), -1.0),
-        ],
-    )
-    def test_prefix_is_the_rounded_float(self, weight, prefix):
-        key = _ratio_key(weight.numerator, weight.denominator, 1)
-        assert key[0] == prefix
-        assert Fraction(*key[1]) == weight
+    @pytest.mark.parametrize("bits", [2, 8, 61, 300])
+    @pytest.mark.parametrize("in_weight", [True, False], ids=["weight", "work"])
+    def test_neighbours_at_the_scale_edge(self, bits, in_weight):
+        """1/(2^bits - 1) and 1/2^bits differ by about 2^(-2 bits): the int
+        rank parts them only on the scale of twice the width."""
+        n = 2**bits
+        if in_weight:
+            weights, works = [Fraction(1, n - 1), Fraction(1, n)], [1, 1]
+        else:
+            weights, works = [1, 1], [n - 1, n]
+        rank = _rank_of(weights, works)
+        assert rank(0, works[0]) < rank(1, works[1])
 
 
 class TestAgainstReference:
@@ -455,9 +459,11 @@ class TestBursts:
     """Bursts of identical pieces: the ties the adversary game is made of."""
 
     def test_near_ratios_share_one_float(self):
-        keys = [_ratio_key(*pair, 1) for pair in burst_instance(1, 1, 2)._by_id.weights[2:]]
-        assert len({f for f, _ in keys}) == 1
-        assert keys[2] < keys[0] < keys[1]
+        weights = [Fraction(*pair) for pair in burst_instance(1, 1, 2)._by_id.weights[2:]]
+        assert len(set(map(float, weights))) == 1
+        rank = _rank_of(weights, [1, 1, 1])
+        ranks = [rank(k, 1) for k in range(3)]
+        assert ranks[2] < ranks[0] < ranks[1]
 
     @pytest.mark.parametrize("k, at, ratio", BURSTS)
     @pytest.mark.parametrize("policy", list(Policy))
@@ -512,8 +518,8 @@ WORK = st.integers(min_value=2, max_value=10**400).flatmap(
 
 
 def _assert_rank_never_grows(key, n: int, data) -> None:
-    """``key(k, r2) <= key(k, r1)`` whenever 0 < r2 < r1, in the one order
-    the heap uses (``<``; a ``_Ratio`` defines no other)."""
+    """``key(k, r2) <= key(k, r1)`` whenever 0 < r2 < r1, in the order the
+    heap uses (``<``)."""
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
     r1, r2 = data.draw(WORK)
     assert not key(k, r1) < key(k, r2)
