@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[x.value for x in TieRule if x not in game_ties],
         default="prefer-running",
     )
-    p.add_argument("--delta", default="1e-3")
+    p.add_argument("--delta", default=None, help="burst piece length (default: p1/1000)")
     p.add_argument("--p1", default="1")
     p.add_argument("--p2", default="2.3364")
     p.set_defaults(func=_cmd_adversary)

@@ -9,9 +9,9 @@ the event engine, the oracles, the objective and the feasibility check
 work on ints.  The ``Fraction`` views (``Instance.jobs``,
 ``Instance.tie_script``, ``Schedule.slices``) are derived from the grids,
 never the other way round, and built only when they are read.  The event
-engine's rank puts a ratio's correctly rounded float in front of its
-exact pair, but never decides an order or a tie on the float alone.
-Otherwise floating point is reserved for the analysis module, which
+engine and the exhaustive tie search rank each Smith ratio by one exact
+int (``simulator._smith_rank``), so ranks order and tie exactly as the
+ratios do.  Floating point is reserved for the analysis module, which
 works with closed forms and quadrature under stated tolerances.
 """
 

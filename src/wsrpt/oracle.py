@@ -109,21 +109,15 @@ def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
     them all), and a priority-list schedule switches jobs only at releases
     and completions.  So the optimum is a path of ``_event_search`` moves,
     each running one available job until it completes or the next release.
-    Available jobs of equal weight and remaining work are interchangeable,
-    so one job per such class branches.  The search's limits raise
-    BudgetExceeded: more than MAX_SEARCH_DEPTH jobs up front, more than
-    CELLS // n memo states, or a path deeper than MAX_SEARCH_DEPTH moves.
+    The search ranks no job (``key`` None), so its moves run the first
+    available job of each (weight, remaining work) class: such jobs are
+    interchangeable.  The search's limits raise BudgetExceeded: more than
+    MAX_SEARCH_DEPTH jobs up front, more than CELLS // n memo states, or a
+    path deeper than MAX_SEARCH_DEPTH moves.
     """
-
-    def one_per_class(available, rem, weights):
-        classes = {}
-        for k in available:
-            classes.setdefault((weights[k], rem[k]), k)
-        return classes.values()
-
     timeline = instance._by_id
     weights, den_w = _scaled_weights(timeline.weights)
-    value, path = _event_search(timeline, weights, one_per_class, -1, "time-indexed DP")
+    value, path = _event_search(timeline, weights, None, -1, "time-indexed DP")
     obj = Fraction(value, timeline.den_t * den_w)
     return OptimalResult(_path_schedule(timeline, path), obj, "dp-timeindexed")
 

@@ -280,13 +280,30 @@ def _schedule(timeline: _Timeline, runs: list[tuple[int, int, int]]) -> Schedule
     return Schedule._on_grid(runs, timeline.den_t)
 
 
-def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
-    """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
+def _policy_key(timeline: _Timeline, policy: Policy):
+    """``key(k, rem)``: the policy's rank of job k with ``rem`` work left.
 
     WSRPT ranks by ``_smith_rank`` of w/rem on the integer grid (the common
     factor den_t left out), with each weight's reduced pair read from the
     timeline, WSPT by the same rank at full processing time and SRPT by
-    ``rem`` itself.  ``choose`` reads the ranks ``_run`` caches and calls no key.
+    ``rem`` itself.  The smallest rank runs first, and equal ranks tie.
+    """
+    if policy is Policy.WSRPT:
+        return _smith_rank(timeline.weights, timeline.procs)
+    if policy is Policy.WSPT_PREEMPTIVE:
+        rank = _smith_rank(timeline.weights, timeline.procs)
+        static = [rank(k, p) for k, p in enumerate(timeline.procs)]
+        return lambda k, rem: static[k]
+    if policy is Policy.SRPT:
+        return lambda k, rem: rem
+    raise ValueError(f"unknown policy {policy!r}")
+
+
+def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
+    """``(key, choose)`` for ``_run``: the policy's rank and the tie rule.
+
+    ``key`` is ``_policy_key``'s.  ``choose`` reads the ranks ``_run``
+    caches and calls no key.
     ``script`` is the tie script SCRIPTED follows: an instance's own script
     on its grid (a ``_GridScript``), read as it is, or any other script,
     which is put on the grid first, its choices checked as the constructor
@@ -294,21 +311,7 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
     EXHAUSTIVE_WORST is no single-path rule; ``simulate`` runs it itself.
     """
     den_t = timeline.den_t
-
-    if policy is Policy.WSRPT:
-        key = _smith_rank(timeline.weights, timeline.procs)
-    elif policy is Policy.WSPT_PREEMPTIVE:
-        rank = _smith_rank(timeline.weights, timeline.procs)
-        static = [rank(k, p) for k, p in enumerate(timeline.procs)]
-
-        def key(k: int, rem: int):
-            return static[k]
-    elif policy is Policy.SRPT:
-
-        def key(k: int, rem: int) -> int:
-            return rem
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    key = _policy_key(timeline, policy)
 
     # Scaled time -> (job id, its index or None when no job has that id).
     script_map: dict[int, tuple[int, int | None]] = {}
@@ -356,7 +359,7 @@ def _policy(timeline: _Timeline, policy: Policy, tie: TieRule, script):
 _PATH_END = (0, None, None)
 
 
-def _event_search(timeline: _Timeline, weights: list[int], leaders, sign: int, what: str):
+def _event_search(timeline: _Timeline, weights: list[int], key, sign: int, what: str):
     """The one memoized search: ``(objective, path)`` of its best path.
 
     Runs on the integer grid of ``timeline``, with ``weights`` the jobs'
@@ -366,11 +369,17 @@ def _event_search(timeline: _Timeline, weights: list[int], leaders, sign: int, w
     state's best continuation is computed once.  A move runs one available
     job until it completes or the next release; with no job available, time
     jumps to the next release, a move that leaves no slice.
-    ``leaders(available, rem, weights)`` picks, in preference order, the
-    jobs a move may run.  A completion at ``end`` gains ``sign * w * end``,
-    so the search finds the worst objective for ``sign`` = 1 and the best
-    for -1; only a strictly higher value replaces the incumbent, so among
-    equal moves the first one wins.
+
+    The moves of a state run, in index order, the first job of each
+    (weight, remaining work) class among the available jobs of minimal
+    ``key(k, rem)`` rank (a policy's ``_policy_key``), or among all the
+    available jobs when ``key`` is None.  Two released jobs of equal weight
+    and equal work left, tied in rank, can trade places in any schedule
+    without changing its objective, so one of them branches for both.  A
+    completion at ``end`` gains ``sign * w * end``, so the search finds the
+    worst objective for ``sign`` = 1 and the best for -1; only a strictly
+    higher value replaces the incumbent, so among equal moves the first one
+    wins.
 
     A memo entry is ``(value, step, continuation)``: it links to the entry
     of the rest of the path instead of copying it.  ``path`` is the start
@@ -401,9 +410,18 @@ def _event_search(timeline: _Timeline, weights: list[int], leaders, sign: int, w
         available = [k for k in range(n) if rem[k] and releases[k] <= now]
         if depth == MAX_SEARCH_DEPTH and (available or i < len(times)):
             raise BudgetExceeded(f"{what} exceeded search depth {MAX_SEARCH_DEPTH}")
+        if len(available) > 1:
+            if key is not None:
+                ranks = [key(k, rem[k]) for k in available]
+                top = min(ranks)
+                available = [k for k, rank in zip(available, ranks) if rank == top]
+            classes: dict = {}
+            for k in available:
+                classes.setdefault((weights[k], rem[k]), k)
+            available = classes.values()
         entry = _PATH_END
         if available:
-            for k in leaders(available, rem, weights):
+            for k in available:
                 end = now + rem[k]
                 if i < len(times) and times[i] < end:
                     end = times[i]
@@ -439,33 +457,17 @@ def _path_schedule(timeline: _Timeline, path: tuple) -> Schedule:
 def _worst_search(timeline: _Timeline, weights: list[int], policy: Policy):
     """``_event_search`` over every tie branch: ``(objective, path)`` of the worst run.
 
-    Each move runs one of the policy's tied leaders, tried in ascending id
-    order, so among equally bad choices the smallest id wins.
+    Each move runs one of the policy's tied leaders, the first in id order
+    of its (weight, remaining work) class, tried in ascending id order, so
+    among equally bad choices the smallest id wins.  An unknown policy
+    raises ``_policy_key``'s ValueError.
     """
-    procs = timeline.procs
-    srpt = policy is Policy.SRPT
-    static = policy is Policy.WSPT_PREEMPTIVE
-
-    def leaders(available, rem, weights):
-        # Each key is a ratio x/y of w/rem, w/p or 1/rem; compare them by
-        # cross-multiplying the scaled integers.
-        top, a, b = [], 0, 1
-        for k in available:
-            x = 1 if srpt else weights[k]
-            y = procs[k] if static else rem[k]
-            if not top or x * b > a * y:
-                top, a, b = [k], x, y
-            elif x * b == a * y:
-                top.append(k)
-        return top
-
-    return _event_search(timeline, weights, leaders, 1, "exhaustive tie search")
+    key = _policy_key(timeline, policy)
+    return _event_search(timeline, weights, key, 1, "exhaustive tie search")
 
 
 def _exhaustive_worst(instance: Instance, policy: Policy):
     """Explore every tie branch; return (objective, schedule) of the worst run."""
-    if not isinstance(policy, Policy):
-        raise ValueError(f"unknown policy {policy!r}")
     timeline = instance._by_id
     weights, den_w = _scaled_weights(timeline.weights)
     value, path = _worst_search(timeline, weights, policy)

@@ -332,6 +332,13 @@ class TestAnalysisCommands:
         assert "branch terminal" in out and "ratio" in out
         assert json.loads(dest.read_text())["branch"] == "terminal"
 
+    def test_adversary_delta_defaults_to_a_thousandth_of_p1(self, tmp_path, capsys):
+        # One default, play's: at p1 = 2 the burst is cut into pieces of 1/500.
+        dest = tmp_path / "transcript.json"
+        code, _ = run(capsys, "adversary", "--p1", "2", "--p2", "5", "--out", str(dest))
+        assert code == 0
+        assert json.loads(dest.read_text())["instance"]["tags"]["delta"] == "1/500"
+
     def test_fuzz_small(self, tmp_path, capsys):
         code, out = run(
             capsys, "fuzz", "--trials", "40", "--seed", "3",

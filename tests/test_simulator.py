@@ -17,6 +17,7 @@ import wsrpt.oracle
 import wsrpt.simulator
 from wsrpt.adversary import play
 from wsrpt.core import Instance, Job, Schedule, Slice, objective, to_rational
+from wsrpt.fuzz import ENVELOPE
 from wsrpt.instances import RANDOM_KINDS, ScenarioParams, gen_basic, gen_random
 from wsrpt.oracle import (
     optimal_dp_timeindexed,
@@ -711,24 +712,141 @@ class TestTieRules:
             simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
 
     def test_exhaustive_worst_refuses_past_state_budget(self, monkeypatch):
-        # Four tied unit jobs branch into more than CELLS // 4 = 5 states.
+        # Four tied jobs of ratio 1 in distinct (weight, work) classes
+        # branch into more than CELLS // 4 = 5 states.
         monkeypatch.setattr(wsrpt.simulator, "CELLS", 20)
-        inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(4)))
+        inst = Instance(tuple(Job(i, 0, i + 1, i + 1) for i in range(4)))
         with pytest.raises(BudgetExceeded, match="exhaustive tie search exceeded 5 states"):
             simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
 
     @pytest.mark.parametrize("cells, refused", [(59, True), (60, False)])
     def test_cells_cap_the_exhaustive_search(self, monkeypatch, cells, refused):
         # Each state holds one remainder per job, so 4 jobs get CELLS // 4
-        # states; four tied unit jobs need 15 of them.
+        # states; four tied jobs in distinct classes need 15 of them.
         monkeypatch.setattr(wsrpt.simulator, "CELLS", cells)
-        inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(4)))
+        inst = Instance(tuple(Job(i, 0, i + 1, i + 1) for i in range(4)))
         if refused:
             with pytest.raises(BudgetExceeded, match="exhaustive tie search exceeded 14 states"):
                 _exhaustive_worst(inst, Policy.WSRPT)
         else:
             value, _ = _exhaustive_worst(inst, Policy.WSRPT)
-            assert value == 1 + 2 + 3 + 4
+            assert value == 4 * 4 + 3 * 7 + 2 * 9 + 1 * 10  # longest first
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_identical_tied_jobs_take_one_path(self, monkeypatch, policy):
+        # n jobs of one (weight, work) class branch as one.  A budget of
+        # one state refuses any state entered once a path's end is
+        # memoized, so the search must finish on its first path.
+        n = 30
+        inst = Instance(tuple(Job(i, 0, 1, 1) for i in range(n)))
+        monkeypatch.setattr(wsrpt.simulator, "CELLS", n)
+        value, schedule = _exhaustive_worst(inst, policy)
+        assert value == n * (n + 1) // 2
+        assert [s.job for s in schedule.slices] == list(range(n))
+
+    @pytest.mark.parametrize("tie", list(TieRule))
+    def test_unknown_policy_is_refused_under_every_tie_rule(self, tie):
+        inst = Instance((Job(0, 0, 1, 1), Job(1, 0, 1, 1)), tie_script=((Fraction(0), 1),))
+        with pytest.raises(ValueError, match=r"^unknown policy 'edf'$"):
+            simulate(inst, policy="edf", tie=tie)
+
+
+def full_worst_search(instance: Instance, policy: Policy):
+    """``(objective, slices)`` of the worst run over every tied leader.
+
+    The reference the class search must match: a plain memoized recursion
+    on Fractions in id order, which branches on each of the policy's tied
+    leaders, found by cross-multiplying their ratios (w/rem, w/p or 1/rem),
+    and runs it until it completes or the next release.  Among equally bad
+    moves the first one wins.
+    """
+    jobs = sorted(instance.jobs, key=lambda j: j.id)
+    times = sorted({j.release for j in jobs})
+    memo = {}
+
+    def ratio(job, rem):
+        if policy is Policy.WSRPT:
+            return job.weight, rem
+        if policy is Policy.WSPT_PREEMPTIVE:
+            return job.weight, job.processing
+        return 1, rem
+
+    def solve(now, rem):
+        if (now, rem) in memo:
+            return memo[now, rem]
+        later = [t for t in times if t > now]
+        available = [i for i, job in enumerate(jobs) if rem[i] and job.release <= now]
+        leaders, a, b = [], 0, 1
+        for i in available:
+            x, y = ratio(jobs[i], rem[i])
+            if not leaders or x * b > a * y:
+                leaders, a, b = [i], x, y
+            elif x * b == a * y:
+                leaders.append(i)
+        best = None
+        if not leaders:
+            best = solve(later[0], rem) if later else (0, ())  # idle, or the end
+        for i in leaders:
+            end = min([now + rem[i]] + later[:1])
+            left = rem[i] - (end - now)
+            value, slices = solve(end, rem[:i] + (left,) + rem[i + 1 :])
+            if not left:
+                value += jobs[i].weight * end
+            job_id = jobs[i].id
+            if slices and slices[0].job == job_id and slices[0].start == end:
+                slices = (Slice(job_id, now, slices[0].end),) + slices[1:]
+            else:
+                slices = (Slice(job_id, now, end),) + slices
+            if best is None or value > best[0]:
+                best = (value, slices)
+        memo[now, rem] = best
+        return best
+
+    return solve(times[0], tuple(j.processing for j in jobs))
+
+
+class TestClassSearch:
+    """The exhaustive search branches on one tied leader per (weight,
+    remaining work) class and still finds the full search's worst run."""
+
+    @staticmethod
+    def _assert_matches_full_search(instance, policy):
+        value, schedule = _exhaustive_worst(instance, policy)
+        assert (value, schedule.slices) == full_worst_search(instance, policy)
+
+    @pytest.mark.parametrize("kind", RANDOM_KINDS)
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_seeded_draws(self, kind, policy):
+        for seed in range(28):
+            self._assert_matches_full_search(gen_random(Random(seed), 2 + seed % 7, kind), policy)
+
+    @given(tie_heavy_instances(max_jobs=8), st.sampled_from(list(Policy)))
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_draws(self, instance, policy):
+        self._assert_matches_full_search(instance, policy)
+
+    @pytest.mark.parametrize(
+        "k, at, ratio", [b for b in BURSTS if b.values[0] <= 2] + [
+            pytest.param(6, at, ratio, id=f"k6-at{at}-ratio{ratio}")
+            for at in (Fraction(1), Fraction(2))
+            for ratio in (Fraction(1), Fraction(2))
+        ]
+    )
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_bursts(self, k, at, ratio, policy):
+        # The plain search branches on every piece, 2^k sets of them, so
+        # the 37-piece bursts are out of its reach.
+        self._assert_matches_full_search(burst_instance(k, at, ratio), policy)
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 40), Fraction(1, 100)])
+    def test_family_worst_tie_is_the_script(self, delta):
+        # 49 and 121 jobs, every release a tie: the worst resolution of
+        # every tie is the scripted schedule, within the envelope.
+        inst = gen_basic(ScenarioParams(y=Fraction(4, 5), v=Fraction(7, 10), delta=delta))
+        worst = simulate(inst, tie=TieRule.EXHAUSTIVE_WORST)
+        assert worst == simulate(inst, tie=TieRule.SCRIPTED)
+        ratio = objective(worst, inst) / structured_optimal(inst).objective
+        assert 1 < ratio <= ENVELOPE
 
 
 class TestSearchPaths:
