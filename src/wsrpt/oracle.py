@@ -112,8 +112,9 @@ def optimal_dp_timeindexed(instance: Instance) -> OptimalResult:
     The search ranks no job (``key`` None), so its moves run the first
     available job of each (weight, remaining work) class: such jobs are
     interchangeable.  The search's limits raise BudgetExceeded: more than
-    MAX_SEARCH_DEPTH jobs up front, more than CELLS // n memo states, or a
-    path deeper than MAX_SEARCH_DEPTH moves.
+    MAX_SEARCH_DEPTH jobs up front, a new state entered once the memo holds
+    CELLS // n finished states (the open states of the current path are
+    not counted), or a path deeper than MAX_SEARCH_DEPTH moves.
     """
     timeline = instance._by_id
     weights, den_w = _scaled_weights(timeline.weights)

@@ -29,7 +29,6 @@ instant, with Fractions only in its reports.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -68,8 +67,10 @@ class TieRule(Enum):
 #: completion is a move of its own, so more jobs than this are refused.
 MAX_SEARCH_DEPTH = 800
 
-#: Cap on the job remainders either search's memo holds in all: each state
-#: keeps one per job, so an n-job search memoizes at most CELLS // n states.
+#: Either search's state budget, in job remainders: each state keeps one per
+#: job, and an n-job search refuses to enter a new state once its memo holds
+#: CELLS // n finished states.  The states open on the current path are not
+#: counted, so the memo can end up to MAX_SEARCH_DEPTH states past that.
 CELLS = 4_000_000
 
 
@@ -373,21 +374,31 @@ def _event_search(timeline: _Timeline, weights: list[int], key, sign: int, what:
     The moves of a state run, in index order, the first job of each
     (weight, remaining work) class among the available jobs of minimal
     ``key(k, rem)`` rank (a policy's ``_policy_key``), or among all the
-    available jobs when ``key`` is None.  Two released jobs of equal weight
-    and equal work left, tied in rank, can trade places in any schedule
-    without changing its objective, so one of them branches for both.  A
-    completion at ``end`` gains ``sign * w * end``, so the search finds the
-    worst objective for ``sign`` = 1 and the best for -1; only a strictly
-    higher value replaces the incumbent, so among equal moves the first one
-    wins.
+    available jobs when ``key`` is None.  One pass over the job indices
+    picks them: it ranks every available job, even a lone one, and keeps
+    the jobs that hold the smallest rank seen so far, in index order, a
+    smaller rank starting the list afresh.  Two released jobs of equal
+    weight and equal work left, tied in rank, can trade places in any
+    schedule without changing its objective, so one of them branches for
+    both.  A completion at ``end`` gains ``sign * w * end``, so the search
+    finds the worst objective for ``sign`` = 1 and the best for -1; only a
+    strictly higher value replaces the incumbent, so among equal moves the
+    first one wins.
+
+    Each state is entered with the index of its next release in the sorted
+    release times, which end in a None past the last one.  A move that
+    ends exactly at that release, cut there or completing there, passes
+    the next index on, as the idle jump does; any other move keeps it.
 
     A memo entry is ``(value, step, continuation)``: it links to the entry
     of the rest of the path instead of copying it.  ``path`` is the start
     state's entry; ``_path_schedule`` fuses its steps into runs, as ``_run``
     fuses them.  Each job's completion takes a move of its own, so more jobs
-    than MAX_SEARCH_DEPTH are refused up front; more than CELLS // n
-    distinct states or a path of more than MAX_SEARCH_DEPTH moves raise
-    BudgetExceeded naming ``what``.
+    than MAX_SEARCH_DEPTH are refused up front.  A new state entered while
+    the memo already holds CELLS // n finished states, or a path of more
+    than MAX_SEARCH_DEPTH moves, raises BudgetExceeded naming ``what``.
+    The states still open on the current path are not counted, so the memo
+    can end up to MAX_SEARCH_DEPTH states past CELLS // n.
     """
     n = len(timeline.ids)
     if n > MAX_SEARCH_DEPTH:
@@ -398,45 +409,54 @@ def _event_search(timeline: _Timeline, weights: list[int], key, sign: int, what:
     budget = CELLS // n
     releases = timeline.releases
     times = sorted(set(releases))
+    times.append(None)  # past the last release: no next release
     memo: dict = {}
 
-    def solve(now: int, rem: tuple, depth: int) -> tuple:
+    def solve(now: int, rem: tuple, i: int, depth: int) -> tuple:
         entry = memo.get((now, rem))
         if entry is not None:
             return entry
         if len(memo) >= budget:
             raise BudgetExceeded(f"{what} exceeded {budget} states")
-        i = bisect_right(times, now)
-        available = [k for k in range(n) if rem[k] and releases[k] <= now]
-        if depth == MAX_SEARCH_DEPTH and (available or i < len(times)):
+        nxt = times[i]
+        if key is None:
+            moves = [k for k, r in enumerate(rem) if r and releases[k] <= now]
+        else:
+            moves = []
+            for k, r in enumerate(rem):
+                if r and releases[k] <= now:
+                    rank = key(k, r)
+                    if not moves or rank < top:
+                        top, moves = rank, [k]
+                    elif rank == top:
+                        moves.append(k)
+        if depth == MAX_SEARCH_DEPTH and (moves or nxt is not None):
             raise BudgetExceeded(f"{what} exceeded search depth {MAX_SEARCH_DEPTH}")
-        if len(available) > 1:
-            if key is not None:
-                ranks = [key(k, rem[k]) for k in available]
-                top = min(ranks)
-                available = [k for k, rank in zip(available, ranks) if rank == top]
+        if len(moves) > 1:
             classes: dict = {}
-            for k in available:
+            for k in moves:
                 classes.setdefault((weights[k], rem[k]), k)
-            available = classes.values()
+            moves = classes.values()
         entry = _PATH_END
-        if available:
-            for k in available:
+        if moves:
+            for k in moves:
                 end = now + rem[k]
-                if i < len(times) and times[i] < end:
-                    end = times[i]
+                if nxt is not None and nxt <= end:
+                    end, j = nxt, i + 1
+                else:
+                    j = i
                 left = rem[k] - (end - now)
-                rest = solve(end, rem[:k] + (left,) + rem[k + 1 :], depth + 1)
+                rest = solve(end, rem[:k] + (left,) + rem[k + 1 :], j, depth + 1)
                 value = rest[0] if left else rest[0] + sign * weights[k] * end
                 if entry is _PATH_END or value > entry[0]:
                     entry = (value, (k, now, end), rest)
-        elif i < len(times):
-            rest = solve(times[i], rem, depth + 1)  # idle until the next release
+        elif nxt is not None:
+            rest = solve(nxt, rem, i + 1, depth + 1)  # idle until the next release
             entry = (rest[0], None, rest)
         memo[now, rem] = entry
         return entry
 
-    path = solve(times[0], tuple(timeline.procs), 0)
+    path = solve(times[0], tuple(timeline.procs), 1, 0)
     return sign * path[0], path
 
 

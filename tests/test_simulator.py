@@ -751,14 +751,16 @@ class TestTieRules:
             simulate(inst, policy="edf", tie=tie)
 
 
-def full_worst_search(instance: Instance, policy: Policy):
+def full_worst_search(instance: Instance, policy: Policy | None):
     """``(objective, slices)`` of the worst run over every tied leader.
 
     The reference the class search must match: a plain memoized recursion
     on Fractions in id order, which branches on each of the policy's tied
     leaders, found by cross-multiplying their ratios (w/rem, w/p or 1/rem),
     and runs it until it completes or the next release.  Among equally bad
-    moves the first one wins.
+    moves the first one wins.  With ``policy`` None it is the time-indexed
+    DP's reference instead: every available job leads, and the run of the
+    best objective is returned, the first strictly cheaper move winning.
     """
     jobs = sorted(instance.jobs, key=lambda j: j.id)
     times = sorted({j.release for j in jobs})
@@ -778,6 +780,9 @@ def full_worst_search(instance: Instance, policy: Policy):
         available = [i for i, job in enumerate(jobs) if rem[i] and job.release <= now]
         leaders, a, b = [], 0, 1
         for i in available:
+            if policy is None:
+                leaders.append(i)
+                continue
             x, y = ratio(jobs[i], rem[i])
             if not leaders or x * b > a * y:
                 leaders, a, b = [i], x, y
@@ -797,7 +802,7 @@ def full_worst_search(instance: Instance, policy: Policy):
                 slices = (Slice(job_id, now, slices[0].end),) + slices[1:]
             else:
                 slices = (Slice(job_id, now, end),) + slices
-            if best is None or value > best[0]:
+            if best is None or (value < best[0] if policy is None else value > best[0]):
                 best = (value, slices)
         memo[now, rem] = best
         return best
@@ -847,6 +852,17 @@ class TestClassSearch:
         assert worst == simulate(inst, tie=TieRule.SCRIPTED)
         ratio = objective(worst, inst) / structured_optimal(inst).objective
         assert 1 < ratio <= ENVELOPE
+
+
+@pytest.mark.parametrize("kind", RANDOM_KINDS)
+def test_timeindexed_dp_returns_the_first_cheapest_run(kind):
+    # Equal optima abound on half-integer draws; the DP's class moves in
+    # index order must return the same one as the plain search over every
+    # available job, in objective and schedule.
+    for seed in range(10):
+        inst = gen_random(Random(seed), 2 + seed % 5, kind)
+        result = optimal_dp_timeindexed(inst)
+        assert (result.objective, result.schedule.slices) == full_worst_search(inst, None)
 
 
 class TestSearchPaths:
